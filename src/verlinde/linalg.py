@@ -1,9 +1,9 @@
 """Dense exact linear algebra over the rationals.
 
-Matrices carry ``Fraction`` entries.  Rank is computed by fraction-free
-(Bareiss) elimination on a denominator-cleared integer copy, so every
-intermediate value is an exact minor of the input and no rounding can
-occur.  Kernels come from a rational reduced row echelon form.
+Matrices carry ``Fraction`` entries.  Rank is certified modulo one
+word-size prime, with fraction-free (Bareiss) elimination as the exact
+fallback (see ``ExactMatrix.rank``).  Kernels come from a rational
+reduced row echelon form.
 """
 
 from __future__ import annotations
@@ -15,6 +15,12 @@ try:
     from gmpy2 import mpz
 except ImportError:  # pure-int fallback: same results, slower on large minors
     mpz = int
+
+# The modular engine's prime: the largest prime below 2**30, so a residue
+# is one 30-bit CPython digit and a product of two residues fits in two.
+_PRIME = 1073741789
+# Rational reconstruction recovers n/d from its residue when |n|, d <= this.
+_RECON_BOUND = math.isqrt((_PRIME - 1) // 2)
 
 __all__ = ["ExactMatrix", "rank", "kernel_basis", "random_unimodular"]
 
@@ -123,8 +129,33 @@ class ExactMatrix:
                 for row in self.entries]
 
     def rank(self):
-        """Exact rank over Q (fraction-free elimination)."""
-        return _bareiss_rank(_cleared_int_rows(self.entries))
+        """Exact rank over Q, certified modulo one word-size prime.
+
+        Rows are scaled to integers and the matrix is oriented with the
+        short side as rows.  Elimination mod p gives r <= rank over Q.  The
+        value returned is always proved, in one of three ways:
+
+        - r equals the number of rows (full rank mod p proves full rank);
+        - each of the rows - r rows that reduce to zero gives a left kernel
+          vector, lifted by rational reconstruction and checked to
+          annihilate the integer matrix exactly over Z.  Each vector is 1
+          at its own zero row and 0 at the others, so they are independent
+          and prove rank <= r;
+        - otherwise (a bad prime, or a kernel entry past the reconstruction
+          bound) fraction-free Bareiss elimination gives the rank.
+        """
+        rows = _cleared_int_rows(self.entries)
+        if self.rows > self.cols:
+            rows = [list(col) for col in zip(*rows)]
+        if not rows:
+            return 0
+        r, pivots, mults, zero_rows = _echelon_mod_p(rows)
+        for i in zero_rows:
+            support, residues = _left_kernel_mod_p(i, pivots, mults)
+            vec = _lift(residues)
+            if vec is None or not _annihilates(rows, support, vec):
+                return _bareiss_rank(rows)
+        return r
 
     def kernel_basis(self):
         """Basis of the right kernel as a list of Fraction column vectors."""
@@ -152,11 +183,94 @@ def _cleared_int_rows(entries):
     out = []
     for row in entries:
         if all(x.denominator == 1 for x in row):
-            out.append([mpz(x.numerator) for x in row])
+            out.append([x.numerator for x in row])
             continue
         l = math.lcm(*(x.denominator for x in row))
-        out.append([mpz(x.numerator * (l // x.denominator)) for x in row])
+        out.append([x.numerator * (l // x.denominator) for x in row])
     return out
+
+
+def _echelon_mod_p(rows):
+    """Gaussian elimination of an integer matrix modulo ``_PRIME``.
+
+    Returns the rank mod p, the pivot rows in pivot order, each row's
+    multipliers by pivot number, and the rows that reduced to zero.
+    Working rows are kept reversed so the current column pops in O(1).
+    """
+    p = _PRIME
+    rest_idx = list(range(len(rows)))
+    rest = [[x % p for x in reversed(row)] for row in rows]
+    mults = [[] for _ in rows]
+    pivots = []
+    for _ in range(len(rows[0])):
+        for at, row in enumerate(rest):
+            if row[-1]:
+                break
+        else:
+            for row in rest:
+                row.pop()
+            continue
+        pivots.append(rest_idx.pop(at))
+        tail = rest.pop(at)
+        inv = pow(tail.pop(), -1, p)
+        if not rest:
+            break
+        for slot, row in enumerate(rest):
+            e = row.pop()
+            f = e * inv % p
+            mults[rest_idx[slot]].append(f)
+            if f:
+                rest[slot] = [(x - f * y) % p for x, y in zip(row, tail)]
+    return len(pivots), pivots, mults, rest_idx
+
+
+def _left_kernel_mod_p(i, pivots, mults):
+    """The vector z mod p with z[i] = 1, zero at the other zero rows, and
+    z . rows = 0, as its support rows and their residues.
+
+    Row i reduced to zero, so it is the sum of its multipliers times the
+    reduced pivot rows; pivot row k is its own reduced row plus its
+    multipliers times earlier reduced rows.  Solving that unit lower
+    triangular system backwards writes row i over the original pivot rows.
+    """
+    p = _PRIME
+    acc = mults[i][:]
+    support, residues = [i], [1]
+    for k in range(len(pivots) - 1, -1, -1):
+        y = acc[k]
+        if y:
+            support.append(pivots[k])
+            residues.append(p - y)
+            for j, f in enumerate(mults[pivots[k]]):
+                if f:
+                    acc[j] = (acc[j] - y * f) % p
+    return support, residues
+
+
+def _lift(residues):
+    """Integer multiple of the vector of rationals n/d, |n|, d <=
+    ``_RECON_BOUND``, with these residues; None if an entry has none."""
+    nums, dens = [], []
+    for a in residues:
+        r0, r1, t0, t1 = _PRIME, a, 0, 1
+        while r1 > _RECON_BOUND:
+            q = r0 // r1
+            r0, r1 = r1, r0 - q * r1
+            t0, t1 = t1, t0 - q * t1
+        if abs(t1) > _RECON_BOUND or math.gcd(r1, t1) != 1:
+            return None
+        nums.append(r1 if t1 > 0 else -r1)
+        dens.append(abs(t1))
+    l = math.lcm(*dens)
+    return [n * (l // d) for n, d in zip(nums, dens)]
+
+
+def _annihilates(rows, support, coeffs):
+    """Whether sum(c * rows[i]) over the support is zero over Z."""
+    acc = [0] * len(rows[0])
+    for i, c in zip(support, coeffs):
+        acc = [a + c * x for a, x in zip(acc, rows[i])]
+    return not any(acc)
 
 
 def _bareiss_rank(rows):
@@ -168,6 +282,8 @@ def _bareiss_rank(rows):
     m = len(rows)
     if m == 0:
         return 0
+    if mpz is not int:
+        rows = [[mpz(x) for x in row] for row in rows]
     ncols = len(rows[0])
     prev = mpz(1)
     r = 0

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 def naive_rank(matrix):
     """Plain Gaussian elimination over Fraction; independent of the
-    fraction-free path used by the package."""
+    package's rank engine (elimination modulo a word-size prime, with a
+    fraction-free Bareiss fallback)."""
     rows = [[Fraction(x) for x in row] for row in matrix.entries]
     rank = 0
     cols = matrix.cols

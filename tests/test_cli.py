@@ -124,6 +124,19 @@ def test_verify_output_independent_of_worker_count():
     assert seq.stdout == par.stdout
 
 
+def test_criteria_fan_out_independent_of_worker_count(monkeypatch):
+    from verlinde.suites import _line_case, _line_specs, _map_cases
+
+    # eight lines of the first cell, random and planted-gcd alike
+    specs = _line_specs(7)[:24:3]
+    monkeypatch.setenv("VERLINDE_THREADS", "1")
+    seq = _map_cases(_line_case, specs)
+    monkeypatch.setenv("VERLINDE_THREADS", "2")
+    par = _map_cases(_line_case, specs)
+    assert seq == par
+    assert len(seq) == len(specs)
+
+
 def test_verify_exit_one_on_failure(monkeypatch, capsys):
     import verlinde.cli as cli
     from verlinde.suites import SuiteResult

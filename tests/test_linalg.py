@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from verlinde import linalg
+from verlinde.family import context, is_generic_type, sample_line, verlinde_pencil, zero_count
 from verlinde.linalg import ExactMatrix, kernel_basis, random_unimodular, rank
+from verlinde.pencils import splitting_type
 
 from conftest import naive_rank
 
@@ -109,3 +113,89 @@ def test_json_round_trip():
     m = ExactMatrix.from_rows([[Fraction(3, 2), -1], [0, Fraction(7)]])
     again = ExactMatrix.from_json(2, 2, m.to_json())
     assert again == m
+
+
+# ------------------------------------------------------- the modular engine
+
+@st.composite
+def _rational_matrices(draw):
+    """Rational matrices of every shape: wide, tall, empty, zero, and
+    rank-deficient products of low-rank factors."""
+    rows = draw(st.integers(0, 8))
+    cols = draw(st.integers(0, 8))
+    bound = draw(st.sampled_from((1, 9, 10**6, 2**40)))
+    entry = st.fractions(min_value=-bound, max_value=bound, max_denominator=12)
+    if draw(st.booleans()) or not rows or not cols:
+        grid = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                             min_size=rows, max_size=rows))
+        return ExactMatrix(rows, cols, grid)
+    inner = draw(st.integers(0, min(rows, cols)))
+    if inner == 0:
+        return ExactMatrix.zero(rows, cols)
+    left = draw(st.lists(st.lists(entry, min_size=inner, max_size=inner),
+                         min_size=rows, max_size=rows))
+    right = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                          min_size=inner, max_size=inner))
+    return ExactMatrix(rows, inner, left) @ ExactMatrix(inner, cols, right)
+
+
+@given(_rational_matrices())
+@settings(max_examples=300, deadline=None)
+def test_rank_matches_naive_on_every_shape(m):
+    assert rank(m) == naive_rank(m)
+
+
+def test_engine_prime_is_a_word_size_prime():
+    p = linalg._PRIME
+    assert 2**29 < p < 2**30
+    assert all(p % q for q in range(2, math.isqrt(p) + 1))
+
+
+@pytest.fixture
+def bareiss_calls(monkeypatch):
+    calls = []
+    original = linalg._bareiss_rank
+
+    def counting(rows):
+        calls.append(len(rows))
+        return original(rows)
+
+    monkeypatch.setattr(linalg, "_bareiss_rank", counting)
+    return calls
+
+
+def test_bad_prime_falls_back_to_bareiss(bareiss_calls):
+    # rank 2 over Q, rank 1 modulo the engine's prime
+    m = ExactMatrix.from_rows([[linalg._PRIME, 0], [0, 1]])
+    assert rank(m) == naive_rank(m) == 2
+    assert rank(m.transpose()) == 2
+    assert len(bareiss_calls) == 2
+
+
+def test_kernel_past_reconstruction_bound_falls_back(bareiss_calls):
+    # The engine takes kernel vectors on the short side (rows when square).
+    # Third row 2^40 times the first: that kernel is spanned by
+    # (2^40, 0, -1), past the reconstruction bound.
+    big = 2**40
+    square = ExactMatrix.from_rows([[1, 2, 3], [4, 5, 7], [big, 2 * big, 3 * big]])
+    assert rank(square) == naive_rank(square) == 2
+    assert len(bareiss_calls) == 1
+    # tall, third column 2^40 times the first: the same kernel on the columns
+    tall = ExactMatrix.from_rows([[1, 4, big], [2, 5, 2 * big], [3, 7, 3 * big], [1, 1, big]])
+    assert rank(tall) == naive_rank(tall) == 2
+    assert len(bareiss_calls) == 2
+
+
+def test_deficient_rank_certified_without_fallback(bareiss_calls):
+    m = ExactMatrix.from_rows([[1, 2, 3], [4, 5, 6], [5, 7, 9], [Fraction(1, 2), 1, Fraction(3, 2)]])
+    assert rank(m) == rank(m.transpose()) == 2
+    assert bareiss_calls == []
+
+
+def test_line_queries_stay_modular(bareiss_calls):
+    ctx = context(2, 3, 5)
+    line = sample_line(ctx, "random", seed="modular-only")
+    splitting_type(verlinde_pencil(ctx, line))
+    zero_count(ctx, line)
+    is_generic_type(ctx, line)
+    assert bareiss_calls == []
