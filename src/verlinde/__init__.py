@@ -24,7 +24,7 @@ from .jumping import (
     dim_z_jacobian,
     reconcile,
 )
-from .linalg import ExactMatrix, kernel_basis, random_unimodular, rank
+from .linalg import ExactMatrix, random_unimodular
 from .pencils import (
     Pencil,
     SplittingType,

@@ -1,6 +1,8 @@
 """Dense exact linear algebra over the rationals.
 
-Matrices carry ``Fraction`` entries.  Rank is certified modulo one
+Every exact scalar in the package is in one normal form (``scalar``): an
+``int`` when the value is integral, a ``Fraction`` otherwise, so integer
+input stays in integer arithmetic.  Rank is certified modulo one
 word-size prime, with fraction-free (Bareiss) elimination as the exact
 fallback (see ``ExactMatrix.rank``).  Kernels come from a rational
 reduced row echelon form.
@@ -22,11 +24,20 @@ _PRIME = 1073741789
 # Rational reconstruction recovers n/d from its residue when |n|, d <= this.
 _RECON_BOUND = math.isqrt((_PRIME - 1) // 2)
 
-__all__ = ["ExactMatrix", "rank", "kernel_basis", "random_unimodular"]
+__all__ = ["ExactMatrix", "scalar", "random_unimodular"]
+
+
+def scalar(x):
+    """The normal form of an exact value: an int when it is integral, else a
+    Fraction.  Accepts whatever ``Fraction`` does (ints, Fractions, "3/2")."""
+    if type(x) is int:
+        return x
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 class ExactMatrix:
-    """Immutable dense matrix of Fractions."""
+    """Immutable dense matrix of exact scalars in normal form (see ``scalar``)."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -39,7 +50,7 @@ class ExactMatrix:
         for row in entries:
             if len(row) != cols:
                 raise ValueError(f"expected {cols} columns, got {len(row)}")
-            data.append([x if isinstance(x, Fraction) else Fraction(x) for x in row])
+            data.append([x if type(x) is int else scalar(x) for x in row])
         self.rows = rows
         self.cols = cols
         self.entries = data
@@ -55,11 +66,11 @@ class ExactMatrix:
 
     @classmethod
     def zero(cls, rows, cols):
-        return cls(rows, cols, [[Fraction(0)] * cols for _ in range(rows)])
+        return cls(rows, cols, [[0] * cols for _ in range(rows)])
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)])
+        return cls(n, n, [[int(i == j) for j in range(n)] for i in range(n)])
 
     def __getitem__(self, ij):
         i, j = ij
@@ -75,9 +86,6 @@ class ExactMatrix:
 
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols})"
-
-    def copy_rows(self):
-        return [row[:] for row in self.entries]
 
     def transpose(self):
         return ExactMatrix(self.cols, self.rows,
@@ -95,7 +103,7 @@ class ExactMatrix:
         return ExactMatrix(self.rows + other.rows, self.cols, self.entries + other.entries)
 
     def scale(self, c):
-        c = Fraction(c)
+        c = scalar(c)
         return ExactMatrix(self.rows, self.cols,
                            [[c * x for x in row] for row in self.entries])
 
@@ -114,8 +122,7 @@ class ExactMatrix:
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
         ot = other.transpose().entries
-        out = [[sum(a * b for a, b in zip(row, col)) if self.cols else Fraction(0)
-                for col in ot]
+        out = [[sum(a * b for a, b in zip(row, col)) for col in ot]
                for row in self.entries]
         return ExactMatrix(self.rows, other.cols, out)
 
@@ -125,14 +132,13 @@ class ExactMatrix:
     def apply_to_vector(self, vec):
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        return [sum(a * b for a, b in zip(row, vec)) if self.cols else Fraction(0)
-                for row in self.entries]
+        return [sum(a * b for a, b in zip(row, vec)) for row in self.entries]
 
     def rank(self):
         """Exact rank over Q, certified modulo one word-size prime.
 
-        Rows are scaled to integers and the matrix is oriented with the
-        short side as rows.  Elimination mod p gives r <= rank over Q.  The
+        The matrix is oriented with the short side as rows and each row is
+        scaled to integers.  Elimination mod p gives r <= rank over Q.  The
         value returned is always proved, in one of three ways:
 
         - r equals the number of rows (full rank mod p proves full rank);
@@ -144,9 +150,8 @@ class ExactMatrix:
         - otherwise (a bad prime, or a kernel entry past the reconstruction
           bound) fraction-free Bareiss elimination gives the rank.
         """
-        rows = _cleared_int_rows(self.entries)
-        if self.rows > self.cols:
-            rows = [list(col) for col in zip(*rows)]
+        oriented = self.transpose() if self.rows > self.cols else self
+        rows = _cleared_int_rows(oriented.entries)
         if not rows:
             return 0
         r, pivots, mults, zero_rows = _echelon_mod_p(rows)
@@ -166,24 +171,15 @@ class ExactMatrix:
 
     @classmethod
     def from_json(cls, rows, cols, grid):
-        entries = [[Fraction(x) for x in row] for row in grid]
-        return cls(rows, cols, entries)
-
-
-def rank(m: ExactMatrix) -> int:
-    return m.rank()
-
-
-def kernel_basis(m: ExactMatrix):
-    return m.kernel_basis()
+        return cls(rows, cols, grid)
 
 
 def _cleared_int_rows(entries):
     """Scale each row to integers (row scaling preserves rank and kernel)."""
     out = []
     for row in entries:
-        if all(x.denominator == 1 for x in row):
-            out.append([x.numerator for x in row])
+        if all(type(x) is int for x in row):
+            out.append(row[:])
             continue
         l = math.lcm(*(x.denominator for x in row))
         out.append([x.numerator * (l // x.denominator) for x in row])
@@ -323,7 +319,8 @@ def _bareiss_rank(rows):
 
 def _rref(entries, m, n):
     """Reduced row echelon form over Fraction; returns (rows, pivot list)."""
-    rows = [row[:] for row in entries]
+    # Fraction rows, since ``/`` on two ints gives a float
+    rows = [[Fraction(x) for x in row] for row in entries]
     pivots = []
     r = 0
     for c in range(n):
@@ -370,7 +367,7 @@ def random_unimodular(n, rng, shears=None):
         return ExactMatrix.zero(0, 0)
     if shears is None:
         shears = 2 * n + 2
-    rows = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(shears):
         i = rng.randrange(n)
         j = rng.randrange(n)

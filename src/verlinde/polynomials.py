@@ -1,5 +1,8 @@
 """Homogeneous polynomials over Q with a fixed global monomial order.
 
+Coefficients are exact scalars in the normal form of ``linalg.scalar``
+(int when integral, Fraction otherwise).
+
 The monomial order is graded lexicographic with x0 > x1 > ... > xn,
 descending, and every matrix in the package indexes its rows and columns
 by this order, so all computations are reproducible bit for bit.
@@ -12,7 +15,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, scalar
 
 __all__ = [
     "HomogeneousPolynomial",
@@ -62,7 +65,8 @@ def basis_index(n, m):
 
 
 class HomogeneousPolynomial:
-    """Exact-rational homogeneous form, stored as a sparse term map."""
+    """Homogeneous form over Q, stored as a sparse map from monomials to
+    nonzero coefficients in normal form (int when integral, else Fraction)."""
 
     __slots__ = ("num_vars", "degree", "terms")
 
@@ -73,19 +77,20 @@ class HomogeneousPolynomial:
             raise ValueError("degree must be nonnegative")
         clean = {}
         for mono, coeff in (terms or {}).items():
-            mono = tuple(int(e) for e in mono)
+            # from a list, not a generator: a tuple built from a generator is
+            # allocated at a guessed length and resized, and the freed blocks
+            # pile up on CPython's per-length tuple free lists
+            mono = tuple([int(e) for e in mono])
             if len(mono) != num_vars:
                 raise ValueError(f"monomial {mono} has {len(mono)} exponents, expected {num_vars}")
             if any(e < 0 for e in mono):
                 raise ValueError(f"negative exponent in {mono}")
             if sum(mono) != degree:
                 raise ValueError(f"monomial {mono} has degree {sum(mono)}, expected {degree}")
-            coeff = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
-            if coeff:
-                clean[mono] = clean.get(mono, Fraction(0)) + coeff
+            clean[mono] = clean.get(mono, 0) + scalar(coeff)
         self.num_vars = num_vars
         self.degree = degree
-        self.terms = {m: c for m, c in clean.items() if c}
+        self.terms = {m: scalar(c) for m, c in clean.items() if c}
 
     @classmethod
     def zero(cls, num_vars, degree=0):
@@ -93,7 +98,7 @@ class HomogeneousPolynomial:
 
     @classmethod
     def monomial(cls, num_vars, exponents, coeff=1):
-        return cls(num_vars, sum(exponents), {tuple(exponents): Fraction(coeff)})
+        return cls(num_vars, sum(exponents), {tuple(exponents): coeff})
 
     @classmethod
     def variable(cls, num_vars, i):
@@ -111,7 +116,7 @@ class HomogeneousPolynomial:
         return self.num_vars - 1
 
     def coefficient(self, mono):
-        return self.terms.get(tuple(mono), Fraction(0))
+        return self.terms.get(tuple(mono), 0)
 
     def __eq__(self, other):
         if not isinstance(other, HomogeneousPolynomial):
@@ -139,7 +144,7 @@ class HomogeneousPolynomial:
             raise ValueError("cannot add forms of different degrees")
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            terms[m] = terms.get(m, Fraction(0)) + c
+            terms[m] = terms.get(m, 0) + c
         return HomogeneousPolynomial(self.num_vars, self.degree, terms)
 
     def __neg__(self):
@@ -150,7 +155,7 @@ class HomogeneousPolynomial:
         return self + (-other)
 
     def scale(self, c):
-        c = Fraction(c)
+        c = scalar(c)
         if not c:
             return HomogeneousPolynomial.zero(self.num_vars, self.degree)
         return HomogeneousPolynomial(self.num_vars, self.degree,
@@ -166,8 +171,8 @@ class HomogeneousPolynomial:
         terms = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                terms[m] = terms.get(m, Fraction(0)) + c1 * c2
+                m = tuple([a + b for a, b in zip(m1, m2)])
+                terms[m] = terms.get(m, 0) + c1 * c2
         return HomogeneousPolynomial(self.num_vars, deg, terms)
 
     __rmul__ = __mul__
@@ -175,17 +180,10 @@ class HomogeneousPolynomial:
     def coeff_vector(self):
         """Dense coefficient list in monomial_basis order."""
         idx = basis_index(self.n, self.degree)
-        vec = [Fraction(0)] * len(idx)
+        vec = [0] * len(idx)
         for m, c in self.terms.items():
             vec[idx[m]] = c
         return vec
-
-    @classmethod
-    def from_coeff_vector(cls, n, degree, vec):
-        basis = monomial_basis(n, degree)
-        if len(vec) != len(basis):
-            raise ValueError("coefficient vector has wrong length")
-        return cls(n + 1, degree, {m: Fraction(c) for m, c in zip(basis, vec) if c})
 
     def sorted_terms(self):
         idx = basis_index(self.n, self.degree)
@@ -205,8 +203,11 @@ class HomogeneousPolynomial:
             n = int(obj["n"])
             degree = int(obj["degree"])
             raw_terms = obj["terms"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed polynomial object: {exc}") from exc
+        if not isinstance(raw_terms, list):
+            raise ValueError(f"malformed polynomial object: terms must be a list, "
+                             f"got {type(raw_terms).__name__}")
         if n < 1 or degree < 0:
             raise ValueError(f"invalid dimensions n={n}, degree={degree}")
         terms = {}
@@ -214,7 +215,7 @@ class HomogeneousPolynomial:
             try:
                 coeff = Fraction(term["c"])
                 exps = tuple(int(e) for e in term["e"])
-            except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
                 raise ValueError(f"term {pos}: unreadable ({exc})") from exc
             if len(exps) != n + 1:
                 raise ValueError(f"term {pos}: expected {n + 1} exponents, got {len(exps)}")
@@ -223,7 +224,7 @@ class HomogeneousPolynomial:
             if sum(exps) != degree:
                 raise ValueError(
                     f"term {pos}: exponents {list(exps)} sum to {sum(exps)}, expected degree {degree}")
-            terms[exps] = terms.get(exps, Fraction(0)) + coeff
+            terms[exps] = terms.get(exps, 0) + coeff
         return cls(n + 1, degree, terms)
 
     def __str__(self):
@@ -260,16 +261,16 @@ def mult_matrix(f, src_deg):
     n = f.n
     src = monomial_basis(n, src_deg)
     dst_index = basis_index(n, src_deg + f.degree)
-    grid = [[Fraction(0)] * len(src) for _ in range(len(dst_index))]
+    grid = [[0] * len(src) for _ in range(len(dst_index))]
     for j, theta in enumerate(src):
         for m, c in f.terms.items():
-            target = tuple(a + b for a, b in zip(m, theta))
+            target = tuple([a + b for a, b in zip(m, theta)])
             grid[dst_index[target]][j] += c
     return ExactMatrix(len(dst_index), len(src), grid)
 
 
 def _binary_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a:
             for j, b in enumerate(q):
@@ -289,12 +290,12 @@ def restrict_to_line(f, subst):
             raise ValueError(f"substitution must be {f.num_vars} x 2")
         pairs = [(subst[i, 0], subst[i, 1]) for i in range(subst.rows)]
     else:
-        pairs = [(Fraction(a), Fraction(b)) for a, b in subst]
+        pairs = [(scalar(a), scalar(b)) for a, b in subst]
         if len(pairs) != f.num_vars:
             raise ValueError(f"substitution must give all {f.num_vars} variables")
     d = f.degree
     # coeffs[j] = coefficient of s^(d-j) t^j
-    coeffs = [Fraction(0)] * (d + 1)
+    coeffs = [0] * (d + 1)
     for m, c in f.terms.items():
         prod = [c]
         for (a, b), e in zip(pairs, m):
@@ -311,7 +312,7 @@ def binary_coeffs(f):
     if f.num_vars != 2:
         raise ValueError("not a binary form")
     d = f.degree
-    out = [Fraction(0)] * (d + 1)
+    out = [0] * (d + 1)
     for (_, j), c in f.terms.items():
         out[j] = c
     return out
@@ -325,7 +326,7 @@ def _univariate_mod(a, b):
             a.pop(0)
         if len(a) < len(b):
             break
-        q = a[0] / b[0]
+        q = Fraction(a[0], b[0])  # not a[0] / b[0]: that is a float on ints
         for i in range(len(b)):
             a[i] -= q * b[i]
         a.pop(0)
@@ -405,7 +406,7 @@ def gcd_degree(f1, f2, trials=3, seed=0, bound=COEFF_BOUND, _retries=16):
     return best
 
 
-_COEFF_RE = re.compile(r"^\d+(?:/\d+)?$")
+_COEFF_RE = re.compile(r"^\d+(?:/\d*[1-9]\d*)?$")  # no zero denominator
 _VAR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 
 
@@ -433,7 +434,7 @@ def parse_form(text, n, degree=None):
             sign, body = -1, body[1:]
         if not body:
             raise ValueError(f"dangling sign in {text!r}")
-        coeff = Fraction(sign)
+        coeff = sign
         exps = [0] * (n + 1)
         for factor in body.split("*"):
             if _COEFF_RE.match(factor):
@@ -454,7 +455,7 @@ def parse_form(text, n, degree=None):
         if len(seen_degrees) > 1:
             raise ValueError(f"term {chunk!r} breaks homogeneity: degrees {sorted(seen_degrees)}")
         key = tuple(exps)
-        terms[key] = terms.get(key, Fraction(0)) + coeff
+        terms[key] = terms.get(key, 0) + coeff
     final_degree = degree if degree is not None else seen_degrees.pop()
     return HomogeneousPolynomial(n + 1, final_degree, terms)
 
@@ -467,7 +468,7 @@ def random_form(n, degree, rng, bound=COEFF_BOUND, _retries=64):
         for m in basis:
             c = rng.randint(-bound, bound)
             if c:
-                terms[m] = Fraction(c)
+                terms[m] = c
         if terms:
             return HomogeneousPolynomial(n + 1, degree, terms)
     raise RuntimeError("failed to sample a nonzero form")

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 CLI = [sys.executable, "-m", "verlinde.cli"]
 
 
@@ -63,6 +65,29 @@ def test_split_malformed_term_names_offender():
                   "--f1", bad, "--f2", "x0*x1")
     assert res.returncode == 2
     assert "term 0" in res.stderr
+
+
+@pytest.mark.parametrize("f1", [
+    json.dumps({"n": 2, "degree": 2, "terms": 5}),
+    json.dumps({"n": 2, "degree": 2, "terms": None}),
+    json.dumps({"n": float("inf"), "degree": 2, "terms": []}),
+    json.dumps({"n": 2, "degree": 2, "terms": [{"c": float("inf"), "e": [2, 0, 0]}]}),
+    "1/0*x0^2",
+])
+def test_split_malformed_input_is_usage_error(f1):
+    res = run_cli("split", "--n", "2", "--d", "2", "--k", "3", "--f1", f1, "--f2", "x0*x1")
+    assert res.returncode == 2
+    assert "--f1" in res.stderr and "Traceback" not in res.stderr
+
+
+def test_split_rational_form_matches_integer_multiple():
+    common = ("split", "--n", "2", "--d", "2", "--k", "3", "--f2", "x0*x2")
+    half = run_cli(*common, "--f1", "1/2*x0*x1")
+    whole = run_cli(*common, "--f1", "x0*x1")
+    assert half.returncode == whole.returncode == 0
+    out = json.loads(half.stdout)
+    assert out["f1"]["terms"] == [{"c": "1/2", "e": [1, 1, 0]}]
+    assert out["type"] == json.loads(whole.stdout)["type"]
 
 
 def test_split_degenerate_line_rejected():

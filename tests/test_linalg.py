@@ -8,40 +8,43 @@ from hypothesis import strategies as st
 
 from verlinde import linalg
 from verlinde.family import context, is_generic_type, sample_line, verlinde_pencil, zero_count
-from verlinde.linalg import ExactMatrix, kernel_basis, random_unimodular, rank
-from verlinde.pencils import splitting_type
+from verlinde.jumping import dim_z_jacobian
+from verlinde.linalg import ExactMatrix, random_unimodular
+from verlinde.pencils import splitting_type, sylvester_block
+from verlinde.polynomials import _univariate_mod, mult_matrix
+from verlinde.suites import _span_rank_oracle
 
 from conftest import naive_rank
 
 
 def test_identity_rank_and_kernel():
     m = ExactMatrix.identity(3)
-    assert rank(m) == 3
-    assert kernel_basis(m) == []
+    assert m.rank() == 3
+    assert m.kernel_basis() == []
 
 
 def test_zero_matrix_rank_and_kernel():
     m = ExactMatrix.zero(2, 5)
-    assert rank(m) == 0
-    ker = kernel_basis(m)
+    assert m.rank() == 0
+    ker = m.kernel_basis()
     assert len(ker) == 5
 
 
 def test_empty_shapes():
-    assert rank(ExactMatrix.zero(0, 0)) == 0
-    assert rank(ExactMatrix.zero(3, 0)) == 0
-    assert rank(ExactMatrix.zero(0, 4)) == 0
+    assert ExactMatrix.zero(0, 0).rank() == 0
+    assert ExactMatrix.zero(3, 0).rank() == 0
+    assert ExactMatrix.zero(0, 4).rank() == 0
 
 
 def test_rank_with_fractions():
     proportional = ExactMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)],
                                           [Fraction(3, 2), Fraction(1)],
                                           [Fraction(1), Fraction(2, 3)]])
-    assert rank(proportional) == naive_rank(proportional) == 1
+    assert proportional.rank() == naive_rank(proportional) == 1
     m = ExactMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)],
                                [Fraction(3, 2), Fraction(1)],
                                [Fraction(1), Fraction(1)]])
-    assert rank(m) == naive_rank(m) == 2
+    assert m.rank() == naive_rank(m) == 2
 
 
 def _random_matrix(rng, rows, cols, target):
@@ -60,7 +63,7 @@ def _random_matrix(rng, rows, cols, target):
 def test_rank_matches_naive_gauss(seed):
     rng = random.Random(f"rank:{seed}")
     m = _random_matrix(rng, rng.randint(1, 8), rng.randint(1, 8), rng.randint(0, 5))
-    assert rank(m) == naive_rank(m)
+    assert m.rank() == naive_rank(m)
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -68,13 +71,13 @@ def test_rank_invariances(seed):
     rng = random.Random(f"inv:{seed}")
     rows, cols = rng.randint(2, 7), rng.randint(2, 7)
     m = _random_matrix(rng, rows, cols, rng.randint(1, min(rows, cols)))
-    r = rank(m)
-    assert rank(m.transpose()) == r
+    r = m.rank()
+    assert m.transpose().rank() == r
     perm = list(range(rows))
     rng.shuffle(perm)
-    assert rank(ExactMatrix(rows, cols, [m.entries[p] for p in perm])) == r
+    assert ExactMatrix(rows, cols, [m.entries[p] for p in perm]).rank() == r
     conj = random_unimodular(rows, rng) @ m @ random_unimodular(cols, rng)
-    assert rank(conj) == r
+    assert conj.rank() == r
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -82,13 +85,13 @@ def test_kernel_rank_nullity_and_membership(seed):
     rng = random.Random(f"ker:{seed}")
     rows, cols = rng.randint(1, 7), rng.randint(1, 7)
     m = _random_matrix(rng, rows, cols, rng.randint(0, min(rows, cols)))
-    ker = kernel_basis(m)
-    assert len(ker) == cols - rank(m)
+    ker = m.kernel_basis()
+    assert len(ker) == cols - m.rank()
     for v in ker:
         assert all(x == 0 for x in m.apply_to_vector(v))
     # kernel vectors are independent: stacking them gives full rank
     if ker:
-        assert rank(ExactMatrix.from_rows(ker, cols=cols)) == len(ker)
+        assert ExactMatrix.from_rows(ker, cols=cols).rank() == len(ker)
 
 
 @given(st.integers(2, 5), st.integers(0, 1000))
@@ -96,7 +99,7 @@ def test_kernel_rank_nullity_and_membership(seed):
 def test_unimodular_has_full_rank(n, seed):
     rng = random.Random(seed)
     m = random_unimodular(n, rng)
-    assert rank(m) == n
+    assert m.rank() == n
 
 
 def test_matmul_and_stacking():
@@ -142,7 +145,7 @@ def _rational_matrices(draw):
 @given(_rational_matrices())
 @settings(max_examples=300, deadline=None)
 def test_rank_matches_naive_on_every_shape(m):
-    assert rank(m) == naive_rank(m)
+    assert m.rank() == naive_rank(m)
 
 
 def test_engine_prime_is_a_word_size_prime():
@@ -167,8 +170,8 @@ def bareiss_calls(monkeypatch):
 def test_bad_prime_falls_back_to_bareiss(bareiss_calls):
     # rank 2 over Q, rank 1 modulo the engine's prime
     m = ExactMatrix.from_rows([[linalg._PRIME, 0], [0, 1]])
-    assert rank(m) == naive_rank(m) == 2
-    assert rank(m.transpose()) == 2
+    assert m.rank() == naive_rank(m) == 2
+    assert m.transpose().rank() == 2
     assert len(bareiss_calls) == 2
 
 
@@ -178,17 +181,17 @@ def test_kernel_past_reconstruction_bound_falls_back(bareiss_calls):
     # (2^40, 0, -1), past the reconstruction bound.
     big = 2**40
     square = ExactMatrix.from_rows([[1, 2, 3], [4, 5, 7], [big, 2 * big, 3 * big]])
-    assert rank(square) == naive_rank(square) == 2
+    assert square.rank() == naive_rank(square) == 2
     assert len(bareiss_calls) == 1
     # tall, third column 2^40 times the first: the same kernel on the columns
     tall = ExactMatrix.from_rows([[1, 4, big], [2, 5, 2 * big], [3, 7, 3 * big], [1, 1, big]])
-    assert rank(tall) == naive_rank(tall) == 2
+    assert tall.rank() == naive_rank(tall) == 2
     assert len(bareiss_calls) == 2
 
 
 def test_deficient_rank_certified_without_fallback(bareiss_calls):
     m = ExactMatrix.from_rows([[1, 2, 3], [4, 5, 6], [5, 7, 9], [Fraction(1, 2), 1, Fraction(3, 2)]])
-    assert rank(m) == rank(m.transpose()) == 2
+    assert m.rank() == m.transpose().rank() == 2
     assert bareiss_calls == []
 
 
@@ -199,3 +202,47 @@ def test_line_queries_stay_modular(bareiss_calls):
     zero_count(ctx, line)
     is_generic_type(ctx, line)
     assert bareiss_calls == []
+
+
+# ------------------------------------------------- the scalar normal form
+
+def _all_int(rows):
+    return all(type(x) is int for row in rows for x in row)
+
+
+def test_integer_line_stays_integer(monkeypatch):
+    ctx = context(2, 3, 5)
+    line = sample_line(ctx, "random", seed="normal-form")
+    pencil = verlinde_pencil(ctx, line)
+    assert _all_int(mult_matrix(line.f1, ctx.k - ctx.d).entries)
+    assert _all_int(pencil.at(3, -7).entries)
+    assert _all_int(sylvester_block(pencil, 2).entries)
+    # the Jacobian rows as built, before the matrix constructor sees them
+    built = []
+    from_rows = ExactMatrix.from_rows
+
+    def spy(rows, cols=None):
+        built.append(rows)
+        return from_rows(rows, cols)
+
+    monkeypatch.setattr(ExactMatrix, "from_rows", spy)
+    dim_z_jacobian(2, 3, trials=1)
+    assert built and all(_all_int(rows) for rows in built)
+
+
+def test_scalar_normal_form():
+    assert [type(linalg.scalar(x)) for x in (3, Fraction(6, 2), "4/2", True)] == [int] * 4
+    assert linalg.scalar("3/6") == Fraction(1, 2)
+    m = ExactMatrix.from_rows([[Fraction(4, 2), Fraction(1, 2)]]).scale(2)
+    assert m.entries == [[4, 1]] and _all_int(m.entries)
+
+
+def test_divisions_stay_exact_on_integer_input():
+    ker = ExactMatrix.from_rows([[3, 1, 2], [6, 2, 5]]).kernel_basis()
+    assert ker == [[Fraction(-1, 3), 1, 0]]
+    assert all(type(x) is Fraction for v in ker for x in v)
+    rem = _univariate_mod([1, 0, 0], [3, 1])  # x^2 mod 3x + 1
+    assert rem == [Fraction(1, 9)] and type(rem[0]) is Fraction
+    # the third vector is the sum of the first two; float division by 3
+    # leaves a rounding residue that reads as rank 3
+    assert _span_rank_oracle([(3, 1, 1), (1, 3, 7), (4, 4, 8)]) == 2
