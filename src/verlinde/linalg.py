@@ -2,15 +2,20 @@
 
 Every exact scalar in the package is in one normal form (``scalar``): an
 ``int`` when the value is integral, a ``Fraction`` otherwise, so integer
-input stays in integer arithmetic.  Rank is certified modulo one
-word-size prime, with fraction-free (Bareiss) elimination as the exact
-fallback (see ``ExactMatrix.rank``).  Kernels come from a rational
-reduced row echelon form.
+input stays in integer arithmetic.  ``ExactMatrix.left_kernel`` gives an
+integer left kernel basis certified from one elimination modulo a
+word-size prime, with fraction-free (Bareiss) elimination of [M | I] as
+the exact fallback; ``ExactMatrix.rank`` is the number of rows less the
+size of that basis, with Bareiss on M alone as its fallback.  One Bareiss
+loop serves both fallbacks and the suites' independent rank oracle.
+Right kernels (``kernel_basis``) come from a rational reduced row
+echelon form.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 try:
@@ -34,6 +39,31 @@ def scalar(x):
         return x
     x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
+
+
+_JSON_SCALAR_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
+def int_from_json(x):
+    """A JSON integer as an int; ValueError for anything else (a float such
+    as 2.5 or 2.0, a bool, a string)."""
+    if type(x) is not int:
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x
+
+
+def scalar_from_json(x):
+    """An exact scalar from its JSON form: an integer, or a string "p" or
+    "p/q" with q nonzero.  ValueError for anything else; a float is refused
+    rather than read as its binary fraction."""
+    if type(x) is int:
+        return x
+    if isinstance(x, str) and _JSON_SCALAR_RE.fullmatch(x):
+        try:
+            return scalar(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
+    raise ValueError(f"expected an integer or a \"p/q\" string, got {x!r}")
 
 
 class ExactMatrix:
@@ -135,32 +165,47 @@ class ExactMatrix:
         return [sum(a * b for a, b in zip(row, vec)) for row in self.entries]
 
     def rank(self):
-        """Exact rank over Q, certified modulo one word-size prime.
+        """Exact rank over Q: the number of rows less the size of a
+        certified left kernel basis, with the matrix oriented so the short
+        side is the rows and each row scaled to integers.
 
-        The matrix is oriented with the short side as rows and each row is
-        scaled to integers.  Elimination mod p gives r <= rank over Q.  The
-        value returned is always proved, in one of three ways:
-
-        - r equals the number of rows (full rank mod p proves full rank);
-        - each of the rows - r rows that reduce to zero gives a left kernel
-          vector, lifted by rational reconstruction and checked to
-          annihilate the integer matrix exactly over Z.  Each vector is 1
-          at its own zero row and 0 at the others, so they are independent
-          and prove rank <= r;
-        - otherwise (a bad prime, or a kernel entry past the reconstruction
-          bound) fraction-free Bareiss elimination gives the rank.
+        The basis comes from one elimination modulo a word-size prime (see
+        ``left_kernel``).  When a kernel vector does not lift, fraction-free
+        Bareiss elimination gives the rank instead; the rank needs no kernel,
+        so it eliminates the integer rows alone, not [M | I].
         """
         oriented = self.transpose() if self.rows > self.cols else self
         rows = _cleared_int_rows(oriented.entries)
         if not rows:
             return 0
-        r, pivots, mults, zero_rows = _echelon_mod_p(rows)
-        for i in zero_rows:
-            support, residues = _left_kernel_mod_p(i, pivots, mults)
-            vec = _lift(residues)
-            if vec is None or not _annihilates(rows, support, vec):
-                return _bareiss_rank(rows)
-        return r
+        kernel = _modular_left_kernel(rows)
+        if kernel is None:
+            return _bareiss_rank(rows)
+        return len(rows) - len(kernel)
+
+    def left_kernel(self):
+        """Integer basis of the left kernel {z : z M = 0}, as row vectors.
+
+        Columns are scaled to integers (that keeps the left kernel) and the
+        rows are eliminated modulo ``_PRIME``, giving r <= rank over Q.  Each
+        of the rows - r rows that reduce to zero gives a vector that is 1
+        there and 0 at the other zero rows mod p; it is lifted by rational
+        reconstruction and checked to annihilate the matrix exactly over Z.
+        So the vectors are exact and independent, and there are rows - r >=
+        rows - rank of them: a basis.  If a vector does not lift (a bad
+        prime, or an entry past the reconstruction bound), fraction-free
+        elimination of [M | I] over the columns of M gives the basis
+        instead: the identity part of the rows left under the rank.
+        """
+        rows = self.entries
+        if not rows:
+            return []
+        if any(type(x) is not int for row in rows for x in row):
+            rows = [list(c) for c in zip(*_cleared_int_rows(self.transpose().entries))]
+        kernel = _modular_left_kernel(rows)
+        if kernel is None:
+            kernel = _bareiss_left_kernel(rows)
+        return kernel
 
     def kernel_basis(self):
         """Basis of the right kernel as a list of Fraction column vectors."""
@@ -171,7 +216,10 @@ class ExactMatrix:
 
     @classmethod
     def from_json(cls, rows, cols, grid):
-        return cls(rows, cols, grid)
+        """Read ``to_json``'s grid; entries as in ``scalar_from_json``."""
+        if not isinstance(grid, list) or not all(isinstance(row, list) for row in grid):
+            raise ValueError("matrix grid must be a list of lists")
+        return cls(rows, cols, [[scalar_from_json(x) for x in row] for row in grid])
 
 
 def _cleared_int_rows(entries):
@@ -189,8 +237,8 @@ def _cleared_int_rows(entries):
 def _echelon_mod_p(rows):
     """Gaussian elimination of an integer matrix modulo ``_PRIME``.
 
-    Returns the rank mod p, the pivot rows in pivot order, each row's
-    multipliers by pivot number, and the rows that reduced to zero.
+    Returns the pivot rows in pivot order, each row's multipliers by pivot
+    number, and the rows that reduced to zero.
     Working rows are kept reversed so the current column pops in O(1).
     """
     p = _PRIME
@@ -217,7 +265,7 @@ def _echelon_mod_p(rows):
             mults[rest_idx[slot]].append(f)
             if f:
                 rest[slot] = [(x - f * y) % p for x, y in zip(row, tail)]
-    return len(pivots), pivots, mults, rest_idx
+    return pivots, mults, rest_idx
 
 
 def _left_kernel_mod_p(i, pivots, mults):
@@ -261,29 +309,51 @@ def _lift(residues):
     return [n * (l // d) for n, d in zip(nums, dens)]
 
 
+def _combine(coeffs, rows, width):
+    """The combination sum(c * row) of rows of length width."""
+    acc = [0] * width
+    for c, row in zip(coeffs, rows):
+        if c:
+            acc = [a + c * x for a, x in zip(acc, row)]
+    return acc
+
+
 def _annihilates(rows, support, coeffs):
     """Whether sum(c * rows[i]) over the support is zero over Z."""
-    acc = [0] * len(rows[0])
-    for i, c in zip(support, coeffs):
-        acc = [a + c * x for a, x in zip(acc, rows[i])]
-    return not any(acc)
+    return not any(_combine(coeffs, [rows[i] for i in support], len(rows[0])))
 
 
-def _bareiss_rank(rows):
-    """Rank of an integer matrix by single-step fraction-free elimination.
+def _modular_left_kernel(rows):
+    """The left kernel basis of ``ExactMatrix.left_kernel`` from one
+    elimination of the integer rows mod p, or None if a vector does not lift."""
+    pivots, mults, zero_rows = _echelon_mod_p(rows)
+    basis = []
+    for i in zero_rows:
+        support, residues = _left_kernel_mod_p(i, pivots, mults)
+        coeffs = _lift(residues)
+        if coeffs is None or not _annihilates(rows, support, coeffs):
+            return None
+        vec = [0] * len(rows)
+        for j, c in zip(support, coeffs):
+            vec[j] = c
+        basis.append(vec)
+    return basis
 
-    Pivot rows are chosen by minimal bit length to slow coefficient growth;
-    every division below is exact (entries stay minors of the input).
+
+def _bareiss(rows, n):
+    """Single-step fraction-free elimination of integer rows over their
+    first n columns, in place; returns the rank r of those columns.
+
+    Afterwards rows r.. are zero in the first n columns, and each row is
+    still an integer combination of the input rows.  Pivot rows are chosen
+    by minimal bit length to slow coefficient growth; every division is
+    exact, since every entry stays a minor of the input.
     """
     m = len(rows)
-    if m == 0:
-        return 0
-    if mpz is not int:
-        rows = [[mpz(x) for x in row] for row in rows]
-    ncols = len(rows[0])
-    prev = mpz(1)
+    width = len(rows[0]) if rows else 0
+    prev = 1
     r = 0
-    for c in range(ncols):
+    for c in range(n):
         if r == m:
             break
         piv = -1
@@ -306,15 +376,39 @@ def _bareiss_rank(rows):
             row = rows[i]
             e = row[c]
             if e:
-                for j in range(c + 1, ncols):
+                for j in range(c + 1, width):
                     row[j] = (p * row[j] - e * prow[j]) // prev
             elif p != prev:
-                for j in range(c + 1, ncols):
+                for j in range(c + 1, width):
                     row[j] = (p * row[j]) // prev
             row[c] = 0
         prev = p
         r += 1
     return r
+
+
+def _bareiss_rank(rows):
+    """Rank of an integer matrix by Bareiss elimination alone: the exact
+    fallback of ``ExactMatrix.rank`` and the suites' independent oracle."""
+    if not rows:
+        return 0
+    return _bareiss([[mpz(x) for x in row] for row in rows], len(rows[0]))
+
+
+def _bareiss_left_kernel(rows):
+    """Left kernel basis of integer rows M by Bareiss elimination of
+    [M | I] over the columns of M.  A row left under the rank is t . [M | I]
+    with t M = 0; those t are independent, since [M | I] has full row rank
+    and elimination keeps it.  Each is divided by its content."""
+    m, n = len(rows), len(rows[0])
+    aug = [[mpz(x) for x in row] + [mpz(int(i == j)) for j in range(m)]
+           for i, row in enumerate(rows)]
+    r = _bareiss(aug, n)
+    basis = []
+    for row in aug[r:]:
+        g = math.gcd(*row[n:])
+        basis.append([int(x // g) for x in row[n:]])
+    return basis
 
 
 def _rref(entries, m, n):

@@ -3,8 +3,12 @@
 A pencil is a pair (A, B) of w x u matrices describing the sheaf map
 s*A + t*B.  For an injective pencil whose cokernel E is a bundle with
 nonnegative splitting entries, the twisted section dimensions
-h^0(E(-t)) are recovered from ranks of Sylvester-style block matrices,
-and the splitting type is the conjugate partition of their differences.
+h(t) = h^0(E(-t)) are the left kernel dimensions of the Sylvester blocks
+S_(t-1), and the splitting type is the conjugate partition of their
+differences.  The blocks are never built: S_t is block upper triangular
+over S_(t-1), so a left kernel basis of S_t comes from one of S_(t-1)
+and the (h(t) + u) x w matrix [L A^T ; B^T], where L holds the last u
+coordinates of that basis (see ``twisted_section_dims``).
 This avoids computing any canonical form of the (possibly singular)
 pencil; canonical blocks appear only in the forward direction as a
 seeded test constructor.
@@ -14,7 +18,7 @@ from __future__ import annotations
 
 import random
 
-from .linalg import ExactMatrix, random_unimodular
+from .linalg import ExactMatrix, _cleared_int_rows, _combine, int_from_json, random_unimodular
 
 __all__ = [
     "Pencil",
@@ -177,9 +181,14 @@ class Pencil:
 
     @classmethod
     def from_json(cls, obj):
-        w, u = int(obj["w"]), int(obj["u"])
-        return cls(ExactMatrix.from_json(w, u, obj["A"]),
-                   ExactMatrix.from_json(w, u, obj["B"]))
+        """Read ``to_json``'s object; ValueError (PencilError for a bad shape)
+        on anything malformed.  ``w`` and ``u`` must be JSON integers."""
+        try:
+            w, u = int_from_json(obj["w"]), int_from_json(obj["u"])
+            grid_a, grid_b = obj["A"], obj["B"]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed pencil object: {exc}") from exc
+        return cls(ExactMatrix.from_json(w, u, grid_a), ExactMatrix.from_json(w, u, grid_b))
 
 
 def is_injective(pencil):
@@ -211,7 +220,10 @@ def sylvester_block(pencil, j):
     """Block matrix S_j with (j+1) x j blocks: A^T on the diagonal, B^T below.
 
     S_j represents the transposed pencil acting
-    H^0(O(j-1)) (x) W* -> H^0(O(j)) (x) U*; S_0 is empty.
+    H^0(O(j-1)) (x) W* -> H^0(O(j)) (x) U*; S_0 is empty.  This is the
+    definition behind ``twisted_section_dims``, which never builds it; it
+    is kept for the tests that check the recursion against it and for the
+    benchmark tracer's layer list.
     """
     if j < 0:
         raise ValueError("block index must be nonnegative")
@@ -234,27 +246,54 @@ def sylvester_block(pencil, j):
     return ExactMatrix((j + 1) * u, j * w, grid)
 
 
+def _integer_transposes(pencil):
+    """A^T and B^T as integer rows.  Row i of both (column i of the pencil)
+    is scaled by one common factor, so the result is an equivalent pencil;
+    separate factors for A and B would not be."""
+    w = pencil.w
+    joined = _cleared_int_rows([a + b for a, b in zip(pencil.A.transpose().entries,
+                                                      pencil.B.transpose().entries)])
+    return [row[:w] for row in joined], [row[w:] for row in joined]
+
+
 def twisted_section_dims(pencil, t_max):
     """The sequence h^0(E(-t)) for t = 1..t_max.
 
     Twisting 0 -> O(-1)^u -> O^w -> E -> 0 by O(-t) and taking cohomology
     gives h^0(E(-t)) = ker(H^1(O(-t-1))^u -> H^1(O(-t))^w); by Serre
     duality that connecting map is the transposed Sylvester block S_(t-1),
-    so h^0(E(-t)) = t*u - rank(S_(t-1)).  Once the sequence of a genuine
-    nonnegative bundle reaches zero it stays zero, so trailing values are
-    filled without further elimination.
+    so h(t) = h^0(E(-t)) = t*u - rank(S_(t-1)), the dimension of the left
+    kernel of S_(t-1).
+
+    No S_j is built.  S_t is block upper triangular,
+    [[S_(t-1), R], [0, B^T]], with R zero but for A^T in its last u rows.
+    Let K be a basis of the left kernel of S_(t-1) and L its last u
+    coordinates, so K R = L A^T.  A row vector (x, y) kills S_t exactly
+    when x S_(t-1) = 0, that is x = c K, and c K R + y B^T = 0.  So
+    (c, y) -> (c K, y) maps the left kernel of the (h(t) + u) x w matrix
+    M = [L A^T ; B^T] one to one onto that of S_t (K has independent
+    rows): h(t+1) is the number of left kernel vectors of M, and their y
+    parts are the next L.  The start is h(1) = u with L = I_u, since S_0
+    is empty.  (Counting ranks, rank S_t = rank S_(t-1) + rank M.)  Each
+    step takes the certified integer basis of ``ExactMatrix.left_kernel``.
+    Once the sequence of a genuine nonnegative bundle reaches zero it
+    stays zero, so trailing values are filled without further elimination.
     """
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
     if not is_injective(pencil):
         raise NotInjectiveError("pencil is not injective")
-    dims = []
-    for t in range(1, t_max + 1):
-        h = t * pencil.u - sylvester_block(pencil, t - 1).rank()
-        dims.append(h)
-        if h == 0:
-            dims.extend([0] * (t_max - t))
-            break
+    u, w = pencil.u, pencil.w
+    at, bt = _integer_transposes(pencil)
+    # L, the last u coordinates of a left kernel basis of S_(t-1), by rows
+    tails = [[int(i == j) for j in range(u)] for i in range(u)]
+    dims = [u]
+    while tails and len(dims) < t_max:
+        h = len(tails)
+        m = ExactMatrix(h + u, w, [_combine(c, at, w) for c in tails] + bt)
+        tails = [z[h:] for z in m.left_kernel()]
+        dims.append(len(tails))
+    dims.extend([0] * (t_max - len(dims)))
     return dims
 
 

@@ -15,7 +15,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 
-from .linalg import ExactMatrix, scalar
+from .linalg import ExactMatrix, int_from_json, scalar, scalar_from_json
 
 __all__ = [
     "HomogeneousPolynomial",
@@ -198,12 +198,17 @@ class HomogeneousPolynomial:
 
     @classmethod
     def from_json(cls, obj):
-        """Parse the polynomial wire format, rejecting malformed terms."""
+        """Parse the polynomial wire format, rejecting malformed terms.
+
+        ``n``, ``degree`` and the exponents must be JSON integers and each
+        coefficient an integer or a "p/q" string; anything else, a float
+        included, raises ValueError.
+        """
         try:
-            n = int(obj["n"])
-            degree = int(obj["degree"])
+            n = int_from_json(obj["n"])
+            degree = int_from_json(obj["degree"])
             raw_terms = obj["terms"]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed polynomial object: {exc}") from exc
         if not isinstance(raw_terms, list):
             raise ValueError(f"malformed polynomial object: terms must be a list, "
@@ -213,9 +218,12 @@ class HomogeneousPolynomial:
         terms = {}
         for pos, term in enumerate(raw_terms):
             try:
-                coeff = Fraction(term["c"])
-                exps = tuple(int(e) for e in term["e"])
-            except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+                coeff = scalar_from_json(term["c"])
+                raw_exps = term["e"]
+                if not isinstance(raw_exps, list):
+                    raise ValueError("exponents must be a list")
+                exps = tuple([int_from_json(e) for e in raw_exps])
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"term {pos}: unreadable ({exc})") from exc
             if len(exps) != n + 1:
                 raise ValueError(f"term {pos}: expected {n + 1} exponents, got {len(exps)}")

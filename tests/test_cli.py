@@ -80,6 +80,21 @@ def test_split_malformed_input_is_usage_error(f1):
     assert "--f1" in res.stderr and "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("f1", [
+    json.dumps({"n": 2, "degree": 2, "terms": [{"c": "1", "e": [1.9, 1, 0]}]}),
+    json.dumps({"n": 2, "degree": 2, "terms": [{"c": 0.1, "e": [1, 1, 0]}]}),
+    json.dumps({"n": 2.5, "degree": 2, "terms": [{"c": "1", "e": [1, 1, 0]}]}),
+    json.dumps({"n": 2, "degree": 2.5, "terms": [{"c": "1", "e": [1, 1, 0]}]}),
+    json.dumps({"n": 2, "degree": 2, "terms": [{"c": True, "e": [1, 1, 0]}]}),
+])
+def test_split_non_integer_json_number_is_usage_error(f1):
+    # each of these was read before: 1.9 truncated to 1, 0.1 taken as its
+    # binary fraction, 2.5 as 2, true as 1
+    res = run_cli("split", "--n", "2", "--d", "2", "--k", "3", "--f1", f1, "--f2", "x0*x1")
+    assert res.returncode == 2
+    assert "--f1" in res.stderr and "Traceback" not in res.stderr
+
+
 def test_split_rational_form_matches_integer_multiple():
     common = ("split", "--n", "2", "--d", "2", "--k", "3", "--f2", "x0*x2")
     half = run_cli(*common, "--f1", "1/2*x0*x1")

@@ -121,13 +121,16 @@ def test_json_round_trip():
 # ------------------------------------------------------- the modular engine
 
 @st.composite
-def _rational_matrices(draw):
-    """Rational matrices of every shape: wide, tall, empty, zero, and
-    rank-deficient products of low-rank factors."""
+def _rational_matrices(draw, integers=False):
+    """Rational (or integer) matrices of every shape: wide, tall, empty,
+    zero, and rank-deficient products of low-rank factors."""
     rows = draw(st.integers(0, 8))
     cols = draw(st.integers(0, 8))
     bound = draw(st.sampled_from((1, 9, 10**6, 2**40)))
-    entry = st.fractions(min_value=-bound, max_value=bound, max_denominator=12)
+    if integers:
+        entry = st.integers(-bound, bound)
+    else:
+        entry = st.fractions(min_value=-bound, max_value=bound, max_denominator=12)
     if draw(st.booleans()) or not rows or not cols:
         grid = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
                              min_size=rows, max_size=rows))
@@ -146,6 +149,58 @@ def _rational_matrices(draw):
 @settings(max_examples=300, deadline=None)
 def test_rank_matches_naive_on_every_shape(m):
     assert m.rank() == naive_rank(m)
+
+
+def _check_left_kernel(m):
+    kernel = m.left_kernel()
+    for z in kernel:
+        assert all(type(x) is int for x in z)
+        assert ExactMatrix.from_rows([z], cols=m.rows) @ m == ExactMatrix.zero(1, m.cols)
+    assert len(kernel) == m.rows - naive_rank(m)
+    if kernel:
+        assert naive_rank(ExactMatrix.from_rows(kernel, cols=m.rows)) == len(kernel)
+    assert m.rank() == naive_rank(m)
+
+
+@given(_rational_matrices(integers=True))
+@settings(max_examples=300, deadline=None)
+def test_left_kernel_is_a_certified_basis(m):
+    _check_left_kernel(m)
+
+
+@given(_rational_matrices())
+@settings(max_examples=50, deadline=None)
+def test_left_kernel_of_rational_matrices(m):
+    _check_left_kernel(m)
+
+
+def test_left_kernel_fallback_eliminates_m_with_identity(monkeypatch):
+    calls = []
+    original = linalg._bareiss_left_kernel
+
+    def counting(rows):
+        calls.append(len(rows))
+        return original(rows)
+
+    monkeypatch.setattr(linalg, "_bareiss_left_kernel", counting)
+    big = 2**40
+    # the kernel is spanned by (2^40, 0, -1), past the reconstruction bound
+    m = ExactMatrix.from_rows([[1, 2, 3], [4, 5, 7], [big, 2 * big, 3 * big]])
+    assert m.left_kernel() == [[big, 0, -1]] or m.left_kernel() == [[-big, 0, 1]]
+    assert calls
+    _check_left_kernel(m)
+    # a bad prime: rank 1 modulo the engine's prime, 2 over Q
+    calls.clear()
+    bad = ExactMatrix.from_rows([[linalg._PRIME, 0], [0, 1], [linalg._PRIME, 1]])
+    _check_left_kernel(bad)
+    assert calls
+
+
+def test_left_kernel_shapes():
+    assert ExactMatrix.zero(0, 3).left_kernel() == []
+    assert ExactMatrix.zero(2, 0).left_kernel() == [[1, 0], [0, 1]]
+    assert ExactMatrix.identity(3).left_kernel() == []
+    assert ExactMatrix.from_rows([[1, 2], [2, 4]]).left_kernel() in ([[2, -1]], [[-2, 1]])
 
 
 def test_engine_prime_is_a_word_size_prime():

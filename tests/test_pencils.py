@@ -1,9 +1,13 @@
+import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from verlinde import linalg, pencils
+from verlinde.family import context, sample_line, verlinde_pencil
 from verlinde.linalg import ExactMatrix, random_unimodular
 from verlinde.pencils import (
     CokernelError,
@@ -19,6 +23,7 @@ from verlinde.pencils import (
     sylvester_block,
     twisted_section_dims,
 )
+from verlinde.suites import _exact_rank
 
 
 def l_block(b):
@@ -169,3 +174,146 @@ def test_json_round_trip():
     assert q == p
     st_ = SplittingType((3, 1, 0))
     assert SplittingType.from_json(st_.to_json()) == st_
+
+
+# ------------------------------------------- the incremental h-sequence
+
+def _h_by_definition(p, rank):
+    """h(t) = t*u - rank(S_(t-1)) from the Sylvester blocks themselves, up
+    to and including the first zero."""
+    dims = []
+    for t in range(1, p.u + 2):
+        dims.append(t * p.u - rank(sylvester_block(p, t - 1)))
+        if dims[-1] == 0:
+            break
+    return dims
+
+
+def _assert_recursion_matches(p, rank=_exact_rank):
+    want = _h_by_definition(p, rank)
+    got = twisted_section_dims(p, p.u + 1)
+    assert got == want + [0] * (p.u + 1 - len(want))
+
+
+@given(st.integers(2, 8), st.data())
+@settings(max_examples=60, deadline=None)
+def test_recursion_matches_sylvester_ranks_on_kronecker_pencils(w, data):
+    u = data.draw(st.integers(0, w - 1))
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    p = kronecker_pencil(_random_type(rng, w, u), w, u, seed=rng.randrange(10**6))
+    _assert_recursion_matches(p)
+
+
+@given(st.sampled_from([(2, 2, 5), (2, 3, 4), (3, 2, 4)]), st.data())
+@settings(max_examples=30, deadline=None)
+def test_recursion_matches_sylvester_ranks_on_lines(cell, data):
+    ctx = context(*cell)
+    mode = data.draw(st.sampled_from(["random"] + [f"jumping:{g}" for g in range(1, ctx.d)]))
+    line = sample_line(ctx, mode, seed=data.draw(st.integers(0, 10**6)))
+    _assert_recursion_matches(verlinde_pencil(ctx, line))
+
+
+def test_recursion_matches_engine_ranks_on_a_planted_line():
+    # Bareiss on this line's S_5 is slow, so the definition side uses the
+    # modular engine's rank here
+    ctx = context(2, 4, 9)
+    p = verlinde_pencil(ctx, sample_line(ctx, "jumping:3", seed=0))
+    _assert_recursion_matches(p, rank=ExactMatrix.rank)
+    assert twisted_section_dims(p, 7) == [21, 15, 10, 6, 3, 1, 0]
+
+
+def _scale_columns(m, factors):
+    return ExactMatrix(m.rows, m.cols, [[x * f for x, f in zip(row, factors)] for row in m.entries])
+
+
+def test_rational_pencil_cleared_per_column_of_both_matrices():
+    # Column 0 of A and column 3 of B get their own denominators.  Scaling
+    # A^T and B^T to integers separately would read the pencil
+    # (A, B) instead, whose h-sequence is [4, 2, 1, 0].
+    p = kronecker_pencil(SplittingType((3, 1, 0)), 7, 4, seed=0)
+    q = Pencil(_scale_columns(p.A, [Fraction(1, 2), 1, 1, 1]),
+               _scale_columns(p.B, [1, 1, 1, Fraction(1, 3)]))
+    assert _h_by_definition(q, _exact_rank) == [4, 2, 0]
+    assert _h_by_definition(p, _exact_rank) == [4, 2, 1, 0]
+    _assert_recursion_matches(q)
+
+
+def test_unliftable_kernel_takes_the_bareiss_fallback(monkeypatch):
+    calls = []
+    original = linalg._bareiss_left_kernel
+
+    def counting(rows):
+        calls.append(len(rows))
+        return original(rows)
+
+    monkeypatch.setattr(linalg, "_bareiss_left_kernel", counting)
+    big = 2**40
+    left = [[int(i == j) for j in range(6)] for i in range(6)]
+    left[0][3], left[2][5] = big, -big
+    right = [[int(i == j) for j in range(3)] for i in range(3)]
+    right[0][1] = big
+    st_ = SplittingType((2, 1, 0))
+    p = kronecker_pencil(st_, 6, 3).conjugate(ExactMatrix.from_rows(left),
+                                              ExactMatrix.from_rows(right))
+    assert splitting_type(p) == st_
+    assert calls
+    _assert_recursion_matches(p)
+
+
+def test_splitting_type_builds_no_sylvester_block(monkeypatch):
+    def refuse(pencil, j):
+        raise AssertionError("sylvester_block called")
+
+    monkeypatch.setattr(pencils, "sylvester_block", refuse)
+    st_ = SplittingType((2, 1, 0, 0))
+    assert splitting_type(kronecker_pencil(st_, 7, 3, seed=7)) == st_
+    ctx = context(2, 3, 4)
+    splitting_type(verlinde_pencil(ctx, sample_line(ctx, "jumping:1", seed=3)))
+
+
+# ------------------------------------------------------------- wire format
+
+@st.composite
+def _pencils(draw):
+    w = draw(st.integers(0, 5))
+    u = draw(st.integers(0, w))
+    entry = st.fractions(min_value=-2**40, max_value=2**40, max_denominator=10**6)
+    grid = st.lists(st.lists(entry, min_size=u, max_size=u), min_size=w, max_size=w)
+    return Pencil(ExactMatrix(w, u, draw(grid)), ExactMatrix(w, u, draw(grid)))
+
+
+@given(_pencils())
+@settings(max_examples=80, deadline=None)
+def test_pencil_json_round_trip(p):
+    assert Pencil.from_json(json.loads(json.dumps(p.to_json()))) == p
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-10, 10) | st.floats(allow_nan=False)
+    | st.text(max_size=6) | st.sampled_from(["1/2", "3", "-4/0", "x"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=12)
+
+
+@given(st.one_of(
+    _json_values,
+    st.fixed_dictionaries({"w": _json_values, "u": _json_values,
+                           "A": _json_values, "B": _json_values})))
+@settings(max_examples=150, deadline=None)
+def test_pencil_from_json_raises_only_value_error(obj):
+    try:
+        Pencil.from_json(obj)
+    except ValueError:
+        pass
+
+
+@pytest.mark.parametrize("obj", [
+    {"w": 2.5, "u": 1, "A": [["1"], ["0"]], "B": [["0"], ["1"]]},
+    {"w": 2, "u": True, "A": [["1"], ["0"]], "B": [["0"], ["1"]]},
+    {"w": 2, "u": 1, "A": [[0.5], ["0"]], "B": [["0"], ["1"]]},
+    {"w": 2, "u": 1, "A": [["1"], ["0"]], "B": [["0"], ["1/0"]]},
+    {"w": 2, "u": 1, "A": "11", "B": [["0"], ["1"]]},
+])
+def test_pencil_from_json_strict_numbers(obj):
+    with pytest.raises(ValueError):
+        Pencil.from_json(obj)

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from math import comb
@@ -185,6 +186,70 @@ def test_parse_round_trips_str(f):
     if f.is_zero:
         return
     assert parse_form(str(f), f.n, f.degree) == f
+
+
+@st.composite
+def rational_polys(draw):
+    """Forms in 2 to 5 variables of degree up to 4, sparse or dense, with
+    rational coefficients of any size."""
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(0, 4))
+    basis = monomial_basis(n, d)
+    coeff = st.fractions(min_value=-2**70, max_value=2**70, max_denominator=10**9)
+    terms = draw(st.dictionaries(st.sampled_from(basis), coeff, max_size=len(basis)))
+    return HomogeneousPolynomial(n + 1, d, terms)
+
+
+@given(rational_polys())
+@settings(max_examples=150, deadline=None)
+def test_wire_format_and_inline_grammar_round_trip(f):
+    assert HomogeneousPolynomial.from_json(json.loads(json.dumps(f.to_json()))) == f
+    assert parse_form(str(f), f.n) == f
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False)
+    | st.text(max_size=6) | st.sampled_from(["1/2", "-3", "2/0", "0.5"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=12)
+_json_terms = st.lists(st.fixed_dictionaries({"c": _json_values, "e": _json_values})
+                       | _json_values, max_size=3)
+
+
+@given(st.one_of(
+    _json_values,
+    st.fixed_dictionaries({"n": _json_values, "degree": _json_values, "terms": _json_values}),
+    st.fixed_dictionaries({"n": st.integers(0, 3), "degree": st.integers(-1, 3),
+                           "terms": _json_terms})))
+@settings(max_examples=200, deadline=None)
+def test_from_json_raises_only_value_error(obj):
+    try:
+        HomogeneousPolynomial.from_json(obj)
+    except ValueError:
+        pass
+
+
+@pytest.mark.parametrize("obj", [
+    {"n": 2, "degree": 2, "terms": [{"c": "1", "e": [1.9, 1, 0]}]},
+    {"n": 2, "degree": 2, "terms": [{"c": "1", "e": [1.0, 1, 0]}]},
+    {"n": 2, "degree": 2, "terms": [{"c": "1", "e": [True, 1, 0]}]},
+    {"n": 2, "degree": 2, "terms": [{"c": "1", "e": "110"}]},
+    {"n": 2, "degree": 2, "terms": [{"c": 0.1, "e": [1, 1, 0]}]},
+    {"n": 2, "degree": 2, "terms": [{"c": True, "e": [1, 1, 0]}]},
+    {"n": 2, "degree": 2, "terms": [{"c": "0.5", "e": [1, 1, 0]}]},
+    {"n": 2.5, "degree": 2, "terms": []},
+    {"n": 2, "degree": 2.0, "terms": []},
+    {"n": "2", "degree": 2, "terms": []},
+])
+def test_from_json_takes_only_exact_numbers(obj):
+    with pytest.raises(ValueError):
+        HomogeneousPolynomial.from_json(obj)
+
+
+def test_from_json_coefficient_forms():
+    f = HomogeneousPolynomial.from_json(
+        {"n": 1, "degree": 1, "terms": [{"c": 3, "e": [1, 0]}, {"c": "-7/4", "e": [0, 1]}]})
+    assert f.terms == {(1, 0): 3, (0, 1): Fraction(-7, 4)}
 
 
 def test_degenerate_substitution_error():
