@@ -22,7 +22,7 @@ from .family import (
     sample_line,
     verlinde_pencil,
 )
-from .jumping import reconcile
+from .jumping import SPLIT_MAX_CELLS, reconcile
 from .pencils import PencilError, dominance, splitting_type
 from .polynomials import HomogeneousPolynomial, gcd_degree, parse_form
 from .suites import SUITES, run_all, run_suite
@@ -57,6 +57,9 @@ def _load_poly(spec, n, degree, flag):
 
 def _cmd_split(args):
     ctx = context(args.n, args.d, args.k)
+    cells = 2 * ctx.w * ctx.u
+    if cells > SPLIT_MAX_CELLS:
+        raise UsageError(f"pencil too large: 2*w*u = {cells} cells > {SPLIT_MAX_CELLS}")
     if args.f1 is not None or args.f2 is not None:
         if args.f1 is None or args.f2 is None:
             raise UsageError("both --f1 and --f2 are required")

@@ -6,12 +6,16 @@ pencil (A, B) = (mult by f1, mult by f2) acting from degree k-d to degree
 k.  Everything here is an executable criterion about that pencil: the
 zero count of the splitting type, genericity as a single rank condition,
 and the gcd test that predicts jumping behavior.
+
+The zero count and the genericity test read the same number, rank [A|B].
+Each line keeps a private memo per twist k, so the pencil is built once
+and [A|B] ranked once per line, however many criteria ask.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 
 from .linalg import ExactMatrix
@@ -86,6 +90,8 @@ class LineInSystem:
 
     f1: HomogeneousPolynomial
     f2: HomogeneousPolynomial
+    # twist k -> {"pencil": ..., "rank": ...}; outside equality, hash and repr
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         f1, f2 = self.f1, self.f2
@@ -111,43 +117,59 @@ def _check_line(ctx, line):
         raise ValueError(f"line has degree {line.f1.degree}, context degree {ctx.d}")
 
 
-def verlinde_pencil(ctx, line):
-    """The pencil presenting V_k on the line; empty (u = 0) when k < d."""
+def _line_memo(ctx, line):
+    """The line's memo for twist k; n and d are pinned by the check."""
     _check_line(ctx, line)
-    if ctx.k < ctx.d:
-        empty = ExactMatrix.zero(ctx.w, 0)
-        return Pencil(empty, empty)
-    src = ctx.k - ctx.d
-    return Pencil(mult_matrix(line.f1, src), mult_matrix(line.f2, src))
+    return line._memo.setdefault(ctx.k, {})
 
 
-def _stacked_products(ctx, line):
-    """The w x 2u matrix [A | B] of all products f1*theta, f2*theta."""
-    p = verlinde_pencil(ctx, line)
-    return p.A.hstack(p.B)
+def verlinde_pencil(ctx, line):
+    """The pencil presenting V_k on the line; empty (u = 0) when k < d.
+    Built once per (line, k); callers must not mutate it."""
+    memo = _line_memo(ctx, line)
+    if "pencil" not in memo:
+        if ctx.k < ctx.d:
+            empty = ExactMatrix.zero(ctx.w, 0)
+            memo["pencil"] = Pencil(empty, empty)
+        else:
+            src = ctx.k - ctx.d
+            memo["pencil"] = Pencil(mult_matrix(line.f1, src), mult_matrix(line.f2, src))
+    return memo["pencil"]
+
+
+def _stacked_rank(ctx, line):
+    """rank [A | B] = dim(f1*U + f2*U), U the degree-(k-d) graded piece;
+    ranked once per (line, k)."""
+    memo = _line_memo(ctx, line)
+    if "rank" not in memo:
+        p = verlinde_pencil(ctx, line)
+        memo["rank"] = p.A.hstack(p.B).rank()
+    return memo["rank"]
 
 
 def zero_count(ctx, line):
     """Number of zero entries of the splitting type, as a single rank:
     w - dim(f1*U + f2*U) with U the degree-(k-d) graded piece."""
-    return ctx.w - _stacked_products(ctx, line).rank()
+    return ctx.w - _stacked_rank(ctx, line)
+
+
+def _check_generic_defined(ctx):
+    if ctx.degree > ctx.rank:
+        raise GenericTypeUndefinedError(
+            f"generic type undefined: degree {ctx.degree} > rank {ctx.rank}")
 
 
 def generic_type(ctx):
     """The type (1,...,1,0,...,0) with u ones; needs degree <= rank."""
-    if ctx.degree > ctx.rank:
-        raise GenericTypeUndefinedError(
-            f"generic type undefined: degree {ctx.degree} > rank {ctx.rank}")
+    _check_generic_defined(ctx)
     return SplittingType((1,) * ctx.u + (0,) * (ctx.rank - ctx.u))
 
 
 def is_generic_type(ctx, line):
     """Whether the products f1*theta, f2*theta are linearly independent,
     i.e. the splitting type is the generic (1,...,1,0,...,0)."""
-    if ctx.degree > ctx.rank:
-        raise GenericTypeUndefinedError(
-            f"generic type undefined: degree {ctx.degree} > rank {ctx.rank}")
-    return _stacked_products(ctx, line).rank() == 2 * ctx.u
+    _check_generic_defined(ctx)
+    return _stacked_rank(ctx, line) == 2 * ctx.u
 
 
 def near_generic_type(ctx):
@@ -173,9 +195,7 @@ def predict_by_gcd(ctx, line, trials=3, seed=0):
     is determined: (2,1,...,1,0,...,0) when jumping, the generic type
     otherwise.
     """
-    if ctx.degree > ctx.rank:
-        raise GenericTypeUndefinedError(
-            f"generic type undefined: degree {ctx.degree} > rank {ctx.rank}")
+    _check_generic_defined(ctx)
     _check_line(ctx, line)
     dprime = gcd_degree(line.f1, line.f2, trials=trials, seed=seed)
     jumping = dprime >= 2 * ctx.d - ctx.k

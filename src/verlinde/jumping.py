@@ -38,9 +38,14 @@ __all__ = [
     "class_from_pushpull",
     "reconcile",
     "DESK_SCALE_N",
+    "SPLIT_MAX_CELLS",
 ]
 
 DESK_SCALE_N = 60
+# Largest pencil `split` takes, in cells 2*w*u.  (3,4,9) has 24640; on a
+# 2-vCPU Xeon under Python 3.11 a random line at (3,4,10) (48048 cells) takes
+# about 4 s, at (3,4,12) (150150) 51 s and at (3,4,14) (388960) 500 s.
+SPLIT_MAX_CELLS = 100_000
 
 FLAG_DIM_MISMATCH = "DIM_MISMATCH"
 FLAG_NEGATIVE = "NEGATIVE_COEFFICIENT"
@@ -89,6 +94,8 @@ def dim_z_jacobian(n, d, trials=3, seed=0, bound=30):
     overshoot, only undershoot, and repeats fix it.
     """
     _check_params(n, d)
+    if trials < 1:
+        raise ValueError(f"Jacobian oracle needs trials >= 1, got {trials}")
     N = comb(n + d, n)
     D = comb(n + d - 1, n)
     best = 0

@@ -395,6 +395,8 @@ def gcd_degree(f1, f2, trials=3, seed=0, bound=COEFF_BOUND, _retries=16):
         raise ValueError("forms must have equal degree")
     if f1.n < 2:
         raise ValueError("ambient dimension must be >= 2")
+    if trials < 1:
+        raise ValueError(f"gcd oracle needs trials >= 1, got {trials}")
     best = None
     for trial in range(trials):
         value = None

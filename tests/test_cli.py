@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -118,6 +119,64 @@ def test_split_deterministic_bytes():
     assert a.stdout == b.stdout
 
 
+def test_split_no_gcd_trials_is_usage_error():
+    # exited 0 with "gcd_degree": null
+    res = run_cli("split", "--n", "2", "--d", "2", "--k", "3",
+                  "--sample", "random", "--trials", "0")
+    assert res.returncode == 2
+    assert "trials" in res.stderr and res.stdout == ""
+
+
+def test_split_oversized_pencil_refused_before_any_matrix(monkeypatch, capsys):
+    import verlinde.cli as cli
+    import verlinde.family as family
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work done before the size guard")
+
+    monkeypatch.setattr(family, "mult_matrix", forbidden)
+    monkeypatch.setattr(cli, "sample_line", forbidden)
+    monkeypatch.setattr(cli, "_load_poly", forbidden)
+    # w*u = 18564 * 5005, about 9.3e7
+    assert cli.main(["split", "--n", "6", "--d", "3", "--k", "12", "--sample", "random"]) == 2
+    err = capsys.readouterr().err
+    assert "too large" in err
+
+
+def test_split_reference_cells_fit_the_size_guard():
+    from verlinde.family import context
+    from verlinde.jumping import SPLIT_MAX_CELLS
+
+    for cell in [(3, 3, 7), (3, 4, 8), (3, 4, 9), (2, 4, 9)]:
+        ctx = context(*cell)
+        assert 2 * ctx.w * ctx.u <= SPLIT_MAX_CELLS
+
+
+# sha256 of stdout, recorded before the per-line memo; any change to these
+# bytes is a change of output, not of speed
+GOLDEN = {
+    ("split", "--n", "3", "--d", "3", "--k", "7", "--sample", "random", "--seed", "0"):
+        "33ae7e1dc1d56c5633f4a12283e1584370ae06a76f77bee722949a5156622baa",
+    ("split", "--n", "3", "--d", "4", "--k", "8", "--sample", "random", "--seed", "0"):
+        "383b950d73b667fcd6dbb05ac39635327b612346d6f05fae16899302c00fe0b2",
+    ("split", "--n", "3", "--d", "4", "--k", "9", "--sample", "random", "--seed", "0"):
+        "da7c21f9b0e4a1dbd6e6495cb0751c61fcea1311a538a930981e27b0ee7ab290",
+    ("jumping-class", "--n", "2", "--d", "2", "--seed", "0"):
+        "934313197d42635050e4b11fefff0dc00056a2cdd1e45b038f61933d5a5432dc",
+    ("jumping-class", "--n", "3", "--d", "3", "--seed", "0"):
+        "7a0f0fd74c9d315621bb42de97efefe38bc7da46ddb8e58e8fc642ccb8d89bf5",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN))
+def test_reference_outputs_are_byte_identical(argv, capsys):
+    import verlinde.cli as cli
+
+    assert cli.main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN[argv]
+
+
 def test_jumping_class_report():
     res = run_cli("jumping-class", "--n", "2", "--d", "2", "--seed", "0")
     assert res.returncode == 0
@@ -125,6 +184,13 @@ def test_jumping_class_report():
     assert out["dim_z"] == {"paper": 6, "oracle": 4}
     assert out["flags"] == ["DIM_MISMATCH", "OUT_OF_RANGE_INDEX"]
     assert all(row["equal"] for row in out["coefficient_table"])
+
+
+def test_jumping_class_no_jacobian_trials_is_usage_error():
+    # exited 0 reporting dim_z.oracle = 0: no Jacobian was ranked
+    res = run_cli("jumping-class", "--n", "2", "--d", "2", "--trials", "0")
+    assert res.returncode == 2
+    assert "trials" in res.stderr and res.stdout == ""
 
 
 def test_jumping_class_out_of_scope_n():

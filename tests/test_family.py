@@ -1,5 +1,6 @@
 import pytest
 
+from verlinde import family
 from verlinde.family import (
     DegenerateLineError,
     GenericTypeUndefinedError,
@@ -14,8 +15,10 @@ from verlinde.family import (
     verlinde_pencil,
     zero_count,
 )
+from verlinde.linalg import ExactMatrix
 from verlinde.pencils import is_injective, splitting_type
 from verlinde.polynomials import HomogeneousPolynomial
+from verlinde.suites import _exact_rank
 
 
 def x(i):
@@ -135,6 +138,13 @@ def test_predict_by_gcd_coprime():
     assert pred.predicted_type == generic_type(ctx)
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_predict_by_gcd_rejects_no_trials(shared_factor_line, trials):
+    # trials = 0 raised a bare TypeError comparing None with an int
+    with pytest.raises(ValueError, match="trials"):
+        predict_by_gcd(context(2, 2, 3), shared_factor_line, trials=trials)
+
+
 def test_predict_matches_splitting_on_planted_line():
     ctx = context(3, 2, 3)
     line = sample_line(ctx, "jumping:1", seed=4)
@@ -166,3 +176,85 @@ def test_genericity_range_table():
     assert all(r.degree_le_rank for r in rows if r.k_le_2d)
     rows33 = genericity_range_table(3, 3, 12)
     assert all(r.degree_le_rank for r in rows33 if r.k_le_2d)
+
+
+# ---------------------------------------------------------- per-line memo
+
+def _answers(ctx, line):
+    p = verlinde_pencil(ctx, line)
+    return (p.A.entries, p.B.entries, splitting_type(p),
+            zero_count(ctx, line), is_generic_type(ctx, line))
+
+
+def test_line_memo_builds_pencil_and_ranks_stacked_once(monkeypatch):
+    ctx = context(2, 3, 4)
+    line = sample_line(ctx, "jumping:1", seed=5)
+    mults, ranked = [], []
+    real_mult, real_rank = family.mult_matrix, ExactMatrix.rank
+
+    def counting_mult(f, src):
+        mults.append(src)
+        return real_mult(f, src)
+
+    def counting_rank(m):
+        ranked.append((m.rows, m.cols))
+        return real_rank(m)
+
+    monkeypatch.setattr(family, "mult_matrix", counting_mult)
+    monkeypatch.setattr(ExactMatrix, "rank", counting_rank)
+    st = splitting_type(verlinde_pencil(ctx, line))
+    assert zero_count(ctx, line) == st.zeros()
+    generic = st == generic_type(ctx)
+    assert is_generic_type(ctx, line) is generic
+    assert is_generic_type(ctx, line) is generic
+    assert mults == [ctx.k - ctx.d] * 2
+    assert ranked.count((ctx.w, 2 * ctx.u)) == 1
+
+
+def test_line_memo_is_per_twist():
+    ctx3, ctx4 = context(2, 2, 3), context(2, 2, 4)
+    for mode in ("random", "jumping:1"):
+        line = sample_line(ctx3, mode, seed=8)
+        memoized = [_answers(ctx, line) for ctx in (ctx3, ctx4, ctx3)]
+        fresh = [_answers(ctx, LineInSystem(line.f1, line.f2)) for ctx in (ctx3, ctx4, ctx3)]
+        assert memoized == fresh
+        assert memoized[0] != memoized[1]
+    with pytest.raises(ValueError):  # a memoized k does not skip the n, d check
+        zero_count(context(3, 2, 3), line)
+
+
+def test_line_memo_outside_equality_hash_and_repr():
+    ctx = context(2, 2, 3)
+    line = sample_line(ctx, "random", seed=1)
+    twin = LineInSystem(line.f1, line.f2)
+    before = (repr(line), hash(line))
+    _answers(ctx, line)
+    assert line._memo and not twin._memo
+    assert (repr(line), hash(line)) == before == (repr(twin), hash(twin))
+    assert line == twin
+
+
+def test_shared_pencil_is_not_mutated_by_callers():
+    ctx = context(3, 2, 4)
+    line = sample_line(ctx, "jumping:1", seed=2)
+    p = verlinde_pencil(ctx, line)
+    snapshot = ([row[:] for row in p.A.entries], [row[:] for row in p.B.entries])
+    splitting_type(p)
+    zero_count(ctx, line)
+    is_generic_type(ctx, line)
+    _exact_rank(p.A.hstack(p.B))
+    _exact_rank(p.A)
+    assert verlinde_pencil(ctx, line) is p
+    assert (p.A.entries, p.B.entries) == snapshot
+
+
+def test_splitting_type_does_not_read_the_memoized_rank():
+    # the zero-count and genericity checks compare this rank with the
+    # pencil's h-sequence, so the two must stay separate computations
+    ctx = context(2, 2, 3)
+    line = sample_line(ctx, "random", seed=4)
+    st = splitting_type(verlinde_pencil(ctx, line))
+    zeros = zero_count(ctx, line)
+    line._memo[ctx.k]["rank"] -= 1
+    assert zero_count(ctx, line) == zeros + 1
+    assert splitting_type(verlinde_pencil(ctx, line)) == st

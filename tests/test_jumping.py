@@ -31,6 +31,13 @@ def test_jacobian_dimension_22():
     assert dim_z_jacobian(2, 2, trials=3, seed=0) == 4
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_jacobian_rejects_no_trials(trials):
+    # trials = 0 returned 0: the maximum over no Jacobian ranks
+    with pytest.raises(ValueError, match="trials"):
+        dim_z_jacobian(2, 2, trials=trials)
+
+
 @pytest.mark.parametrize("n,d", [(2, 2), (2, 3), (3, 2)])
 def test_jacobian_seed_stability_and_bookkeeping(n, d):
     values = {dim_z_jacobian(n, d, trials=2, seed=s) for s in (0, 1, 2)}

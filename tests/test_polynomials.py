@@ -153,6 +153,13 @@ def test_gcd_degree_validates_inputs():
         gcd_degree(f, x(2, 0) * x(2, 1))  # degree mismatch
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_gcd_degree_rejects_no_trials(trials):
+    # trials = 0 returned None: the minimum over no trials
+    with pytest.raises(ValueError, match="trials"):
+        gcd_degree(x(2, 0), x(2, 1), trials=trials)
+
+
 def test_homogeneity_enforced():
     with pytest.raises(ValueError):
         HomogeneousPolynomial(3, 2, {(1, 0, 0): 1})
