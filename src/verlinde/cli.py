@@ -56,6 +56,8 @@ def _load_poly(spec, n, degree, flag):
 
 
 def _cmd_split(args):
+    if args.trials < 1:
+        raise UsageError(f"gcd oracle needs --trials >= 1, got {args.trials}")
     ctx = context(args.n, args.d, args.k)
     cells = 2 * ctx.w * ctx.u
     if cells > SPLIT_MAX_CELLS:

@@ -4,9 +4,9 @@ Route one evaluates the closed coefficient formula
 C(a+1,n)C(b+1,n) - C(a+2,n)C(b,n) on dual Schubert indices.  Route two
 recomputes every pairing degree deg([Z] sigma_a sigma_b) through the
 push-pull pipeline on P^n x P^M (M the dimension of the degree-(d-1)
-system) and assembles the class by Giambelli.  The dimension of the
-locus itself is measured independently as the Jacobian rank of the
-Pluecker parametrization at a random rational point.  A reconciliation
+system) and assembles the class by Giambelli.  dim Z itself is measured
+independently, as the rank of the differential of (g1, g2, h) ->
+(h*g1, h*g2) at a random rational point, less 4.  A reconciliation
 report compares everything coefficient by coefficient and records any
 discrepancy as a deterministic flag, never as a silent correction.
 """
@@ -83,43 +83,40 @@ def bookkeeping_dim(n, d):
 
 
 def dim_z_jacobian(n, d, trials=3, seed=0, bound=30):
-    """Dimension of the jumping locus measured from its parametrization.
+    """Dimension of the jumping locus, from the rank of the differential
+    of phi(g1, g2, h) = (h*g1, h*g2), g_i linear and deg h = d-1.
 
-    The locus is swept out by lines spanned by (h*g1, h*g2) with g_i
-    linear and h of degree d-1.  Lifting to Pluecker coordinates (2x2
-    minors of the two coefficient vectors) and taking the exact Jacobian
-    rank at a random rational parameter point gives the dimension of the
-    affine cone; subtracting the cone direction gives dim Z.  The value
-    is maximized over trials so an unlucky singular sample cannot
-    overshoot, only undershoot, and repeats fix it.
+    Z's Pluecker parametrization is (a, b) -> a ^ b after phi, and dim Z
+    is the rank of its Jacobian J less the cone direction.  At a ^ b != 0
+    the kernel of d(^) is K = {(al*a + be*b, ga*a - al*b)}, of dimension
+    3.  K lies in span{(a,0), (b,0), (0,a), (0,b)}, which lies in
+    Im d(phi) (vary g1 or g2 along g1 or g2).  So rank J = rank d(phi) - 3
+    and dim Z = rank J - 1 = rank d(phi) - 4.  Where a ^ b = 0 the value
+    still cannot overshoot: rank d(phi) is at most its generic value, the
+    dimension dim Z + 4 of the image of phi.  So the maximum over trials
+    can only undershoot, on an unlucky sample.  Harris, Algebraic
+    Geometry: A First Course, Lecture 16.
     """
     _check_params(n, d)
     if trials < 1:
         raise ValueError(f"Jacobian oracle needs trials >= 1, got {trials}")
-    N = comb(n + d, n)
-    D = comb(n + d - 1, n)
-    best = 0
-    for trial in range(trials):
-        rng = random.Random(f"{seed}:dimz:{n}:{d}:{trial}")
-        g1 = random_form(n, 1, rng, bound)
-        g2 = random_form(n, 1, rng, bound)
-        h = random_form(n, d - 1, rng, bound)
-        mh = mult_matrix(h, 1)        # N x (n+1)
-        mg1 = mult_matrix(g1, d - 1)  # N x D
-        mg2 = mult_matrix(g2, d - 1)
-        a = mh.apply_to_vector(g1.coeff_vector())
-        b = mh.apply_to_vector(g2.coeff_vector())
-        rows = []
-        for i in range(N):
-            for j in range(i + 1, N):
-                row = [mh[i, t] * b[j] - mh[j, t] * b[i] for t in range(n + 1)]
-                row += [a[i] * mh[j, t] - a[j] * mh[i, t] for t in range(n + 1)]
-                row += [mg1[i, t] * b[j] + a[i] * mg2[j, t]
-                        - mg1[j, t] * b[i] - a[j] * mg2[i, t] for t in range(D)]
-                rows.append(row)
-        jac = ExactMatrix.from_rows(rows, cols=2 * (n + 1) + D)
-        best = max(best, jac.rank() - 1)
-    return best
+    return max(0, *(_dim_at(*_trial_point(n, d, seed, trial, bound))
+                    for trial in range(trials)))
+
+
+def _trial_point(n, d, seed, trial, bound):
+    rng = random.Random(f"{seed}:dimz:{n}:{d}:{trial}")
+    return (random_form(n, 1, rng, bound), random_form(n, 1, rng, bound),
+            random_form(n, d - 1, rng, bound))
+
+
+def _dim_at(g1, g2, h):
+    """rank d(phi) - 4, d(phi) = [[M_h, 0, M_g1], [0, M_h, M_g2]]."""
+    mh = mult_matrix(h, 1).entries  # N x (n+1)
+    zero = [0] * (h.n + 1)
+    rows = [r + zero + s for r, s in zip(mh, mult_matrix(g1, h.degree).entries)]
+    rows += [zero + r + s for r, s in zip(mh, mult_matrix(g2, h.degree).entries)]
+    return ExactMatrix.from_rows(rows).rank() - 4
 
 
 @dataclass

@@ -119,12 +119,19 @@ def test_split_deterministic_bytes():
     assert a.stdout == b.stdout
 
 
-def test_split_no_gcd_trials_is_usage_error():
-    # exited 0 with "gcd_degree": null
-    res = run_cli("split", "--n", "2", "--d", "2", "--k", "3",
-                  "--sample", "random", "--trials", "0")
-    assert res.returncode == 2
-    assert "trials" in res.stderr and res.stdout == ""
+def test_split_no_gcd_trials_is_usage_error(monkeypatch, capsys):
+    # exited 0 with "gcd_degree": null, then 2 only after the splitting type
+    import verlinde.cli as cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("pencil work done before the trials check")
+
+    monkeypatch.setattr(cli, "splitting_type", forbidden)
+    monkeypatch.setattr(cli, "is_generic_type", forbidden)
+    assert cli.main(["split", "--n", "2", "--d", "2", "--k", "3",
+                     "--sample", "random", "--trials", "0"]) == 2
+    out = capsys.readouterr()
+    assert "trials" in out.err and out.out == ""
 
 
 def test_split_oversized_pencil_refused_before_any_matrix(monkeypatch, capsys):
@@ -165,6 +172,11 @@ GOLDEN = {
         "934313197d42635050e4b11fefff0dc00056a2cdd1e45b038f61933d5a5432dc",
     ("jumping-class", "--n", "3", "--d", "3", "--seed", "0"):
         "7a0f0fd74c9d315621bb42de97efefe38bc7da46ddb8e58e8fc642ccb8d89bf5",
+    # the dearest pairs, recorded before dim Z moved to the factored Jacobian
+    ("jumping-class", "--n", "3", "--d", "5", "--seed", "0"):
+        "d43bda4c4b9f7e64296a2fe455747e8a08e930bded18482e1ba70e52e4d9b59c",
+    ("jumping-class", "--n", "2", "--d", "9", "--seed", "0"):
+        "f5988b557f5cb0e6d0931839692209328e87757c5aabc401ea675c505a7c90c6",
 }
 
 

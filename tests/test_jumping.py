@@ -1,9 +1,14 @@
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from verlinde.jumping import (
+    DESK_SCALE_N,
     PushPullMismatchError,
+    _dim_at,
+    _trial_point,
     bookkeeping_dim,
     class_from_formula,
     class_from_pushpull,
@@ -11,7 +16,33 @@ from verlinde.jumping import (
     dim_z_jacobian,
     reconcile,
 )
+from verlinde.linalg import ExactMatrix
+from verlinde.polynomials import mult_matrix
 from verlinde.schubert import GrContext, SchubertClass
+
+# every (n, d) with n in {2, 3} that reconcile accepts
+DESK_PAIRS = [(2, d) for d in range(2, 10)] + [(3, d) for d in range(2, 6)]
+
+
+def pluecker_dim(g1, g2, h):
+    """dim Z at (g1, g2, h) from the Pluecker parametrization itself: the
+    rank of the Jacobian of the C(N,2) minors a_i b_j - a_j b_i of
+    (a, b) = (h*g1, h*g2) in (g1, g2, h), less the cone direction."""
+    mh = mult_matrix(h, 1)           # N x (n+1)
+    mg1 = mult_matrix(g1, h.degree)  # N x D
+    mg2 = mult_matrix(g2, h.degree)
+    n, N, D = h.n, mh.rows, mg1.cols
+    a = mh.apply_to_vector(g1.coeff_vector())
+    b = mh.apply_to_vector(g2.coeff_vector())
+    rows = []
+    for i in range(N):
+        for j in range(i + 1, N):
+            row = [mh[i, t] * b[j] - mh[j, t] * b[i] for t in range(n + 1)]
+            row += [a[i] * mh[j, t] - a[j] * mh[i, t] for t in range(n + 1)]
+            row += [mg1[i, t] * b[j] + a[i] * mg2[j, t]
+                    - mg1[j, t] * b[i] - a[j] * mg2[i, t] for t in range(D)]
+            rows.append(row)
+    return ExactMatrix.from_rows(rows, cols=2 * (n + 1) + D).rank() - 1
 
 
 def test_dim_formula_values():
@@ -36,6 +67,36 @@ def test_jacobian_rejects_no_trials(trials):
     # trials = 0 returned 0: the maximum over no Jacobian ranks
     with pytest.raises(ValueError, match="trials"):
         dim_z_jacobian(2, 2, trials=trials)
+
+
+def test_desk_pairs_are_every_pair_reconcile_accepts():
+    for n in (2, 3):
+        ds = [d for m, d in DESK_PAIRS if m == n]
+        assert ds == list(range(2, ds[-1] + 1))
+        assert comb(n + ds[-1], n) <= DESK_SCALE_N < comb(n + ds[-1] + 1, n)
+
+
+@pytest.mark.parametrize("n,d", DESK_PAIRS)
+def test_factored_rank_equals_pluecker_rows_every_trial(n, d):
+    # the trials reconcile runs by default, at jumping-class's default seed
+    for trial in range(3):
+        point = _trial_point(n, d, 0, trial, 30)
+        assert _dim_at(*point) == pluecker_dim(*point) == bookkeeping_dim(n, d)
+
+
+@settings(max_examples=30, deadline=None)
+@given(pair=st.sampled_from([(n, d) for n, d in DESK_PAIRS if comb(n + d, n) <= 21]),
+       seed=st.integers(0, 10**9), trial=st.integers(0, 5))
+def test_factored_rank_equals_pluecker_rows_any_seed(pair, seed, trial):
+    point = _trial_point(*pair, seed, trial, 30)
+    assert _dim_at(*point) == pluecker_dim(*point)
+
+
+@pytest.mark.parametrize("n,d", DESK_PAIRS)
+def test_degenerate_point_never_overshoots(n, d):
+    # g2 = -3*g1 makes a ^ b = 0, where the kernel argument does not apply
+    g1, _, h = _trial_point(n, d, 0, 0, 30)
+    assert _dim_at(g1, g1.scale(-3), h) <= bookkeeping_dim(n, d)
 
 
 @pytest.mark.parametrize("n,d", [(2, 2), (2, 3), (3, 2)])
