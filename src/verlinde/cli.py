@@ -94,10 +94,6 @@ def _cmd_split(args):
 
 
 def _cmd_jumping_class(args):
-    if args.n not in (2, 3):
-        raise UsageError("n must be 2 or 3")
-    if args.d < 2:
-        raise UsageError("d must be >= 2")
     try:
         report = reconcile(args.n, args.d, trials=args.trials, seed=args.seed)
     except ValueError as exc:

@@ -217,8 +217,6 @@ def sample_line(ctx, mode, seed, bound=COEFF_BOUND, _retries=16):
         dprime = None
     elif isinstance(mode, str) and mode.startswith("jumping:"):
         dprime = int(mode.split(":", 1)[1])
-    elif isinstance(mode, tuple) and mode[0] == "jumping":
-        dprime = int(mode[1])
     else:
         raise ValueError(f"unknown sampling mode {mode!r}")
     if dprime is not None and not 0 <= dprime <= d - 1:

@@ -8,8 +8,6 @@ word-size prime, with fraction-free (Bareiss) elimination of [M | I] as
 the exact fallback; ``ExactMatrix.rank`` is the number of rows less the
 size of that basis, with Bareiss on M alone as its fallback.  One Bareiss
 loop serves both fallbacks and the suites' independent rank oracle.
-Right kernels (``kernel_basis``) come from a rational reduced row
-echelon form.
 """
 
 from __future__ import annotations
@@ -206,10 +204,6 @@ class ExactMatrix:
         if kernel is None:
             kernel = _bareiss_left_kernel(rows)
         return kernel
-
-    def kernel_basis(self):
-        """Basis of the right kernel as a list of Fraction column vectors."""
-        return _kernel_from_rref(self.entries, self.rows, self.cols)
 
     def to_json(self):
         return [[str(x) for x in row] for row in self.entries]
@@ -408,45 +402,6 @@ def _bareiss_left_kernel(rows):
     for row in aug[r:]:
         g = math.gcd(*row[n:])
         basis.append([int(x // g) for x in row[n:]])
-    return basis
-
-
-def _rref(entries, m, n):
-    """Reduced row echelon form over Fraction; returns (rows, pivot list)."""
-    # Fraction rows, since ``/`` on two ints gives a float
-    rows = [[Fraction(x) for x in row] for row in entries]
-    pivots = []
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        piv = next((i for i in range(r, m) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append((r, c))
-        r += 1
-    return rows, pivots
-
-
-def _kernel_from_rref(entries, m, n):
-    rows, pivots = _rref(entries, m, n)
-    pivot_cols = {c for _, c in pivots}
-    basis = []
-    for fc in range(n):
-        if fc in pivot_cols:
-            continue
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for pr, pc in pivots:
-            v[pc] = -rows[pr][fc]
-        basis.append(v)
     return basis
 
 

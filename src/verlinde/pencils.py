@@ -8,7 +8,9 @@ S_(t-1), and the splitting type is the conjugate partition of their
 differences.  The blocks are never built: S_t is block upper triangular
 over S_(t-1), so a left kernel basis of S_t comes from one of S_(t-1)
 and the (h(t) + u) x w matrix [L A^T ; B^T], where L holds the last u
-coordinates of that basis (see ``twisted_section_dims``).
+coordinates of that basis (see ``twisted_section_dims``).  The same
+sequence decides injectivity: h(u+1) <= u exactly for an injective
+pencil (see ``is_injective``).
 This avoids computing any canonical form of the (possibly singular)
 pencil; canonical blocks appear only in the forward direction as a
 seeded test constructor.
@@ -90,9 +92,6 @@ class SplittingType:
 
     def __repr__(self):
         return f"SplittingType{self.entries}"
-
-    def dominates(self, other):
-        return dominates(self, other)
 
     def to_json(self):
         return {"entries": list(self.entries)}
@@ -194,26 +193,21 @@ class Pencil:
 def is_injective(pencil):
     """Whether s*A + t*B is injective as a sheaf map (generic rank u).
 
-    Fast path: three pseudo-random specializations; any full-rank hit
-    certifies injectivity.  Exact fallback: the generic rank of a pencil
-    equals the maximum specialization rank over any u+1 distinct points
-    of P^1, since a nonzero r x r minor is a binary form of degree
-    r <= u and cannot vanish at u+1 distinct points.
+    Exactly when h(u+1) <= u in the sequence of ``twisted_section_dims``
+    (h(t) is the left kernel dimension of S_(t-1) for any pencil):
+
+    * Not injective: the kernel K != 0 of O(-1)^u -> O^w is a subbundle,
+      so K = (+) O(a_i) with every a_i <= -1.  The image I lies in O^w, so
+      H^0(I(-t)) = 0 for t >= 1 and H^1(K(-t)) injects into
+      H^1(O(-t-1)^u); it maps to zero in H^1(O(-t)^w), since that map
+      factors through H^1(I(-t)) and K -> I is zero.  So
+      h(t) >= h^1(O(a_1 - t)) = t - a_1 - 1 >= t, and h(u+1) >= u+1.
+    * Injective: h(t) = h^0(E(-t)) for the cokernel E, of degree u.  Its
+      torsion T gives a bundle E/T, globally generated as a quotient of
+      O^w, so its entries are >= 0 and sum to u - len T; none exceeds u,
+      and E/T(-u-1) has no sections.  So h(u+1) = len T <= u.
     """
-    u = pencil.u
-    if u == 0:
-        return True
-    rng = random.Random("pencil-injectivity")
-    for _ in range(3):
-        s, t = rng.randint(-99, 99), rng.randint(-99, 99)
-        if (s, t) == (0, 0):
-            s = 1
-        if pencil.at(s, t).rank() == u:
-            return True
-    for i in range(u):
-        if pencil.at(1, i).rank() == u:
-            return True
-    return pencil.at(0, 1).rank() == u
+    return _section_dims(pencil, pencil.u + 1)[-1] <= pencil.u
 
 
 def sylvester_block(pencil, j):
@@ -256,6 +250,23 @@ def _integer_transposes(pencil):
     return [row[:w] for row in joined], [row[w:] for row in joined]
 
 
+def _section_dims(pencil, t_max):
+    """h(1), ..., h(t_max) with h(t) the left kernel dimension of S_(t-1);
+    the recursion is described in ``twisted_section_dims``."""
+    u, w = pencil.u, pencil.w
+    at, bt = _integer_transposes(pencil)
+    # L, the last u coordinates of a left kernel basis of S_(t-1), by rows
+    tails = [[int(i == j) for j in range(u)] for i in range(u)]
+    dims = [u]
+    while tails and len(dims) < t_max:
+        h = len(tails)
+        m = ExactMatrix(h + u, w, [_combine(c, at, w) for c in tails] + bt)
+        tails = [z[h:] for z in m.left_kernel()]
+        dims.append(len(tails))
+    dims.extend([0] * (t_max - len(dims)))
+    return dims
+
+
 def twisted_section_dims(pencil, t_max):
     """The sequence h^0(E(-t)) for t = 1..t_max.
 
@@ -276,25 +287,24 @@ def twisted_section_dims(pencil, t_max):
     parts are the next L.  The start is h(1) = u with L = I_u, since S_0
     is empty.  (Counting ranks, rank S_t = rank S_(t-1) + rank M.)  Each
     step takes the certified integer basis of ``ExactMatrix.left_kernel``.
-    Once the sequence of a genuine nonnegative bundle reaches zero it
-    stays zero, so trailing values are filled without further elimination.
+
+    The same sequence decides injectivity, so no other elimination runs:
+    the steps go on to t = u+1 at least, and NotInjectiveError is raised
+    when h(u+1) > u.  By the proof in ``is_injective``, a pencil with a
+    kernel has h(t) >= t, and an injective one has h(u+1) = len T <= u
+    for the torsion T of its cokernel E.  So a sequence that reaches zero
+    is that of an injective pencil, where h(t) = h^0(E(-t)) does not
+    increase with t (multiplying by a linear form that vanishes at no
+    point of T is injective on sections); the trailing zeros are filled
+    without further elimination.
     """
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
-    if not is_injective(pencil):
+    u = pencil.u
+    dims = _section_dims(pencil, max(t_max, u + 1))
+    if dims[u] > u:
         raise NotInjectiveError("pencil is not injective")
-    u, w = pencil.u, pencil.w
-    at, bt = _integer_transposes(pencil)
-    # L, the last u coordinates of a left kernel basis of S_(t-1), by rows
-    tails = [[int(i == j) for j in range(u)] for i in range(u)]
-    dims = [u]
-    while tails and len(dims) < t_max:
-        h = len(tails)
-        m = ExactMatrix(h + u, w, [_combine(c, at, w) for c in tails] + bt)
-        tails = [z[h:] for z in m.left_kernel()]
-        dims.append(len(tails))
-    dims.extend([0] * (t_max - len(dims)))
-    return dims
+    return dims[:t_max]
 
 
 def splitting_type(pencil):

@@ -73,9 +73,6 @@ class SchubertClass:
     def coefficient(self, a, b):
         return self.coeffs.get((a, b), 0)
 
-    def codimensions(self):
-        return sorted({a + b for a, b in self.coeffs})
-
     def sorted_terms(self):
         return sorted(self.coeffs.items())
 
@@ -213,10 +210,6 @@ class BidegreeClass:
         self.r = r
         self.s = s
         self.coeffs = {k: v for k, v in clean.items() if v}
-
-    @classmethod
-    def one(cls, r, s):
-        return cls(r, s, {(0, 0): 1})
 
     def _require_same(self, other):
         if (self.r, self.s) != (other.r, other.s):

@@ -208,7 +208,8 @@ def test_jumping_class_no_jacobian_trials_is_usage_error():
 def test_jumping_class_out_of_scope_n():
     res = run_cli("jumping-class", "--n", "4", "--d", "2")
     assert res.returncode == 2
-    assert "n must be 2 or 3" in res.stderr
+    assert "restricted to n in {2, 3}" in res.stderr
+    assert res.stdout == ""
 
 
 def test_jumping_class_desk_scale_bound():

@@ -271,6 +271,112 @@ def test_splitting_type_builds_no_sylvester_block(monkeypatch):
     splitting_type(verlinde_pencil(ctx, sample_line(ctx, "jumping:1", seed=3)))
 
 
+# ------------------------------------------- injectivity from the h-sequence
+
+def specialization_injective(pencil):
+    """The reference: the generic rank of a pencil is the largest rank of
+    s*A + t*B over any u+1 distinct points of P^1, since a nonzero r x r
+    minor is a binary form of degree r <= u.  Three pseudo-random points
+    first, then the exact set."""
+    u = pencil.u
+    if u == 0:
+        return True
+    rng = random.Random("pencil-injectivity")
+    for _ in range(3):
+        s, t = rng.randint(-99, 99), rng.randint(-99, 99)
+        if (s, t) == (0, 0):
+            s = 1
+        if pencil.at(s, t).rank() == u:
+            return True
+    for i in range(u):
+        if pencil.at(1, i).rank() == u:
+            return True
+    return pencil.at(0, 1).rank() == u
+
+
+def _grid(rng, rows, cols, zero_frac=0.0):
+    return ExactMatrix(rows, cols, [[0 if rng.random() < zero_frac else rng.randint(-3, 3)
+                                     for _ in range(cols)] for _ in range(rows)])
+
+
+def _diag(x, y):
+    return ExactMatrix(x.rows + y.rows, x.cols + y.cols,
+                       [row + [0] * y.cols for row in x.entries]
+                       + [[0] * x.cols + row for row in y.entries])
+
+
+def _pencil_of_kind(kind, rng):
+    """A small pencil of one of five kinds, conjugated by unimodular maps."""
+    if kind in ("random", "sparse"):
+        w = rng.randint(1, 6)
+        u = rng.randint(0, w)
+        frac = 0.75 if kind == "sparse" else 0.0
+        p = Pencil(_grid(rng, w, u, frac), _grid(rng, w, u, frac))
+    elif kind == "through-O":  # O(-1)^u -> O^w' -> O^w with w' < u
+        u = rng.randint(1, 5)
+        w = rng.randint(u, 6)
+        inner = rng.randint(0, u - 1)
+        mid = _grid(rng, w, inner)
+        p = Pencil(mid @ _grid(rng, inner, u), mid @ _grid(rng, inner, u))
+    elif kind == "through-O(-1)":  # O(-1)^u -> O(-1)^u' -> O^w with u' < u
+        u = rng.randint(1, 5)
+        w = rng.randint(u, 6)
+        inner = rng.randint(0, u - 1)
+        mid = _grid(rng, inner, u)
+        p = Pencil(_grid(rng, w, inner) @ mid, _grid(rng, w, inner) @ mid)
+    elif kind == "degree-1-kernel":  # t*e0 + s*e1 in the kernel
+        u = rng.randint(2, 5)
+        w = rng.randint(u, 6)
+        a, b = _grid(rng, w, u).entries, _grid(rng, w, u).entries
+        for row_a, row_b in zip(a, b):
+            row_b[0] = row_a[1] = 0
+            row_a[0] = -row_b[1]
+        p = Pencil(ExactMatrix(w, u, a), ExactMatrix(w, u, b))
+    else:  # Kronecker blocks plus a square block: torsion when it is regular
+        w1 = rng.randint(1, 4)
+        u1 = rng.randint(0, w1 - 1)
+        m = rng.randint(1, 3)
+        k = kronecker_pencil(_random_type(rng, w1, u1), w1, u1)
+        p = Pencil(_diag(k.A, _grid(rng, m, m)), _diag(k.B, _grid(rng, m, m)))
+    return p.conjugate(random_unimodular(p.w, rng), random_unimodular(p.u, rng))
+
+
+PENCIL_KINDS = ["random", "sparse", "through-O", "through-O(-1)", "degree-1-kernel",
+                "kronecker+torsion"]
+
+
+@given(st.sampled_from(PENCIL_KINDS), st.integers(0, 10**6))
+@settings(max_examples=200, deadline=None)
+def test_injectivity_from_h_sequence_matches_specialization(kind, seed):
+    p = _pencil_of_kind(kind, random.Random(seed))
+    want = specialization_injective(p)
+    assert is_injective(p) == want
+    if kind in ("through-O", "through-O(-1)", "degree-1-kernel"):
+        assert not want
+
+
+@pytest.mark.parametrize("kind", ["through-O", "degree-1-kernel"])
+def test_short_sequence_still_refuses_a_non_injective_pencil(kind):
+    rng = random.Random(f"short:{kind}")
+    p = _pencil_of_kind(kind, rng)
+    while p.u < 2:
+        p = _pencil_of_kind(kind, rng)
+    with pytest.raises(NotInjectiveError):
+        twisted_section_dims(p, 1)
+
+
+def test_splitting_type_makes_no_rank_call(monkeypatch):
+    ctx = context(3, 4, 8)
+    line = sample_line(ctx, "random", seed=0)
+
+    def refuse(self):
+        raise AssertionError("ExactMatrix.rank called")
+
+    monkeypatch.setattr(ExactMatrix, "rank", refuse)
+    st_ = splitting_type(verlinde_pencil(ctx, line))
+    assert (len(st_), st_.total) == (ctx.rank, ctx.degree)
+
+
 # ------------------------------------------------------------- wire format
 
 @st.composite
