@@ -101,9 +101,10 @@ class LineInSystem:
             raise DegenerateLineError("spanning forms have different degrees")
         if f1.is_zero or f2.is_zero:
             raise DegenerateLineError("spanning forms must be nonzero")
-        coeffs = ExactMatrix.from_rows(
-            [[a, b] for a, b in zip(f1.coeff_vector(), f2.coeff_vector())], cols=2)
-        if coeffs.rank() != 2:
+        # f2 = c f1 with c = b[i] / a[i] at f1's first nonzero coefficient
+        a, b = f1.coeff_vector(), f2.coeff_vector()
+        i = next(j for j, x in enumerate(a) if x)
+        if all(y * a[i] == x * b[i] for x, y in zip(a, b)):
             raise DegenerateLineError("f1 and f2 are linearly dependent")
 
     def swap(self):

@@ -8,12 +8,18 @@ word-size prime, with fraction-free (Bareiss) elimination of [M | I] as
 the exact fallback; ``ExactMatrix.rank`` is the number of rows less the
 size of that basis, with Bareiss on M alone as its fallback.  One Bareiss
 loop serves both fallbacks and the suites' independent rank oracle.
+
+The modular elimination packs each working row into one int, a 96-bit
+slot per column, and updates it by one multiply-add of the pivot row
+folded under 2**31 (``_fold``): a slot would carry only after 2**35.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
+import struct
 from fractions import Fraction
 
 try:
@@ -26,6 +32,7 @@ except ImportError:  # pure-int fallback: same results, slower on large minors
 _PRIME = 1073741789
 # Rational reconstruction recovers n/d from its residue when |n|, d <= this.
 _RECON_BOUND = math.isqrt((_PRIME - 1) // 2)
+_FOLD = 2**30 - _PRIME  # 2**30 mod p: the packed rows' fold constant
 
 __all__ = ["ExactMatrix", "scalar", "random_unimodular"]
 
@@ -228,37 +235,63 @@ def _cleared_int_rows(entries):
     return out
 
 
+@functools.cache
+def _packing(width):
+    """The Struct that packs ``width`` residues into 96-bit slots, and the
+    masks of every slot's low 30 bits and of its high 66 bits."""
+    return (struct.Struct(">" + "8xI" * width),
+            int.from_bytes((bytes(8) + b"\x3f\xff\xff\xff") * width, "big"),
+            int.from_bytes((b"\xff" * 8 + b"\xc0\0\0\0") * width, "big"))
+
+
+def _fold(x, lo, hi):
+    """Fold each 96-bit slot of x below 2**31, keeping it mod ``_PRIME``:
+    2**30 = ``_FOLD`` (mod p), so a slot lo + 2**30 hi becomes lo + 35 hi,
+    and three folds take 96 bits to 72, 48, then under 2**31."""
+    for _ in range(3):
+        x = (x & lo) + _FOLD * ((x & hi) >> 30)
+    return x
+
+
 def _echelon_mod_p(rows):
     """Gaussian elimination of an integer matrix modulo ``_PRIME``.
 
     Returns the pivot rows in pivot order, each row's multipliers by pivot
     number, and the rows that reduced to zero.
-    Working rows are kept reversed so the current column pops in O(1).
+    Each working row is one int with a 96-bit slot per column, column 0
+    the highest; an update adds (p - f) times the pivot row's slots below
+    the pivot column, folded under 2**31, and drops the eliminated slots.
+    Slots stay nonnegative and grow by under 2**61 per update, so a carry
+    takes 2**35 updates; a row takes at most min(rows, cols).
     """
     p = _PRIME
+    width = len(rows[0])
+    packer, lo, hi = _packing(width)
+    slot = (1 << 96) - 1
     rest_idx = list(range(len(rows)))
-    rest = [[x % p for x in reversed(row)] for row in rows]
+    rest = [int.from_bytes(packer.pack(*[x % p for x in row]), "big") for row in rows]
     mults = [[] for _ in rows]
     pivots = []
-    for _ in range(len(rows[0])):
-        for at, row in enumerate(rest):
-            if row[-1]:
+    for c in range(width):
+        shift = 96 * (width - 1 - c)
+        column = [row >> shift & slot for row in rest]
+        for at, e in enumerate(column):
+            if e % p:
                 break
         else:
-            for row in rest:
-                row.pop()
             continue
         pivots.append(rest_idx.pop(at))
-        tail = rest.pop(at)
-        inv = pow(tail.pop(), -1, p)
+        del column[at]
+        below = (1 << shift) - 1
+        tail = _fold(rest.pop(at) & below, lo, hi)
+        inv = pow(e, -1, p)
         if not rest:
             break
-        for slot, row in enumerate(rest):
-            e = row.pop()
+        for i, e in enumerate(column):
             f = e * inv % p
-            mults[rest_idx[slot]].append(f)
+            mults[rest_idx[i]].append(f)
             if f:
-                rest[slot] = [(x - f * y) % p for x, y in zip(row, tail)]
+                rest[i] = (rest[i] & below) + (p - f) * tail
     return pivots, mults, rest_idx
 
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from verlinde import family
@@ -54,6 +56,32 @@ def test_line_independence_check():
         LineInSystem(x(0) * x(1), (x(0) * x(1)).scale(3))
     with pytest.raises(DegenerateLineError):
         LineInSystem(x(0), x(0) * x(1))  # degree mismatch
+
+
+def test_line_independence_with_fraction_coefficients():
+    f1 = x(0) * x(1) * Fraction(1, 2) + x(2) * x(2) * Fraction(-3, 4)
+    with pytest.raises(DegenerateLineError, match="linearly dependent"):
+        LineInSystem(f1, f1.scale(Fraction(2, 7)))
+    LineInSystem(f1, f1 + x(0) * x(0) * Fraction(1, 3))
+
+
+@pytest.mark.parametrize("ratio", [-1, -5, Fraction(1, 3), Fraction(-7, 2)])
+def test_proportional_lines_with_negative_or_fractional_ratio(ratio):
+    f1 = x(0) * x(0) - x(1) * x(2) * 4 + x(2) * x(2)
+    with pytest.raises(DegenerateLineError, match="linearly dependent"):
+        LineInSystem(f1, f1.scale(ratio))
+    with pytest.raises(DegenerateLineError, match="linearly dependent"):
+        LineInSystem(f1.scale(ratio), f1)
+
+
+def test_f2_zero_at_the_first_nonzero_coefficient_of_f1():
+    # f1's first coefficient in monomial order is at x0^2; f2 has none there
+    # and agrees with f1 everywhere else, so the two are independent
+    f1 = x(0) * x(0) + x(1) * x(1)
+    f2 = x(1) * x(1)
+    assert f1.coeff_vector()[0] and not f2.coeff_vector()[0]
+    LineInSystem(f1, f2)
+    LineInSystem(f2, f1)
 
 
 def test_verlinde_pencil_construction(shared_factor_line):

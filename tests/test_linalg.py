@@ -209,6 +209,101 @@ def test_engine_prime_is_a_word_size_prime():
     assert all(p % q for q in range(2, math.isqrt(p) + 1))
 
 
+# ------------------------------------------ the packed-row modular kernel
+
+def reference_echelon_mod_p(rows):
+    """The list-based elimination the packed-row kernel replaced: one list
+    of residues per working row, kept reversed so the current column pops,
+    and every nonzero multiplier rebuilds the row entry by entry."""
+    p = linalg._PRIME
+    rest_idx = list(range(len(rows)))
+    rest = [[x % p for x in reversed(row)] for row in rows]
+    mults = [[] for _ in rows]
+    pivots = []
+    for _ in range(len(rows[0])):
+        for at, row in enumerate(rest):
+            if row[-1]:
+                break
+        else:
+            for row in rest:
+                row.pop()
+            continue
+        pivots.append(rest_idx.pop(at))
+        tail = rest.pop(at)
+        inv = pow(tail.pop(), -1, p)
+        if not rest:
+            break
+        for slot, row in enumerate(rest):
+            e = row.pop()
+            f = e * inv % p
+            mults[rest_idx[slot]].append(f)
+            if f:
+                rest[slot] = [(x - f * y) % p for x, y in zip(row, tail)]
+    return pivots, mults, rest_idx
+
+
+_P = linalg._PRIME
+_EDGE_ENTRIES = (0, 1, -1, _P - 1, _P, -_P, 3 * _P, 2**40)
+
+
+@st.composite
+def _echelon_inputs(draw):
+    """Nonempty integer row lists: the rank tests' integer matrices, or
+    tall, wide, width-0 and width-1 grids of entries at the prime's edges,
+    some rows all zero."""
+    if draw(st.booleans()):
+        m = draw(_rational_matrices(integers=True))
+        if m.rows:
+            return m.entries
+    rows = draw(st.integers(1, 12))
+    cols = draw(st.sampled_from((0, 1, 2, 3, 5, 9, 14)))
+    grid = draw(st.lists(st.lists(st.sampled_from(_EDGE_ENTRIES), min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    for i in draw(st.lists(st.integers(0, rows - 1), max_size=rows)):
+        grid[i] = [0] * cols
+    return grid
+
+
+@given(_echelon_inputs())
+@settings(max_examples=400, deadline=None)
+def test_packed_echelon_matches_reference(rows):
+    assert linalg._echelon_mod_p(rows) == reference_echelon_mod_p(rows)
+
+
+@pytest.mark.parametrize("rows", [
+    [[]], [[], [], []],                                   # width 0
+    [[0]], [[_P]], [[-1]], [[0], [3 * _P], [5], [-5]],    # width 1
+    [[0, 0, 0], [0, 0, 0]],                               # all zero
+    [[1, 2], [2, 4], [0, _P - 1], [_P, 1], [2**40, 7]],  # tall
+    [[0, 0, 2**40, -_P, 1, _P - 1, 0, 9]],               # wide, one row
+])
+def test_packed_echelon_edge_shapes(rows):
+    assert linalg._echelon_mod_p(rows) == reference_echelon_mod_p(rows)
+
+
+def test_packed_echelon_on_a_reference_cell_pencil():
+    ctx = context(3, 4, 8)
+    pencil = verlinde_pencil(ctx, sample_line(ctx, "random", seed=0))
+    rows = pencil.A.transpose().vstack(pencil.B.transpose()).entries
+    assert (len(rows), len(rows[0])) == (70, 165)
+    assert linalg._echelon_mod_p(rows) == reference_echelon_mod_p(rows)
+
+
+def test_fold_keeps_packed_slots_apart():
+    # 2**30 = _FOLD (mod p) is what lets a fold replace a slot's high part
+    assert linalg._FOLD == 2**30 - _P == 2**30 % _P
+    # folded slots are < 2**31 and multipliers < p, so a slot takes 2**35
+    # updates before it could carry into its neighbour
+    assert 2**31 * _P * 2**35 < 2**96
+    width = 7
+    _, lo, hi = linalg._packing(width)
+    full = 2**96 - 1
+    folded = linalg._fold(int.from_bytes(full.to_bytes(12, "big") * width, "big"), lo, hi)
+    for j in range(width):
+        s = folded >> (96 * j) & full
+        assert s < 2**31 and s % _P == full % _P
+
+
 @pytest.fixture
 def bareiss_calls(monkeypatch):
     calls = []
