@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, lcm
 
 from .linalg import ExactMatrix
 from .pencils import Pencil, SplittingType
@@ -124,9 +124,20 @@ def _line_memo(ctx, line):
     return line._memo.setdefault(ctx.k, {})
 
 
+def _integral(f):
+    """c*f for c the lcm of f's coefficient denominators: an integer form."""
+    c = lcm(*[x.denominator for x in f.terms.values()])
+    return f if c == 1 else f.scale(c)
+
+
 def verlinde_pencil(ctx, line):
     """The pencil presenting V_k on the line; empty (u = 0) when k < d.
-    Built once per (line, k); callers must not mutate it."""
+    Built once per (line, k); callers must not mutate it.
+
+    The matrices multiply by the integral multiples c1*f1 and c2*f2 (c_i
+    the lcm of f_i's coefficient denominators), so they hold ints.  The
+    pencil (c1 A, c2 B) is (A, B) after (s, t) -> (c1 s, c2 t), so the
+    splitting type, rank [A|B] and injectivity are those of the line."""
     memo = _line_memo(ctx, line)
     if "pencil" not in memo:
         if ctx.k < ctx.d:
@@ -134,7 +145,8 @@ def verlinde_pencil(ctx, line):
             memo["pencil"] = Pencil(empty, empty)
         else:
             src = ctx.k - ctx.d
-            memo["pencil"] = Pencil(mult_matrix(line.f1, src), mult_matrix(line.f2, src))
+            memo["pencil"] = Pencil(mult_matrix(_integral(line.f1), src),
+                                    mult_matrix(_integral(line.f2), src))
     return memo["pencil"]
 
 

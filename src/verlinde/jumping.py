@@ -147,33 +147,22 @@ def _index_range(dim_z):
     return range(0, dim_z // 2 + 1)
 
 
-def class_from_formula(n, d, dim_z):
-    """Evaluate the closed coefficient formula at an explicitly supplied
-    dimension value.
+def _assemble(n, d, dim_z, coefficient):
+    """The class with coefficient(a, b) at each pair a + b = dim_z, b <= a.
 
     Indices are shifted into the codimension-(2(N-2) - dim_z) graded
     piece; a shifted index with b' < 0 and nonzero coefficient is kept in
     the out_of_range list as a discrepancy signal rather than dropped.
-    For n = 3 and even dim_z the stated middle term
-    +C(dim/2+2, n)C(dim/2, n) is appended.
     """
-    _check_params(n, d)
-    N = comb(n + d, n)
-    ctx = GrContext(N)
-    codim = 2 * (N - 2) - dim_z
-    if codim < 0:
+    ctx = GrContext(comb(n + d, n))
+    if dim_z > ctx.dim:
         raise ValueError(f"dim_z = {dim_z} exceeds the Grassmannian dimension")
-    shift = (codim - dim_z) // 2  # = N - 2 - dim_z
+    shift = ctx.max_index - dim_z  # = (codim - dim_z) / 2
     terms = {}
     oor = []
-    middle = None
     for b in _index_range(dim_z):
         a = dim_z - b
-        if a == b and n == 3:
-            coeff = comb(b + 2, n) * comb(b, n)
-            middle = {"index": [a + shift, b + shift], "stated": coeff}
-        else:
-            coeff = comb(a + 1, n) * comb(b + 1, n) - comb(a + 2, n) * comb(b, n)
+        coeff = coefficient(a, b)
         if coeff == 0:
             continue
         a2, b2 = a + shift, b + shift
@@ -181,8 +170,29 @@ def class_from_formula(n, d, dim_z):
             oor.append((a2, b2, coeff))
         else:
             terms[(a2, b2)] = terms.get((a2, b2), 0) + coeff
-    return ClassEval(cls=SchubertClass(ctx, terms), dim_z=dim_z,
-                     out_of_range=oor, middle=middle)
+    return ClassEval(cls=SchubertClass(ctx, terms), dim_z=dim_z, out_of_range=oor)
+
+
+def class_from_formula(n, d, dim_z):
+    """Evaluate the closed coefficient formula at an explicitly supplied
+    dimension value (indices shifted as in ``_assemble``).
+
+    For n = 3 and even dim_z the stated middle term
+    +C(dim/2+2, n)C(dim/2, n) is appended and recorded.
+    """
+    _check_params(n, d)
+
+    def coefficient(a, b):
+        if a == b and n == 3:
+            return comb(b + 2, n) * comb(b, n)
+        return comb(a + 1, n) * comb(b + 1, n) - comb(a + 2, n) * comb(b, n)
+
+    ev = _assemble(n, d, dim_z, coefficient)
+    if n == 3 and dim_z % 2 == 0:
+        mid = dim_z // 2
+        index = mid + ev.cls.ctx.max_index - dim_z  # shifted as in _assemble
+        ev.middle = {"index": [index, index], "stated": coefficient(mid, mid)}
+    return ev
 
 
 def _pair_degree(n, M, a, b):
@@ -211,35 +221,16 @@ def class_from_pushpull(n, d, dim_z):
     sigma_(b-1)) with both degrees produced by the bidegree pipeline.
     For n = 3 and even dim_z the middle pairing deg([Z] sigma_b sigma_b)
     is taken to be zero, and the resulting (signed) middle coefficient is
-    recorded rather than suppressed.
+    kept rather than suppressed.
     """
     _check_params(n, d)
-    N = comb(n + d, n)
-    ctx = GrContext(N)
     M = comb(n + d - 1, n) - 1
-    codim = 2 * (N - 2) - dim_z
-    if codim < 0:
-        raise ValueError(f"dim_z = {dim_z} exceeds the Grassmannian dimension")
-    shift = (codim - dim_z) // 2
-    terms = {}
-    oor = []
-    middle = None
-    for b in _index_range(dim_z):
-        a = dim_z - b
-        if a == b and n == 3:
-            coeff = 0 - _pair_degree(n, M, a + 1, b - 1)
-            middle = {"index": [a + shift, b + shift], "from_pairing": coeff}
-        else:
-            coeff = _pair_degree(n, M, a, b) - _pair_degree(n, M, a + 1, b - 1)
-        if coeff == 0:
-            continue
-        a2, b2 = a + shift, b + shift
-        if b2 < 0:
-            oor.append((a2, b2, coeff))
-        else:
-            terms[(a2, b2)] = terms.get((a2, b2), 0) + coeff
-    return ClassEval(cls=SchubertClass(ctx, terms), dim_z=dim_z,
-                     out_of_range=oor, middle=middle)
+
+    def coefficient(a, b):
+        first = 0 if a == b and n == 3 else _pair_degree(n, M, a, b)
+        return first - _pair_degree(n, M, a + 1, b - 1)
+
+    return _assemble(n, d, dim_z, coefficient)
 
 
 @dataclass

@@ -1,10 +1,10 @@
-"""Dense exact linear algebra over the rationals.
+"""Dense exact linear algebra over the integers.
 
-Every exact scalar in the package is in one normal form (``scalar``): an
-``int`` when the value is integral, a ``Fraction`` otherwise, so integer
-input stays in integer arithmetic.  ``ExactMatrix.left_kernel`` gives an
-integer left kernel basis certified from one elimination modulo a
-word-size prime, with fraction-free (Bareiss) elimination of [M | I] as
+``ExactMatrix`` holds ints only (a rational problem is made integral where
+its matrix is built); ``scalar`` is the forms' coefficient normal form, an
+``int`` when integral, else a ``Fraction``.  ``ExactMatrix.left_kernel``
+gives an integer left kernel basis certified from one elimination modulo
+a word-size prime, with fraction-free (Bareiss) elimination of [M | I] as
 the exact fallback; ``ExactMatrix.rank`` is the number of rows less the
 size of that basis, with Bareiss on M alone as its fallback.  One Bareiss
 loop serves both fallbacks and the suites' independent rank oracle.
@@ -72,7 +72,8 @@ def scalar_from_json(x):
 
 
 class ExactMatrix:
-    """Immutable dense matrix of exact scalars in normal form (see ``scalar``)."""
+    """Immutable dense matrix of ints.  ValueError for an entry of any
+    other type (a Fraction, even an integral one, a float, a bool)."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -85,7 +86,10 @@ class ExactMatrix:
         for row in entries:
             if len(row) != cols:
                 raise ValueError(f"expected {cols} columns, got {len(row)}")
-            data.append([x if type(x) is int else scalar(x) for x in row])
+            if not set(map(type, row)) <= {int}:
+                bad = next(x for x in row if type(x) is not int)
+                raise ValueError(f"matrix entries must be ints, got {bad!r}")
+            data.append(list(row))
         self.rows = rows
         self.cols = cols
         self.entries = data
@@ -138,7 +142,6 @@ class ExactMatrix:
         return ExactMatrix(self.rows + other.rows, self.cols, self.entries + other.entries)
 
     def scale(self, c):
-        c = scalar(c)
         return ExactMatrix(self.rows, self.cols,
                            [[c * x for x in row] for row in self.entries])
 
@@ -170,17 +173,16 @@ class ExactMatrix:
         return [sum(a * b for a, b in zip(row, vec)) for row in self.entries]
 
     def rank(self):
-        """Exact rank over Q: the number of rows less the size of a
-        certified left kernel basis, with the matrix oriented so the short
-        side is the rows and each row scaled to integers.
+        """Exact rank: the number of rows less the size of a certified
+        left kernel basis, with the matrix oriented so the short side is
+        the rows.
 
         The basis comes from one elimination modulo a word-size prime (see
         ``left_kernel``).  When a kernel vector does not lift, fraction-free
         Bareiss elimination gives the rank instead; the rank needs no kernel,
-        so it eliminates the integer rows alone, not [M | I].
+        so it eliminates the rows alone, not [M | I].
         """
-        oriented = self.transpose() if self.rows > self.cols else self
-        rows = _cleared_int_rows(oriented.entries)
+        rows = (self.transpose() if self.rows > self.cols else self).entries
         if not rows:
             return 0
         kernel = _modular_left_kernel(rows)
@@ -191,8 +193,7 @@ class ExactMatrix:
     def left_kernel(self):
         """Integer basis of the left kernel {z : z M = 0}, as row vectors.
 
-        Columns are scaled to integers (that keeps the left kernel) and the
-        rows are eliminated modulo ``_PRIME``, giving r <= rank over Q.  Each
+        The rows are eliminated modulo ``_PRIME``, giving r <= rank.  Each
         of the rows - r rows that reduce to zero gives a vector that is 1
         there and 0 at the other zero rows mod p; it is lifted by rational
         reconstruction and checked to annihilate the matrix exactly over Z.
@@ -205,8 +206,6 @@ class ExactMatrix:
         rows = self.entries
         if not rows:
             return []
-        if any(type(x) is not int for row in rows for x in row):
-            rows = [list(c) for c in zip(*_cleared_int_rows(self.transpose().entries))]
         kernel = _modular_left_kernel(rows)
         if kernel is None:
             kernel = _bareiss_left_kernel(rows)
@@ -217,22 +216,11 @@ class ExactMatrix:
 
     @classmethod
     def from_json(cls, rows, cols, grid):
-        """Read ``to_json``'s grid; entries as in ``scalar_from_json``."""
+        """Read ``to_json``'s grid; entries as in ``scalar_from_json``, and
+        the constructor refuses a non-integral one."""
         if not isinstance(grid, list) or not all(isinstance(row, list) for row in grid):
             raise ValueError("matrix grid must be a list of lists")
         return cls(rows, cols, [[scalar_from_json(x) for x in row] for row in grid])
-
-
-def _cleared_int_rows(entries):
-    """Scale each row to integers (row scaling preserves rank and kernel)."""
-    out = []
-    for row in entries:
-        if all(type(x) is int for x in row):
-            out.append(row[:])
-            continue
-        l = math.lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (l // x.denominator) for x in row])
-    return out
 
 
 @functools.cache

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 
-from .linalg import ExactMatrix, _cleared_int_rows, _combine, int_from_json, random_unimodular
+from .linalg import ExactMatrix, _combine, int_from_json, random_unimodular
 
 __all__ = [
     "Pencil",
@@ -240,21 +240,11 @@ def sylvester_block(pencil, j):
     return ExactMatrix((j + 1) * u, j * w, grid)
 
 
-def _integer_transposes(pencil):
-    """A^T and B^T as integer rows.  Row i of both (column i of the pencil)
-    is scaled by one common factor, so the result is an equivalent pencil;
-    separate factors for A and B would not be."""
-    w = pencil.w
-    joined = _cleared_int_rows([a + b for a, b in zip(pencil.A.transpose().entries,
-                                                      pencil.B.transpose().entries)])
-    return [row[:w] for row in joined], [row[w:] for row in joined]
-
-
 def _section_dims(pencil, t_max):
     """h(1), ..., h(t_max) with h(t) the left kernel dimension of S_(t-1);
     the recursion is described in ``twisted_section_dims``."""
     u, w = pencil.u, pencil.w
-    at, bt = _integer_transposes(pencil)
+    at, bt = pencil.A.transpose().entries, pencil.B.transpose().entries
     # L, the last u coordinates of a left kernel basis of S_(t-1), by rows
     tails = [[int(i == j) for j in range(u)] for i in range(u)]
     dims = [u]

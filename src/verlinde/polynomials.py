@@ -288,19 +288,12 @@ def _binary_mul(p, q):
 
 
 def restrict_to_line(f, subst):
-    """Restrict f along x_i = a_i*s + b_i*t; returns a binary form in (s, t).
-
-    subst may be an ExactMatrix of shape (n+1) x 2 or a sequence of
-    (a_i, b_i) pairs.  The result is homogeneous of degree deg f or zero.
-    """
-    if isinstance(subst, ExactMatrix):
-        if (subst.rows, subst.cols) != (f.num_vars, 2):
-            raise ValueError(f"substitution must be {f.num_vars} x 2")
-        pairs = [(subst[i, 0], subst[i, 1]) for i in range(subst.rows)]
-    else:
-        pairs = [(scalar(a), scalar(b)) for a, b in subst]
-        if len(pairs) != f.num_vars:
-            raise ValueError(f"substitution must give all {f.num_vars} variables")
+    """Restrict f along x_i = a_i*s + b_i*t, given subst as the sequence of
+    (a_i, b_i) pairs; returns a binary form in (s, t), homogeneous of
+    degree deg f or zero."""
+    pairs = [(scalar(a), scalar(b)) for a, b in subst]
+    if len(pairs) != f.num_vars:
+        raise ValueError(f"substitution must give all {f.num_vars} variables")
     d = f.degree
     # coeffs[j] = coefficient of s^(d-j) t^j
     coeffs = [0] * (d + 1)

@@ -26,7 +26,7 @@ from .family import (
     sample_line,
     verlinde_pencil,
 )
-from .linalg import ExactMatrix, _bareiss_rank, _cleared_int_rows, random_unimodular
+from .linalg import ExactMatrix, _bareiss_rank, random_unimodular
 from .pencils import SplittingType, dominates, kronecker_pencil, splitting_type, twisted_section_dims
 from .polynomials import gcd_degree, monomial_basis, mult_matrix, random_form
 from .schubert import (
@@ -73,11 +73,12 @@ class SuiteResult:
                 "actual": repr(actual),
             })
 
-    def merge_case(self, outcome):
-        self.cases += 1
-        for check, n in outcome["checks"].items():
+    def merge(self, other):
+        """Add another result's cases, check counts and failures."""
+        self.cases += other.cases
+        for check, n in other.checks.items():
             self.count(check, n)
-        self.failures.extend(outcome["failures"])
+        self.failures.extend(other.failures)
 
     def to_json(self):
         return {
@@ -134,7 +135,7 @@ def _span_rank_oracle(vectors):
 
 def _exact_rank(m):
     """Rank by fraction-free Bareiss elimination, bypassing the modular engine."""
-    return _bareiss_rank(_cleared_int_rows(m.entries))
+    return _bareiss_rank(m.entries)
 
 
 def run_algebra_suite(seed=0):
@@ -301,57 +302,42 @@ def _line_specs(seed):
 
 
 def _line_case(spec):
-    """Evaluate every per-line criterion; returns a failure/check summary."""
+    """Evaluate every per-line criterion, as a one-case result."""
     n, d, k, mode, case_seed, _pop = spec
     ctx = context(n, d, k)
     line = sample_line(ctx, mode, seed=case_seed)
     case = f"({n},{d},{k}):{mode}:{case_seed.rsplit(':', 1)[-1]}"
-    failures = []
-    checks = {}
-
-    def record(check, expected, actual):
-        checks[check] = checks.get(check, 0) + 1
-        if expected != actual:
-            failures.append({"check": check, "case": case,
-                             "expected": repr(expected), "actual": repr(actual)})
+    res = SuiteResult("criteria", case_seed, cases=1)
 
     pencil = verlinde_pencil(ctx, line)
     st = splitting_type(pencil)
     # Bareiss on [A|B] against the type the modular engine gave
-    record("zero_count", ctx.w - _exact_rank(pencil.A.hstack(pencil.B)), st.zeros())
-    record("frame", (ctx.rank, ctx.degree), (len(st), st.total))
+    res.record("zero_count", case, ctx.w - _exact_rank(pencil.A.hstack(pencil.B)), st.zeros())
+    res.record("frame", case, (ctx.rank, ctx.degree), (len(st), st.total))
     gen = generic_type(ctx)
-    record("generic_iff", is_generic_type(ctx, line), st == gen)
-    record("dominance", True, dominates(st, gen))
+    res.record("generic_iff", case, is_generic_type(ctx, line), st == gen)
+    res.record("dominance", case, True, dominates(st, gen))
     pred = predict_by_gcd(ctx, line, trials=3, seed=case_seed)
-    record("gcd_iff", not is_generic_type(ctx, line), pred.jumping)
+    res.record("gcd_iff", case, not is_generic_type(ctx, line), pred.jumping)
     if k == d + 1:
         two = near_generic_type(ctx)
-        record("two_type", True, st in (gen, two))
-        record("predicted_type", pred.predicted_type, st)
+        res.record("two_type", case, True, st in (gen, two))
+        res.record("predicted_type", case, pred.predicted_type, st)
         if mode == "random":
-            record("random_generic", True, st == gen)
+            res.record("random_generic", case, True, st == gen)
         if mode == f"jumping:{d - 1}":
-            record("planted_max_gcd", two, st)
-    return {"case": case, "failures": failures, "checks": checks}
+            res.record("planted_max_gcd", case, two, st)
+    return res
 
 
 def _gcd_sweep_case(spec):
     n, d, k, dp, case_seed = spec
     ctx = context(n, d, k)
     line = sample_line(ctx, f"jumping:{dp}", seed=case_seed)
-    expected_nongeneric = dp >= 2 * d - k
-    actual = not is_generic_type(ctx, line)
-    failures = []
-    if expected_nongeneric != actual:
-        failures.append({
-            "check": "gcd_criterion",
-            "case": f"({n},{d},{k}):d'={dp}:{case_seed.rsplit(':', 1)[-1]}",
-            "expected": repr(expected_nongeneric),
-            "actual": repr(actual),
-        })
-    return {"case": f"({n},{d},{k}):d'={dp}", "failures": failures,
-            "checks": {"gcd_criterion": 1}}
+    res = SuiteResult("criteria", case_seed, cases=1)
+    res.record("gcd_criterion", f"({n},{d},{k}):d'={dp}:{case_seed.rsplit(':', 1)[-1]}",
+               dp >= 2 * d - k, not is_generic_type(ctx, line))
+    return res
 
 
 def run_criteria_suite(seed=0):
@@ -377,7 +363,7 @@ def run_criteria_suite(seed=0):
                 res.cases += 1
 
     for outcome in _map_cases(_line_case, _line_specs(seed)):
-        res.merge_case(outcome)
+        res.merge(outcome)
 
     sweep = []
     for n in (2, 3):
@@ -387,7 +373,7 @@ def run_criteria_suite(seed=0):
                     for rep in range(3):
                         sweep.append((n, d, k, dp, f"{seed}:sweep:{n}:{d}:{k}:{dp}:{rep}"))
     for outcome in _map_cases(_gcd_sweep_case, sweep):
-        res.merge_case(outcome)
+        res.merge(outcome)
 
     # past k = 2d the generic type never occurs (degree still <= rank here)
     ctx = context(2, 2, 5)

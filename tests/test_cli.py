@@ -97,13 +97,19 @@ def test_split_non_integer_json_number_is_usage_error(f1):
 
 
 def test_split_rational_form_matches_integer_multiple():
-    common = ("split", "--n", "2", "--d", "2", "--k", "3", "--f2", "x0*x2")
-    half = run_cli(*common, "--f1", "1/2*x0*x1")
-    whole = run_cli(*common, "--f1", "x0*x1")
-    assert half.returncode == whole.returncode == 0
-    out = json.loads(half.stdout)
-    assert out["f1"]["terms"] == [{"c": "1/2", "e": [1, 1, 0]}]
-    assert out["type"] == json.loads(whole.stdout)["type"]
+    # the pencil is built from the forms' integer multiples, which only
+    # rescales (s, t); the output still prints the forms as given
+    common = ("split", "--n", "2", "--d", "2", "--k", "3")
+    for rational, integral in [(("1/2*x0*x1", "x0*x2"), ("x0*x1", "x0*x2")),
+                               (("1/2*x0*x1 + 3*x2^2", "x0*x2 - 2/3*x1^2"),
+                                ("x0*x1 + 6*x2^2", "3*x0*x2 - 2*x1^2"))]:
+        half = run_cli(*common, "--f1", rational[0], "--f2", rational[1])
+        whole = run_cli(*common, "--f1", integral[0], "--f2", integral[1])
+        assert half.returncode == whole.returncode == 0
+        out, want = json.loads(half.stdout), json.loads(whole.stdout)
+        assert out["f1"]["terms"][0] == {"c": "1/2", "e": [1, 1, 0]}
+        assert out["type"] == want["type"]
+        assert (out["p"], out["generic"]) == (want["p"], want["generic"])
 
 
 def test_split_degenerate_line_rejected():

@@ -93,6 +93,20 @@ def test_verlinde_pencil_construction(shared_factor_line):
     assert swapped.A == p.B and swapped.B == p.A
 
 
+def test_rational_line_reads_as_its_integer_multiple():
+    # the pencil multiplies by f1 and -7 f2, the integral multiples of
+    # f1/2 and -7/3 f2 on this line; that rescales (s, t), which keeps the
+    # type, the zero count and genericity
+    ctx = context(2, 3, 4)
+    line = sample_line(ctx, "jumping:2", seed=1)
+    half, sevenths = line.f1.scale(Fraction(1, 2)), line.f2.scale(Fraction(-7, 3))
+    rational = LineInSystem(half, sevenths)
+    assert splitting_type(verlinde_pencil(ctx, rational)) == near_generic_type(ctx)
+    assert zero_count(ctx, rational) == zero_count(ctx, line)
+    assert is_generic_type(ctx, rational) is is_generic_type(ctx, line) is False
+    assert (rational.f1, rational.f2) == (half, sevenths)  # forms kept as given
+
+
 def test_pencil_below_degree_is_trivial(shared_factor_line):
     ctx = context(2, 2, 1)
     assert ctx.u == 0
