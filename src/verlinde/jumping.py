@@ -122,12 +122,11 @@ def _dim_at(g1, g2, h):
 @dataclass
 class ClassEval:
     """A Schubert class plus any coefficients whose shifted indices left
-    the ring, and the middle-term record when one was produced."""
+    the ring."""
 
     cls: SchubertClass
     dim_z: int
     out_of_range: list = field(default_factory=list)  # (a, b, coeff)
-    middle: dict | None = None
 
     def all_coefficients(self):
         vals = list(self.cls.coeffs.values())
@@ -147,6 +146,17 @@ def _index_range(dim_z):
     return range(0, dim_z // 2 + 1)
 
 
+def _shift(ctx, dim_z):
+    """Index shift into the codimension-(2(N-2) - dim_z) graded piece,
+    (codim - dim_z) / 2."""
+    return ctx.max_index - dim_z
+
+
+def _stated_middle(n, b):
+    """The closed formula's middle coefficient at a = b (n = 3)."""
+    return comb(b + 2, n) * comb(b, n)
+
+
 def _assemble(n, d, dim_z, coefficient):
     """The class with coefficient(a, b) at each pair a + b = dim_z, b <= a.
 
@@ -157,7 +167,7 @@ def _assemble(n, d, dim_z, coefficient):
     ctx = GrContext(comb(n + d, n))
     if dim_z > ctx.dim:
         raise ValueError(f"dim_z = {dim_z} exceeds the Grassmannian dimension")
-    shift = ctx.max_index - dim_z  # = (codim - dim_z) / 2
+    shift = _shift(ctx, dim_z)
     terms = {}
     oor = []
     for b in _index_range(dim_z):
@@ -178,21 +188,16 @@ def class_from_formula(n, d, dim_z):
     dimension value (indices shifted as in ``_assemble``).
 
     For n = 3 and even dim_z the stated middle term
-    +C(dim/2+2, n)C(dim/2, n) is appended and recorded.
+    +C(dim/2+2, n)C(dim/2, n) is appended.
     """
     _check_params(n, d)
 
     def coefficient(a, b):
         if a == b and n == 3:
-            return comb(b + 2, n) * comb(b, n)
+            return _stated_middle(n, b)
         return comb(a + 1, n) * comb(b + 1, n) - comb(a + 2, n) * comb(b, n)
 
-    ev = _assemble(n, d, dim_z, coefficient)
-    if n == 3 and dim_z % 2 == 0:
-        mid = dim_z // 2
-        index = mid + ev.cls.ctx.max_index - dim_z  # shifted as in _assemble
-        ev.middle = {"index": [index, index], "stated": coefficient(mid, mid)}
-    return ev
+    return _assemble(n, d, dim_z, coefficient)
 
 
 def _pair_degree(n, M, a, b):
@@ -267,16 +272,18 @@ class JumpingClassReport:
         }
 
 
-def _middle_record(n, dim_z, eval_formula):
-    """Compare the stated middle coefficient with the pairing-derived one."""
-    if n != 3 or dim_z % 2 or eval_formula.middle is None:
+def _middle_record(n, ctx, dim_z):
+    """Compare the stated middle coefficient with the pairing-derived one
+    (n = 3 and even dim_z only; None otherwise)."""
+    if n != 3 or dim_z % 2:
         return None
     mid = dim_z // 2
-    stated = eval_formula.middle["stated"]
+    index = mid + _shift(ctx, dim_z)
+    stated = _stated_middle(n, mid)
     from_pairing = 0 - comb(mid + 2, n) * comb(mid, n)
     return {
         "dim_z": dim_z,
-        "index": eval_formula.middle["index"],
+        "index": [index, index],
         "stated": stated,
         "from_pairing": from_pairing,
         "agree": stated == from_pairing,
@@ -303,8 +310,8 @@ def reconcile(n, d, trials=3, seed=0):
         table.append({"a": a, "b": b, "theorem": ct, "pushpull": cp, "equal": ct == cp})
 
     middles = []
-    for dim_z, ev in ((dim_stated, ev_stated), (dim_oracle, ev_oracle)):
-        rec = _middle_record(n, dim_z, ev)
+    for dim_z in (dim_stated, dim_oracle):
+        rec = _middle_record(n, ev_stated.cls.ctx, dim_z)
         if rec is not None:
             middles.append(rec)
 

@@ -263,6 +263,9 @@ def mult_matrix(f, src_deg):
 
     Rows and columns are indexed by monomial_basis; the map sends a basis
     monomial t to f*t.  Shape is C(src+deg f+n, n) x C(src+n, n).
+    f must have integer coefficients, since ExactMatrix holds only ints:
+    scale a rational form by the lcm of its denominators first, as
+    ``family.verlinde_pencil`` does; otherwise ValueError.
     """
     if src_deg < 0:
         raise ValueError("source degree must be nonnegative")

@@ -100,14 +100,22 @@ def test_split_rational_form_matches_integer_multiple():
     # the pencil is built from the forms' integer multiples, which only
     # rescales (s, t); the output still prints the forms as given
     common = ("split", "--n", "2", "--d", "2", "--k", "3")
-    for rational, integral in [(("1/2*x0*x1", "x0*x2"), ("x0*x1", "x0*x2")),
-                               (("1/2*x0*x1 + 3*x2^2", "x0*x2 - 2/3*x1^2"),
-                                ("x0*x1 + 6*x2^2", "3*x0*x2 - 2*x1^2"))]:
+    cases = [
+        (("1/2*x0*x1", "x0*x2"), ("x0*x1", "x0*x2"),
+         ([{"c": "1/2", "e": [1, 1, 0]}],
+          [{"c": "1", "e": [1, 0, 1]}])),
+        (("1/2*x0*x1 + 3*x2^2", "x0*x2 - 2/3*x1^2"),
+         ("x0*x1 + 6*x2^2", "3*x0*x2 - 2*x1^2"),
+         ([{"c": "1/2", "e": [1, 1, 0]}, {"c": "3", "e": [0, 0, 2]}],
+          [{"c": "1", "e": [1, 0, 1]}, {"c": "-2/3", "e": [0, 2, 0]}])),
+    ]
+    for rational, integral, (terms1, terms2) in cases:
         half = run_cli(*common, "--f1", rational[0], "--f2", rational[1])
         whole = run_cli(*common, "--f1", integral[0], "--f2", integral[1])
         assert half.returncode == whole.returncode == 0
         out, want = json.loads(half.stdout), json.loads(whole.stdout)
-        assert out["f1"]["terms"][0] == {"c": "1/2", "e": [1, 1, 0]}
+        assert out["f1"] == {"n": 2, "degree": 2, "terms": terms1}
+        assert out["f2"] == {"n": 2, "degree": 2, "terms": terms2}
         assert out["type"] == want["type"]
         assert (out["p"], out["generic"]) == (want["p"], want["generic"])
 

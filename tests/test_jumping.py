@@ -8,6 +8,7 @@ from verlinde.jumping import (
     DESK_SCALE_N,
     PushPullMismatchError,
     _dim_at,
+    _middle_record,
     _trial_point,
     bookkeeping_dim,
     class_from_formula,
@@ -140,7 +141,8 @@ def test_pushpull_rejects_wrong_dimension():
 
 def test_middle_term_case_32():
     ev = class_from_formula(3, 2, 8)
-    assert ev.middle == {"index": [4, 4], "stated": 80}
+    rec = _middle_record(3, ev.cls.ctx, 8)
+    assert (rec["index"], rec["stated"]) == ([4, 4], 80)
     assert ev.cls.coefficient(4, 4) == 80
 
 
