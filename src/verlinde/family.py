@@ -7,9 +7,11 @@ k.  Everything here is an executable criterion about that pencil: the
 zero count of the splitting type, genericity as a single rank condition,
 and the gcd test that predicts jumping behavior.
 
-The zero count and the genericity test read the same number, rank [A|B].
-Each line keeps a private memo per twist k, so the pencil is built once
-and [A|B] ranked once per line, however many criteria ask.
+The zero count and the genericity test read the same number, rank [A|B]
+= 2u - h(2), from the first step of the pencil's h-sequence, the step the
+splitting type takes first.  Each line keeps a private memo of its pencil
+per twist k, and the pencil keeps its h-sequence, so [A^T ; B^T] is
+eliminated once per line, however many criteria ask.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 from math import comb, lcm
 
 from .linalg import ExactMatrix
-from .pencils import Pencil, SplittingType
+from .pencils import Pencil, SplittingType, _section_dims
 from .polynomials import (
     COEFF_BOUND,
     HomogeneousPolynomial,
@@ -90,7 +92,7 @@ class LineInSystem:
 
     f1: HomogeneousPolynomial
     f2: HomogeneousPolynomial
-    # twist k -> {"pencil": ..., "rank": ...}; outside equality, hash and repr
+    # twist k -> pencil; outside equality, hash and repr
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -118,12 +120,6 @@ def _check_line(ctx, line):
         raise ValueError(f"line has degree {line.f1.degree}, context degree {ctx.d}")
 
 
-def _line_memo(ctx, line):
-    """The line's memo for twist k; n and d are pinned by the check."""
-    _check_line(ctx, line)
-    return line._memo.setdefault(ctx.k, {})
-
-
 def _integral(f):
     """c*f for c the lcm of f's coefficient denominators: an integer form."""
     c = lcm(*[x.denominator for x in f.terms.values()])
@@ -138,26 +134,28 @@ def verlinde_pencil(ctx, line):
     the lcm of f_i's coefficient denominators), so they hold ints.  The
     pencil (c1 A, c2 B) is (A, B) after (s, t) -> (c1 s, c2 t), so the
     splitting type, rank [A|B] and injectivity are those of the line."""
-    memo = _line_memo(ctx, line)
-    if "pencil" not in memo:
+    _check_line(ctx, line)  # the memo is keyed by k; this pins n and d
+    pencil = line._memo.get(ctx.k)
+    if pencil is None:
         if ctx.k < ctx.d:
             empty = ExactMatrix.zero(ctx.w, 0)
-            memo["pencil"] = Pencil(empty, empty)
+            pencil = Pencil(empty, empty)
         else:
             src = ctx.k - ctx.d
-            memo["pencil"] = Pencil(mult_matrix(_integral(line.f1), src),
-                                    mult_matrix(_integral(line.f2), src))
-    return memo["pencil"]
+            pencil = Pencil(mult_matrix(_integral(line.f1), src),
+                            mult_matrix(_integral(line.f2), src))
+        line._memo[ctx.k] = pencil
+    return pencil
 
 
 def _stacked_rank(ctx, line):
-    """rank [A | B] = dim(f1*U + f2*U), U the degree-(k-d) graded piece;
-    ranked once per (line, k)."""
-    memo = _line_memo(ctx, line)
-    if "rank" not in memo:
-        p = verlinde_pencil(ctx, line)
-        memo["rank"] = p.A.hstack(p.B).rank()
-    return memo["rank"]
+    """rank [A | B] = dim(f1*U + f2*U), U the degree-(k-d) graded piece,
+    read off the first step of the pencil's h-sequence.
+
+    h(2) is the left kernel dimension of the 2u x w matrix S_1 = [A^T ; B^T]
+    (``pencils.twisted_section_dims``), so rank S_1 = 2u - h(2); and S_1
+    is the transpose of [A | B], so the two ranks are equal."""
+    return 2 * ctx.u - _section_dims(verlinde_pencil(ctx, line), 2)[1]
 
 
 def zero_count(ctx, line):

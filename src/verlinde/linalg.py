@@ -127,8 +127,8 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols})"
 
     def transpose(self):
-        return ExactMatrix(self.cols, self.rows,
-                           [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        # zip yields no columns when there are no rows
+        return ExactMatrix(self.cols, self.rows, list(zip(*self.entries)) or [()] * self.cols)
 
     def hstack(self, other):
         if self.rows != other.rows:

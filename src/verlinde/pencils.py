@@ -10,7 +10,9 @@ over S_(t-1), so a left kernel basis of S_t comes from one of S_(t-1)
 and the (h(t) + u) x w matrix [L A^T ; B^T], where L holds the last u
 coordinates of that basis (see ``twisted_section_dims``).  The same
 sequence decides injectivity: h(u+1) <= u exactly for an injective
-pencil (see ``is_injective``).
+pencil (see ``is_injective``).  Its first step eliminates S_1 = [A^T ; B^T],
+so rank [A | B] = 2u - h(2) comes from that one shared step.  Each pencil
+keeps its sequence, so a later call resumes it and no step runs twice.
 This avoids computing any canonical form of the (possibly singular)
 pencil; canonical blocks appear only in the forward direction as a
 seeded test constructor.
@@ -131,7 +133,7 @@ def dominance(t1, t2):
 class Pencil:
     """Pair of w x u matrices (A, B) for the map s*A + t*B: O(-1)^u -> O^w."""
 
-    __slots__ = ("A", "B")
+    __slots__ = ("A", "B", "_sections")  # _sections: see _section_dims, not the value
 
     def __init__(self, A, B):
         if (A.rows, A.cols) != (B.rows, B.cols):
@@ -140,6 +142,7 @@ class Pencil:
             raise PencilError("pencil must have u <= w")
         self.A = A
         self.B = B
+        self._sections = None
 
     @property
     def w(self):
@@ -241,20 +244,23 @@ def sylvester_block(pencil, j):
 
 
 def _section_dims(pencil, t_max):
-    """h(1), ..., h(t_max) with h(t) the left kernel dimension of S_(t-1);
-    the recursion is described in ``twisted_section_dims``."""
+    """h(1), ..., h(t_max) with h(t) the left kernel dimension of S_(t-1),
+    as a new list; the recursion is described in ``twisted_section_dims``.
+    The pencil keeps (dims, tails), the values so far and the last L by
+    rows, so only the missing steps run."""
     u, w = pencil.u, pencil.w
-    at, bt = pencil.A.transpose().entries, pencil.B.transpose().entries
-    # L, the last u coordinates of a left kernel basis of S_(t-1), by rows
-    tails = [[int(i == j) for j in range(u)] for i in range(u)]
-    dims = [u]
-    while tails and len(dims) < t_max:
-        h = len(tails)
-        m = ExactMatrix(h + u, w, [_combine(c, at, w) for c in tails] + bt)
-        tails = [z[h:] for z in m.left_kernel()]
-        dims.append(len(tails))
-    dims.extend([0] * (t_max - len(dims)))
-    return dims
+    if pencil._sections is None:
+        pencil._sections = ([u], [[int(i == j) for j in range(u)] for i in range(u)])
+    dims, tails = pencil._sections
+    if tails and len(dims) < t_max:
+        at, bt = pencil.A.transpose().entries, pencil.B.transpose().entries
+        while tails and len(dims) < t_max:
+            h = len(tails)
+            m = ExactMatrix(h + u, w, [_combine(c, at, w) for c in tails] + bt)
+            tails = [z[h:] for z in m.left_kernel()]
+            dims = dims + [len(tails)]
+            pencil._sections = (dims, tails)
+    return dims[:t_max] + [0] * (t_max - len(dims))
 
 
 def twisted_section_dims(pencil, t_max):

@@ -311,11 +311,13 @@ def _line_case(spec):
 
     pencil = verlinde_pencil(ctx, line)
     st = splitting_type(pencil)
-    # Bareiss on [A|B] against the type the modular engine gave
-    res.record("zero_count", case, ctx.w - _exact_rank(pencil.A.hstack(pencil.B)), st.zeros())
+    # Bareiss on [A|B] against the type from the h-sequence, whose first
+    # step also gives zero_count and is_generic_type
+    stacked = _exact_rank(pencil.A.hstack(pencil.B))
+    res.record("zero_count", case, ctx.w - stacked, st.zeros())
     res.record("frame", case, (ctx.rank, ctx.degree), (len(st), st.total))
     gen = generic_type(ctx)
-    res.record("generic_iff", case, is_generic_type(ctx, line), st == gen)
+    res.record("generic_iff", case, stacked == 2 * ctx.u, st == gen)
     res.record("dominance", case, True, dominates(st, gen))
     pred = predict_by_gcd(ctx, line, trials=3, seed=case_seed)
     res.record("gcd_iff", case, not is_generic_type(ctx, line), pred.jumping)

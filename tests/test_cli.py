@@ -182,6 +182,13 @@ GOLDEN = {
         "383b950d73b667fcd6dbb05ac39635327b612346d6f05fae16899302c00fe0b2",
     ("split", "--n", "3", "--d", "4", "--k", "9", "--sample", "random", "--seed", "0"):
         "da7c21f9b0e4a1dbd6e6495cb0751c61fcea1311a538a930981e27b0ee7ab290",
+    # planted lines, whose h-sequences run past h(3) > 0 (random ones stop at h(3) = 0)
+    ("split", "--n", "3", "--d", "3", "--k", "7", "--sample", "jumping:2", "--seed", "0"):
+        "994a2ce6b9ade84e1cbc16321e8e2c081c569be2ffc0d715803c1e932da861da",
+    ("split", "--n", "3", "--d", "4", "--k", "8", "--sample", "jumping:2", "--seed", "0"):
+        "0d2b0c501e73efa5d371f12512a089b2b745ff696e64f7edee71a5e974a05e19",
+    ("split", "--n", "3", "--d", "4", "--k", "9", "--sample", "jumping:2", "--seed", "0"):
+        "a807499e59b65288f5dbc006730732188bb0747c9b7f8956515a2a1e4cf6f128",
     ("jumping-class", "--n", "2", "--d", "2", "--seed", "0"):
         "934313197d42635050e4b11fefff0dc00056a2cdd1e45b038f61933d5a5432dc",
     ("jumping-class", "--n", "3", "--d", "3", "--seed", "0"):

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from verlinde import family
 from verlinde.family import (
@@ -18,7 +20,7 @@ from verlinde.family import (
     zero_count,
 )
 from verlinde.linalg import ExactMatrix
-from verlinde.pencils import is_injective, splitting_type
+from verlinde.pencils import is_injective, splitting_type, twisted_section_dims
 from verlinde.polynomials import HomogeneousPolynomial
 from verlinde.suites import _exact_rank
 
@@ -135,9 +137,9 @@ def test_zero_count_at_k_equals_d():
 
 def test_zero_count_matches_splitting_type(shared_factor_line):
     ctx = context(2, 2, 3)
-    st = splitting_type(verlinde_pencil(ctx, shared_factor_line))
-    assert st == (2, 1, 0, 0, 0, 0, 0)
-    assert zero_count(ctx, shared_factor_line) == st.zeros()
+    st_ = splitting_type(verlinde_pencil(ctx, shared_factor_line))
+    assert st_ == (2, 1, 0, 0, 0, 0, 0)
+    assert zero_count(ctx, shared_factor_line) == st_.zeros()
 
 
 def test_generic_type_and_guard():
@@ -191,10 +193,10 @@ def test_predict_matches_splitting_on_planted_line():
     ctx = context(3, 2, 3)
     line = sample_line(ctx, "jumping:1", seed=4)
     pred = predict_by_gcd(ctx, line, trials=3, seed=4)
-    st = splitting_type(verlinde_pencil(ctx, line))
+    st_ = splitting_type(verlinde_pencil(ctx, line))
     assert pred.jumping
-    assert pred.predicted_type == st == near_generic_type(ctx)
-    assert len(st) == 16
+    assert pred.predicted_type == st_ == near_generic_type(ctx)
+    assert len(st_) == 16
 
 
 def test_sample_line_modes():
@@ -228,11 +230,16 @@ def _answers(ctx, line):
             zero_count(ctx, line), is_generic_type(ctx, line))
 
 
-def test_line_memo_builds_pencil_and_ranks_stacked_once(monkeypatch):
+@pytest.mark.parametrize("mode", ["random", "jumping:1", "jumping:2"])
+@pytest.mark.parametrize("type_first", [True, False])
+def test_line_memo_eliminates_each_h_step_once(monkeypatch, mode, type_first):
     ctx = context(2, 3, 4)
-    line = sample_line(ctx, "jumping:1", seed=5)
-    mults, ranked = [], []
-    real_mult, real_rank = family.mult_matrix, ExactMatrix.rank
+    line = sample_line(ctx, mode, seed=5)
+    h = twisted_section_dims(verlinde_pencil(ctx, LineInSystem(line.f1, line.f2)), ctx.u + 1)
+    steps = sum(1 for x in h[:-1] if x)  # h(t+1) is computed while h(t) > 0
+    mults, ranked, kernels = [], [], []
+    real_mult = family.mult_matrix
+    real_rank, real_kernel = ExactMatrix.rank, ExactMatrix.left_kernel
 
     def counting_mult(f, src):
         mults.append(src)
@@ -242,15 +249,25 @@ def test_line_memo_builds_pencil_and_ranks_stacked_once(monkeypatch):
         ranked.append((m.rows, m.cols))
         return real_rank(m)
 
+    def counting_kernel(m):
+        kernels.append((m.rows, m.cols))
+        return real_kernel(m)
+
     monkeypatch.setattr(family, "mult_matrix", counting_mult)
     monkeypatch.setattr(ExactMatrix, "rank", counting_rank)
-    st = splitting_type(verlinde_pencil(ctx, line))
-    assert zero_count(ctx, line) == st.zeros()
-    generic = st == generic_type(ctx)
-    assert is_generic_type(ctx, line) is generic
-    assert is_generic_type(ctx, line) is generic
+    monkeypatch.setattr(ExactMatrix, "left_kernel", counting_kernel)
+    if type_first:
+        st_ = splitting_type(verlinde_pencil(ctx, line))
+    zeros = zero_count(ctx, line)
+    generic = is_generic_type(ctx, line)
+    if not type_first:
+        st_ = splitting_type(verlinde_pencil(ctx, line))
+    assert zeros == st_.zeros() == zero_count(ctx, line)
+    assert generic is (st_ == generic_type(ctx)) is is_generic_type(ctx, line)
     assert mults == [ctx.k - ctx.d] * 2
-    assert ranked.count((ctx.w, 2 * ctx.u)) == 1
+    assert ranked == []
+    assert len(kernels) == steps >= 1
+    assert kernels[0] == (2 * ctx.u, ctx.w)  # S_1 = [A^T ; B^T]
 
 
 def test_line_memo_is_per_twist():
@@ -290,13 +307,21 @@ def test_shared_pencil_is_not_mutated_by_callers():
     assert (p.A.entries, p.B.entries) == snapshot
 
 
-def test_splitting_type_does_not_read_the_memoized_rank():
-    # the zero-count and genericity checks compare this rank with the
-    # pencil's h-sequence, so the two must stay separate computations
-    ctx = context(2, 2, 3)
-    line = sample_line(ctx, "random", seed=4)
-    st = splitting_type(verlinde_pencil(ctx, line))
-    zeros = zero_count(ctx, line)
-    line._memo[ctx.k]["rank"] -= 1
-    assert zero_count(ctx, line) == zeros + 1
-    assert splitting_type(verlinde_pencil(ctx, line)) == st
+@given(st.sampled_from([(2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 2, 5), (2, 3, 4), (3, 2, 4),
+                         (2, 3, 2), (3, 3, 1), (3, 4, 3)]),
+       st.booleans(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_zero_count_and_genericity_match_bareiss_on_stacked_matrix(cell, type_first, data):
+    # fraction-free elimination of [A|B] is independent of the h-sequence
+    # that zero_count and is_generic_type read
+    ctx = context(*cell)
+    mode = data.draw(st.sampled_from(["random"] + [f"jumping:{g}" for g in range(ctx.d)]))
+    line = sample_line(ctx, mode, seed=data.draw(st.integers(0, 10**6)))
+    p = verlinde_pencil(ctx, line)
+    stacked = _exact_rank(p.A.hstack(p.B))
+    if type_first:
+        splitting_type(p)
+    assert zero_count(ctx, line) == ctx.w - stacked
+    assert is_generic_type(ctx, line) is (stacked == 2 * ctx.u)
+    if ctx.k < ctx.d:
+        assert ctx.u == stacked == 0

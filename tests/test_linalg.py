@@ -101,6 +101,16 @@ def test_matmul_and_stacking():
         a.hstack(ExactMatrix.zero(3, 1))
 
 
+@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 3), (3, 0), (2, 3), (1, 1)])
+def test_transpose_shapes_and_entries(rows, cols):
+    m = ExactMatrix(rows, cols, [[7 * i - j for j in range(cols)] for i in range(rows)])
+    t = m.transpose()
+    assert (t.rows, t.cols) == (cols, rows)
+    assert t.entries == [[7 * i - j for i in range(rows)] for j in range(cols)]
+    assert all(type(row) is list for row in t.entries)
+    assert t.transpose() == m
+
+
 def test_json_round_trip():
     m = ExactMatrix.from_rows([[3, -1], [0, -2**70]])
     again = ExactMatrix.from_json(2, 2, m.to_json())

@@ -406,3 +406,61 @@ def test_pencil_from_json_raises_only_value_error(obj):
 def test_pencil_from_json_strict_numbers(obj):
     with pytest.raises(ValueError):
         Pencil.from_json(obj)
+
+
+# ------------------------------------------- the resumable h-sequence
+
+@st.composite
+def _kronecker_pencils(draw):
+    w = draw(st.integers(1, 7))
+    u = draw(st.integers(0, w - 1))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    return kronecker_pencil(_random_type(rng, w, u), w, u, seed=rng.randrange(10**6))
+
+
+def _dims_or_error(p, t):
+    try:
+        return twisted_section_dims(p, t)
+    except PencilError as exc:
+        return type(exc)
+
+
+@given(st.one_of(_pencils(), _kronecker_pencils()), st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_resumed_sequence_matches_a_fresh_one(p, rnd):
+    snapshot = ([row[:] for row in p.A.entries], [row[:] for row in p.B.entries])
+    ts = list(range(1, p.u + 4))
+    rnd.shuffle(ts)
+    for t in ts:  # partial sequences, each resumed by the next call
+        got = pencils._section_dims(p, t)
+        assert got == pencils._section_dims(Pencil(p.A, p.B), t)
+        got.append(-1)  # the caller's list is its own
+    rnd.shuffle(ts)
+    for t in ts:
+        assert _dims_or_error(p, t) == _dims_or_error(Pencil(p.A, p.B), t)
+    assert (p.A.entries, p.B.entries) == snapshot
+
+
+@given(st.sampled_from(["through-O", "through-O(-1)", "degree-1-kernel"]),
+       st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_cached_first_step_still_refuses_a_non_injective_pencil(kind, seed):
+    p = _pencil_of_kind(kind, random.Random(seed))
+    pencils._section_dims(p, 2)
+    with pytest.raises(NotInjectiveError):
+        twisted_section_dims(p, 1)
+    assert not is_injective(p)
+
+
+def test_derived_pencils_start_with_no_sequence():
+    p = kronecker_pencil(SplittingType((2, 1, 0)), 6, 3, seed=5)
+    fresh = Pencil(p.A, p.B)
+    assert splitting_type(p) == (2, 1, 0)
+    assert p._sections is not None and fresh._sections is None
+    assert p == fresh and repr(p) == repr(fresh) and p.to_json() == fresh.to_json()
+    rng = random.Random("derived")
+    derived = [p.swap(), p.coordinate_change(1, 2, 1, 3),
+               p.conjugate(random_unimodular(6, rng), random_unimodular(3, rng))]
+    for q in derived:
+        assert q._sections is None
+        assert splitting_type(q) == (2, 1, 0)
