@@ -1,7 +1,9 @@
 """Homogeneous polynomials over Q with a fixed global monomial order.
 
 Coefficients are exact scalars in the normal form of ``linalg.scalar``
-(int when integral, Fraction otherwise).
+(int when integral, Fraction otherwise).  The per-line kernels clear
+denominators and run on ints: a line restriction is one packed big-int
+evaluation, and the gcd oracle a primitive remainder sequence over Z.
 
 The monomial order is graded lexicographic with x0 > x1 > ... > xn,
 descending, and every matrix in the package indexes its rows and columns
@@ -14,6 +16,9 @@ import random
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, repeat
+from math import comb, gcd, lcm, prod
+from operator import mul
 
 from .linalg import ExactMatrix, int_from_json, scalar, scalar_from_json
 
@@ -258,6 +263,14 @@ class HomogeneousPolynomial:
         return f"HomogeneousPolynomial({self})"
 
 
+@lru_cache(maxsize=None)
+def _mult_targets(n, deg, src_deg):
+    """Degree-deg monomial m -> [row of m*theta for theta in monomial_basis(n, src_deg)]."""
+    dst_index = basis_index(n, src_deg + deg)
+    return {m: [dst_index[tuple([a + b for a, b in zip(m, theta)])]
+                for theta in monomial_basis(n, src_deg)] for m in monomial_basis(n, deg)}
+
+
 def mult_matrix(f, src_deg):
     """Matrix of multiplication by f from degree src_deg to src_deg + deg f.
 
@@ -269,45 +282,50 @@ def mult_matrix(f, src_deg):
     """
     if src_deg < 0:
         raise ValueError("source degree must be nonnegative")
-    n = f.n
-    src = monomial_basis(n, src_deg)
-    dst_index = basis_index(n, src_deg + f.degree)
-    grid = [[0] * len(src) for _ in range(len(dst_index))]
-    for j, theta in enumerate(src):
-        for m, c in f.terms.items():
-            target = tuple([a + b for a, b in zip(m, theta)])
-            grid[dst_index[target]][j] += c
-    return ExactMatrix(len(dst_index), len(src), grid)
+    targets = _mult_targets(f.n, f.degree, src_deg)
+    rows, cols = comb(src_deg + f.degree + f.n, f.n), comb(src_deg + f.n, f.n)
+    grid = [[0] * cols for _ in range(rows)]
+    for m, c in f.terms.items():  # distinct monomials of f hit distinct rows of a column
+        for j, i in enumerate(targets[m]):
+            grid[i][j] = c
+    return ExactMatrix(rows, cols, grid)
 
 
-def _binary_mul(p, q):
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                if b:
-                    out[i + j] += a * b
-    return out
+def _cleared(values):
+    """(c, c*values as ints), c the lcm of the values' denominators."""
+    c = lcm(*[v.denominator for v in values])
+    return c, [v.numerator * (c // v.denominator) for v in values]
 
 
 def restrict_to_line(f, subst):
     """Restrict f along x_i = a_i*s + b_i*t, given subst as the sequence of
     (a_i, b_i) pairs; returns a binary form in (s, t), homogeneous of
-    degree deg f or zero."""
+    degree deg f or zero.
+
+    With c_f, c_s the lcms of the denominators of f and of the pairs and
+    (A, B) = c_s*(a, b), homogeneity gives f(a*s + b*t) = sum_j g_j*s^(d-j)
+    *t^j/(c_f*c_s^d) for g(tau) = c_f*f(A + B*tau) = sum_j g_j*tau^j, which
+    one big-int evaluation at tau = 2**S packs in d+1 signed S-bit slots:
+    |g_j| <= sum|c_f*c|*max(|A_i|+|B_i|)^d < 2**(S-2).
+    """
     pairs = [(scalar(a), scalar(b)) for a, b in subst]
     if len(pairs) != f.num_vars:
         raise ValueError(f"substitution must give all {f.num_vars} variables")
     d = f.degree
-    # coeffs[j] = coefficient of s^(d-j) t^j
-    coeffs = [0] * (d + 1)
-    for m, c in f.terms.items():
-        prod = [c]
-        for (a, b), e in zip(pairs, m):
-            for _ in range(e):
-                prod = _binary_mul(prod, [a, b])
-        for j, v in enumerate(prod):
-            coeffs[j] += v
-    terms = {(d - j, j): v for j, v in enumerate(coeffs) if v}
+    c_f, coeffs = _cleared(list(f.terms.values()))
+    c_s, ab = _cleared([v for pair in pairs for v in pair])
+    ab = list(zip(ab[::2], ab[1::2]))
+    S = (sum(map(abs, coeffs)) * max(abs(a) + abs(b) for a, b in ab) ** d).bit_length() + 2
+    # powers[i][e] = x_i^e at tau = 2**S
+    powers = [list(accumulate(repeat(a + (b << S), d), mul, initial=1)) for a, b in ab]
+    value = sum([c * prod(map(list.__getitem__, powers, m)) for c, m in zip(coeffs, f.terms)])
+    den, terms = c_f * c_s**d, {}
+    for j in range(d + 1):  # slot j holds g_j, the coefficient of s^(d-j) t^j
+        g = value & ((1 << S) - 1)
+        g -= (g >> (S - 1)) << S
+        if g:
+            terms[(d - j, j)] = g if den == 1 else Fraction(g, den)
+        value = (value - g) >> S
     return HomogeneousPolynomial(2, d, terms)
 
 
@@ -315,33 +333,27 @@ def binary_coeffs(f):
     """Dense (s, t) coefficient list of a binary form, s-power descending."""
     if f.num_vars != 2:
         raise ValueError("not a binary form")
-    d = f.degree
-    out = [0] * (d + 1)
-    for (_, j), c in f.terms.items():
-        out[j] = c
-    return out
-
-
-def _univariate_mod(a, b):
-    """Remainder of dense coefficient lists (descending powers, lead nonzero)."""
-    a = a[:]
-    while len(a) >= len(b) and any(a):
-        while a and not a[0]:
-            a.pop(0)
-        if len(a) < len(b):
-            break
-        q = Fraction(a[0], b[0])  # not a[0] / b[0]: that is a float on ints
-        for i in range(len(b)):
-            a[i] -= q * b[i]
-        a.pop(0)
-    while a and not a[0]:
-        a.pop(0)
-    return a
+    return [f.terms.get((f.degree - j, j), 0) for j in range(f.degree + 1)]
 
 
 def _univariate_gcd_degree(a, b):
+    """deg gcd of integer polynomials (dense, descending, leading term
+    nonzero) by the primitive pseudo-remainder sequence.  The pseudo-
+    remainder lc(b)^(deg a - deg b + 1)*a mod b is that power of lc(b)
+    times Euclid's remainder over Q (division with remainder is unique),
+    and dividing out its content keeps it a nonzero rational multiple; as
+    rem(x*a, y*b) = x*rem(a, b), every step's remainder is a nonzero
+    multiple of Euclid's, so the degree sequence is Euclid's (Gauss's
+    lemma: up to content, the gcd over Z is the gcd over Q)."""
     while b:
-        a, b = b, _univariate_mod(a, b)
+        lead, size = b[0], len(b)
+        while len(a) >= size:
+            q = a[0]
+            a = [lead * x - q * y for x, y in zip(a[1:], b[1:])] + [lead * x for x in a[size:]]
+        while a and not a[0]:
+            a.pop(0)
+        content = gcd(*a)
+        a, b = b, [x // content for x in a]
     return len(a) - 1
 
 
@@ -349,25 +361,16 @@ def _binary_gcd_degree(c1, c2):
     """deg gcd of two binary forms given as dense (s,t)-coefficient lists.
 
     Powers of s and t dividing each form are tracked separately before
-    running Euclid on the dehomogenized cores, so no degree is lost at
-    s = 0 or at infinity.
+    running the remainder sequence on the dehomogenized cores, cleared to
+    integers, so no degree is lost at s = 0 or at infinity.
     """
-    z1 = not any(c1)
-    z2 = not any(c2)
-    if z1 and z2:
-        raise ValueError("gcd of two zero forms")
-    if z1:
-        return len(c2) - 1
-    if z2:
+    if not any(c1) or not any(c2):  # gcd(0, g) = g; gcd_degree skips two zeros
         return len(c1) - 1
 
     def split(c):
         nz = [j for j, v in enumerate(c) if v]
-        first, last = nz[0], nz[-1]
-        s_power = len(c) - 1 - last
-        t_power = first
-        core = c[first:last + 1]  # univariate in s/t, descending, ends nonzero
-        return s_power, t_power, core
+        # s-power, t-power, and the core: univariate in s/t, descending, ends nonzero
+        return len(c) - 1 - nz[-1], nz[0], _cleared(c[nz[0]:nz[-1] + 1])[1]
 
     s1, t1, core1 = split(c1)
     s2, t2, core2 = split(c2)
@@ -393,22 +396,19 @@ def gcd_degree(f1, f2, trials=3, seed=0, bound=COEFF_BOUND, _retries=16):
         raise ValueError("ambient dimension must be >= 2")
     if trials < 1:
         raise ValueError(f"gcd oracle needs trials >= 1, got {trials}")
-    best = None
+    best = f1.degree
     for trial in range(trials):
-        value = None
         for attempt in range(_retries):
             rng = random.Random(f"{seed}:gcd:{trial}:{attempt}")
             pairs = [(rng.randint(-bound, bound), rng.randint(-bound, bound))
                      for _ in range(f1.num_vars)]
             r1 = binary_coeffs(restrict_to_line(f1, pairs))
             r2 = binary_coeffs(restrict_to_line(f2, pairs))
-            if not any(r1) and not any(r2):
-                continue
-            value = _binary_gcd_degree(r1, r2)
-            break
-        if value is None:
+            if any(r1) or any(r2):
+                break
+        else:
             raise DegenerateSubstitutionError("degenerate substitution")
-        best = value if best is None else min(best, value)
+        best = min(best, _binary_gcd_degree(r1, r2))
     return best
 
 

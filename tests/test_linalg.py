@@ -11,7 +11,13 @@ from verlinde.family import context, is_generic_type, sample_line, verlinde_penc
 from verlinde.jumping import dim_z_jacobian
 from verlinde.linalg import ExactMatrix, random_unimodular
 from verlinde.pencils import Pencil, splitting_type, sylvester_block
-from verlinde.polynomials import _univariate_mod, mult_matrix, parse_form
+from verlinde.polynomials import (
+    _univariate_gcd_degree,
+    binary_coeffs,
+    mult_matrix,
+    parse_form,
+    restrict_to_line,
+)
 from verlinde.suites import _span_rank_oracle
 
 from conftest import naive_rank
@@ -409,8 +415,14 @@ def test_mult_matrix_refuses_a_rational_form():
 
 
 def test_divisions_stay_exact_on_integer_input():
-    rem = _univariate_mod([1, 0, 0], [3, 1])  # x^2 mod 3x + 1
-    assert rem == [Fraction(1, 9)] and type(rem[0]) is Fraction
+    # (x + 6)(4x + 3) and (x + 6)(7x - 4): Euclid with float division leaves
+    # a rounding residue and reads gcd degree 0; the remainder sequence
+    # divides only by contents, exactly
+    assert _univariate_gcd_degree([4, 27, 18], [7, 38, -24]) == 1
+    # x0 = s/3 + t: the packed evaluation's one division gives exact scalars
+    line = [(Fraction(1, 3), 1), (0, 0), (0, 0)]
+    r = binary_coeffs(restrict_to_line(parse_form("x0^2", 2), line))
+    assert r == [Fraction(1, 9), Fraction(2, 3), 1] and type(r[2]) is int
     # the third vector is the sum of the first two; float division by 3
     # leaves a rounding residue that reads as rank 3
     assert _span_rank_oracle([(3, 1, 1), (1, 3, 7), (4, 4, 8)]) == 2

@@ -1,20 +1,23 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from verlinde.polynomials import (
     DegenerateSubstitutionError,
+    _binary_gcd_degree,
     HomogeneousPolynomial,
     gcd_degree,
     monomial_basis,
     mult_matrix,
     parse_form,
     random_form,
+    binary_coeffs,
     restrict_to_line,
 )
 
@@ -105,6 +108,66 @@ def test_concat_rank_overlap():
     assert concat.rank() == 5
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("src_deg", range(4))
+def test_mult_matrix_columns_are_products(n, src_deg):
+    rng = random.Random(f"mult:{n}:{src_deg}")
+    for keep in (2, None):  # sparse, then dense
+        f = random_form(n, rng.randint(0, 3), rng, bound=9)
+        f = HomogeneousPolynomial(n + 1, f.degree, dict(list(f.terms.items())[:keep]))
+        m = mult_matrix(f, src_deg)
+        for j, theta in enumerate(monomial_basis(n, src_deg)):
+            assert m.column(j) == (f * HomogeneousPolynomial.monomial(n + 1, theta)).coeff_vector()
+        # the row targets are cached, the grid is not
+        again = mult_matrix(f, src_deg)
+        assert again == m
+        assert {id(row) for row in m.entries}.isdisjoint(id(row) for row in again.entries)
+
+
+def _binary_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _restriction_reference(f, pairs):
+    """The reference: f's restriction expanded monomial by monomial,
+    c*prod (a_i s + b_i t)^(e_i), as dense (s, t) coefficients."""
+    coeffs = [0] * (f.degree + 1)
+    for m, c in f.terms.items():
+        prod = [c]
+        for (a, b), e in zip(pairs, m):
+            for _ in range(e):
+                prod = _binary_mul(prod, [a, b])
+        coeffs = [x + y for x, y in zip(coeffs, prod)]
+    return coeffs
+
+
+# small values, and values near +-2**64, which push the packed slots' bound
+_big_or_small = (st.integers(-9, 9) | st.integers(2**64 - 9, 2**64 + 9)
+                 | st.integers(-2**64 - 9, -2**64 + 9))
+_rationals = _big_or_small | st.builds(Fraction, _big_or_small, st.integers(1, 12))
+
+
+@st.composite
+def restriction_cases(draw):
+    n, d = draw(st.integers(1, 4)), draw(st.integers(0, 9))
+    basis = monomial_basis(n, d)
+    terms = draw(st.dictionaries(st.sampled_from(basis), _rationals, max_size=min(len(basis), 16)))
+    pair = st.just((0, 0)) | st.tuples(_rationals, _rationals)
+    pairs = draw(st.lists(pair, min_size=n + 1, max_size=n + 1))
+    return HomogeneousPolynomial(n + 1, d, terms), pairs
+
+
+@given(restriction_cases())
+@settings(max_examples=150, deadline=None)
+def test_restrict_to_line_matches_expansion(case):
+    f, pairs = case
+    assert binary_coeffs(restrict_to_line(f, pairs)) == _restriction_reference(f, pairs)
+
+
 def test_restrict_to_line_examples():
     f = x(2, 0)
     s_only = [(1, 0), (0, 0), (0, 0)]
@@ -143,6 +206,52 @@ def test_gcd_degree_planted_factor(seed):
     g2 = random_form(n, 2, rng, bound=9)
     inner = gcd_degree(g1, g2, trials=3, seed=seed)
     assert gcd_degree(h * g1, h * g2, trials=3, seed=seed) == h.degree + inner
+
+
+def _euclid_gcd_degree(c1, c2):
+    """The reference: deg gcd of two binary forms by Euclid in Fractions on
+    the dehomogenized cores, with powers of s and t counted apart."""
+    if not any(c1) or not any(c2):
+        return len(c1) - 1
+
+    def split(c):
+        nz = [j for j, v in enumerate(c) if v]
+        return len(c) - 1 - nz[-1], nz[0], [Fraction(v) for v in c[nz[0]:nz[-1] + 1]]
+
+    (s1, t1, a), (s2, t2, b) = split(c1), split(c2)
+    while b:
+        while len(a) >= len(b):
+            q = a[0] / b[0]
+            a = [x - q * y for x, y in zip(a[1:], b[1:])] + a[len(b):]
+        while a and not a[0]:
+            a.pop(0)
+        a, b = b, a
+    return min(s1, s2) + min(t1, t2) + len(a) - 1
+
+
+_binary_factor = st.integers(0, 3).flatmap(
+    lambda k: st.lists(st.integers(-9, 9) | st.just(0), min_size=k + 1, max_size=k + 1))
+
+
+_contents = (st.integers(-9, 9).filter(bool)
+             | st.builds(Fraction, st.integers(1, 9), st.integers(1, 9)))
+
+
+@given(_binary_factor, _binary_factor, _binary_factor, st.integers(0, 2), st.integers(0, 2),
+       st.lists(_contents, min_size=2, max_size=2))
+@settings(max_examples=300, deadline=None)
+def test_remainder_sequence_matches_euclid(h, g1, g2, s_power, t_power, contents):
+    """Planted common factor h (with s^i t^j), negative and non-primitive
+    coefficients, and the two forms' own degree drops at s = 0 and at
+    infinity, which zero leading or trailing coefficients make."""
+    h = _binary_mul(h, _binary_mul([1] + [0] * s_power, [0] * t_power + [1]))  # h*s^i*t^j
+    if len(g2) < len(g1):
+        g1, g2 = g2, g1
+    g1 = _binary_mul(g1, [1] + [0] * (len(g2) - len(g1)))  # a factor s^k evens the degrees
+    c1 = [contents[0] * v for v in _binary_mul(h, g1)]
+    c2 = [contents[1] * v for v in _binary_mul(h, g2)]
+    assume(any(c1) or any(c2))
+    assert _binary_gcd_degree(c1, c2) == _euclid_gcd_degree(c1, c2)
 
 
 def test_gcd_degree_validates_inputs():
@@ -265,3 +374,52 @@ def test_degenerate_substitution_error():
     f = x(2, 0)
     with pytest.raises(DegenerateSubstitutionError):
         gcd_degree(f, f, trials=1, seed=0, bound=0)  # all-zero substitutions
+
+
+def _rational_text(f, rng):
+    """f's inline-grammar text with each coefficient over a random denominator."""
+    parts = []
+    for m, c in f.sorted_terms():
+        body = "*".join(f"x{i}^{e}" for i, e in enumerate(m) if e) or "1"
+        parts.append(f"{'-' if c < 0 else '+'}{abs(c)}/{rng.randint(1, 12)}*{body}")
+    return "".join(parts)
+
+
+def _oracle_grid():
+    """Seeded lines: n = 2, 3, d <= 5, random and planted-gcd pairs,
+    integral and rational forms, integer and Fraction substitutions."""
+    for i in range(48):
+        rng = random.Random(f"oracle-golden:{i}")
+        n, d = rng.choice((2, 3)), rng.randint(1, 5)
+
+        def form(degree, bound):
+            f = random_form(n, degree, rng, bound=bound)
+            return parse_form(_rational_text(f, rng), n, degree) if i % 4 >= 2 else f
+
+        if i % 2:
+            e = rng.randint(1, d)
+            h = form(e, 9)
+            f1, f2 = h * form(d - e, 9), h * form(d - e, 9)
+        else:
+            f1, f2 = form(d, 50), form(d, 50)
+        if i % 3:
+            pairs = [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(n + 1)]
+        else:
+            pairs = [(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                      Fraction(rng.randint(-9, 9), rng.randint(1, 9))) for _ in range(n + 1)]
+        yield i, f1, f2, pairs
+
+
+# sha256 over the grid's gcd degrees and restricted coefficients, recorded on
+# the per-monomial expansion and Fraction Euclid; a change is a change of output
+ORACLE_GOLDEN = "80aff8cab225498348fab512483391e1bf834bb39de7737bf8428601d272bf9e"
+
+
+def test_line_oracle_outputs_are_pinned():
+    lines = []
+    for i, f1, f2, pairs in _oracle_grid():
+        restricted = [[str(c) for c in binary_coeffs(restrict_to_line(f, pairs))]
+                      for f in (f1, f2)]
+        lines.append(f"{i} {gcd_degree(f1, f2, trials=3, seed=i)} {restricted}")
+    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    assert digest == ORACLE_GOLDEN
