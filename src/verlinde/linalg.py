@@ -11,7 +11,11 @@ loop serves both fallbacks and the suites' independent rank oracle.
 
 The modular elimination packs each working row into one int, a 96-bit
 slot per column, and updates it by one multiply-add of the pivot row
-folded under 2**31 (``_fold``): a slot would carry only after 2**35.
+folded under 2**31 (``_fold``): a slot would carry only after 2**35.  It
+resumes: rows stacked below eliminated rows are reduced by their pivot
+records, then among themselves, so a block shared by a sequence of
+matrices (a pencil's B^T) is eliminated once.  The caller picks the
+exact check of each lifted kernel vector (``_certified_kernel``).
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import math
 import re
 import struct
 from fractions import Fraction
+from operator import mul
 
 try:
     from gmpy2 import mpz
@@ -93,6 +98,13 @@ class ExactMatrix:
         self.rows = rows
         self.cols = cols
         self.entries = data
+
+    @classmethod
+    def _of_grid(cls, rows, cols, entries):
+        """A fresh grid of ints its caller has checked, taken as it is."""
+        m = object.__new__(cls)
+        m.rows, m.cols, m.entries = rows, cols, entries
+        return m
 
     @classmethod
     def from_rows(cls, entries, cols=None):
@@ -241,25 +253,43 @@ def _fold(x, lo, hi):
     return x
 
 
-def _echelon_mod_p(rows):
-    """Gaussian elimination of an integer matrix modulo ``_PRIME``.
+def _pack_mod_p(rows):
+    """Each integer row's residues mod ``_PRIME`` packed into one int."""
+    packer = _packing(len(rows[0]))[0]
+    return [int.from_bytes(packer.pack(*[x % _PRIME for x in row]), "big") for row in rows]
+
+
+def _echelon_mod_p(rest, width, base=None):
+    """Gaussian elimination modulo ``_PRIME`` of packed rows (``_pack_mod_p``),
+    which it consumes.
 
     Returns the pivot rows in pivot order, each row's multipliers by pivot
-    number, and the rows that reduced to zero.
-    Each working row is one int with a 96-bit slot per column, column 0
-    the highest; an update adds (p - f) times the pivot row's slots below
-    the pivot column, folded under 2**31, and drops the eliminated slots.
-    Slots stay nonnegative and grow by under 2**61 per update, so a carry
-    takes 2**35 updates; a row takes at most min(rows, cols).
+    number, the rows that reduced to zero, and the pivots' records (slot
+    shift, folded tail, inverse).  Each working row is one int with a
+    96-bit slot per column, column 0 the highest; an update adds (p - f)
+    times the pivot row's slots below the pivot column, folded under
+    2**31, and drops the eliminated slots.  Slots stay nonnegative and grow
+    by under 2**61 per update, so a carry takes 2**35 updates; a row takes
+    at most min(rows, cols).  A base, the result for rows stacked above
+    these, is resumed and left as it was: these rows, numbered after its
+    own, are reduced by its records in order, clearing only the pivot slot
+    (an earlier column may be nonzero here with no pivot there), and then
+    eliminated among themselves.
     """
     p = _PRIME
-    width = len(rows[0])
-    packer, lo, hi = _packing(width)
+    _, lo, hi = _packing(width)
     slot = (1 << 96) - 1
-    rest_idx = list(range(len(rows)))
-    rest = [int.from_bytes(packer.pack(*[x % p for x in row]), "big") for row in rows]
-    mults = [[] for _ in rows]
-    pivots = []
+    pivots, mults, zero_rows, records = base or ([], [], [], [])
+    first = len(mults)
+    pivots, mults, records = pivots[:], mults + [[] for _ in rest], records[:]
+    for shift, tail, inv in records:
+        for i, row in enumerate(rest):
+            e = row >> shift & slot
+            f = e * inv % p
+            mults[first + i].append(f)
+            if f:
+                rest[i] = row - (e << shift) + (p - f) * tail
+    rest_idx = list(range(first, first + len(rest)))
     for c in range(width):
         shift = 96 * (width - 1 - c)
         column = [row >> shift & slot for row in rest]
@@ -273,6 +303,7 @@ def _echelon_mod_p(rows):
         below = (1 << shift) - 1
         tail = _fold(rest.pop(at) & below, lo, hi)
         inv = pow(e, -1, p)
+        records.append((shift, tail, inv))
         if not rest:
             break
         for i, e in enumerate(column):
@@ -280,7 +311,7 @@ def _echelon_mod_p(rows):
             mults[rest_idx[i]].append(f)
             if f:
                 rest[i] = (rest[i] & below) + (p - f) * tail
-    return pivots, mults, rest_idx
+    return pivots, mults, zero_rows + rest_idx, records
 
 
 def _left_kernel_mod_p(i, pivots, mults):
@@ -291,9 +322,10 @@ def _left_kernel_mod_p(i, pivots, mults):
     reduced pivot rows; pivot row k is its own reduced row plus its
     multipliers times earlier reduced rows.  Solving that unit lower
     triangular system backwards writes row i over the original pivot rows.
+    (A zero row of a resumed base has no multipliers for later pivots.)
     """
     p = _PRIME
-    acc = mults[i][:]
+    acc = mults[i] + [0] * (len(pivots) - len(mults[i]))
     support, residues = [i], [1]
     for k in range(len(pivots) - 1, -1, -1):
         y = acc[k]
@@ -324,35 +356,46 @@ def _lift(residues):
     return [n * (l // d) for n, d in zip(nums, dens)]
 
 
-def _combine(coeffs, rows, width):
-    """The combination sum(c * row) of rows of length width."""
-    acc = [0] * width
-    for c, row in zip(coeffs, rows):
-        if c:
-            acc = [a + c * x for a, x in zip(acc, row)]
-    return acc
+def _packed_combinations(coeffs, packed, width):
+    """The packed residues of sum c_j row_j for each coefficient row c,
+    given the rows packed: fold(sum (c_j mod p) packed_j)."""
+    _, lo, hi = _packing(width)
+    return [_fold(sum([c % _PRIME * r for c, r in zip(row, packed) if c]), lo, hi)
+            for row in coeffs]
 
 
-def _annihilates(rows, support, coeffs):
-    """Whether sum(c * rows[i]) over the support is zero over Z."""
-    return not any(_combine(coeffs, [rows[i] for i in support], len(rows[0])))
+def _annihilates(rows, vec):
+    """Whether vec . rows is zero over Z: one dot product per column, over
+    the rows where vec is nonzero."""
+    coeffs, support = zip(*[(c, row) for c, row in zip(vec, rows) if c])
+    return not any(sum(map(mul, coeffs, col)) for col in zip(*support))
+
+
+def _certified_kernel(rest, width, exact, base=None):
+    """A left kernel basis from one elimination mod p of packed rows,
+    resuming base if given: one vector per zero row, lifted, and kept if
+    exact(vec) holds over Z; None if a vector does not lift or fails."""
+    size = len(rest) + (len(base[1]) if base else 0)
+    pivots, mults, zero_rows, _ = _echelon_mod_p(rest, width, base)
+    basis = []
+    for i in zero_rows:
+        support, residues = _left_kernel_mod_p(i, pivots, mults)
+        coeffs = _lift(residues)
+        if coeffs is None:
+            return None
+        vec = [0] * size
+        for j, c in zip(support, coeffs):
+            vec[j] = c
+        if not exact(vec):
+            return None
+        basis.append(vec)
+    return basis
 
 
 def _modular_left_kernel(rows):
     """The left kernel basis of ``ExactMatrix.left_kernel`` from one
     elimination of the integer rows mod p, or None if a vector does not lift."""
-    pivots, mults, zero_rows = _echelon_mod_p(rows)
-    basis = []
-    for i in zero_rows:
-        support, residues = _left_kernel_mod_p(i, pivots, mults)
-        coeffs = _lift(residues)
-        if coeffs is None or not _annihilates(rows, support, coeffs):
-            return None
-        vec = [0] * len(rows)
-        for j, c in zip(support, coeffs):
-            vec[j] = c
-        basis.append(vec)
-    return basis
+    return _certified_kernel(_pack_mod_p(rows), len(rows[0]), functools.partial(_annihilates, rows))
 
 
 def _bareiss(rows, n):

@@ -7,12 +7,13 @@ h(t) = h^0(E(-t)) are the left kernel dimensions of the Sylvester blocks
 S_(t-1), and the splitting type is the conjugate partition of their
 differences.  The blocks are never built: S_t is block upper triangular
 over S_(t-1), so a left kernel basis of S_t comes from one of S_(t-1)
-and the (h(t) + u) x w matrix [L A^T ; B^T], where L holds the last u
-coordinates of that basis (see ``twisted_section_dims``).  The same
-sequence decides injectivity: h(u+1) <= u exactly for an injective
-pencil (see ``is_injective``).  Its first step eliminates S_1 = [A^T ; B^T],
-so rank [A | B] = 2u - h(2) comes from that one shared step.  Each pencil
-keeps its sequence, so a later call resumes it and no step runs twice.
+and the (u + h(t)) x w matrix [B^T ; L A^T], where L holds the last u
+coordinates of that basis; B^T is eliminated once for all steps (see
+``twisted_section_dims``).  The same sequence decides injectivity:
+h(u+1) <= u exactly for an injective pencil (see ``is_injective``).  Its
+first step eliminates S_1, so rank [A | B] = 2u - h(2) comes from that
+one shared step.  Each pencil keeps its sequence, so a later call
+resumes it and no step runs twice.
 This avoids computing any canonical form of the (possibly singular)
 pencil; canonical blocks appear only in the forward direction as a
 seeded test constructor.
@@ -21,8 +22,11 @@ seeded test constructor.
 from __future__ import annotations
 
 import random
+from operator import mul
 
-from .linalg import ExactMatrix, _combine, int_from_json, random_unimodular
+from . import linalg
+from .linalg import (ExactMatrix, _certified_kernel, _echelon_mod_p, _pack_mod_p,
+                     _packed_combinations, int_from_json, random_unimodular)
 
 __all__ = [
     "Pencil",
@@ -246,20 +250,35 @@ def sylvester_block(pencil, j):
 def _section_dims(pencil, t_max):
     """h(1), ..., h(t_max) with h(t) the left kernel dimension of S_(t-1),
     as a new list; the recursion is described in ``twisted_section_dims``.
-    The pencil keeps (dims, tails), the values so far and the last L by
-    rows, so only the missing steps run."""
+    The pencil keeps (dims, tails, packed): the values so far, the last L
+    by rows (None for I_u), and until h reaches 0 the packed rows of A^T
+    mod p with B^T's elimination mod p.  So only the missing steps run,
+    and B^T is eliminated once."""
     u, w = pencil.u, pencil.w
     if pencil._sections is None:
-        pencil._sections = ([u], [[int(i == j) for j in range(u)] for i in range(u)])
-    dims, tails = pencil._sections
-    if tails and len(dims) < t_max:
-        at, bt = pencil.A.transpose().entries, pencil.B.transpose().entries
-        while tails and len(dims) < t_max:
-            h = len(tails)
-            m = ExactMatrix(h + u, w, [_combine(c, at, w) for c in tails] + bt)
-            tails = [z[h:] for z in m.left_kernel()]
-            dims = dims + [len(tails)]
-            pencil._sections = (dims, tails)
+        pencil._sections = ([u], None, None)
+    dims, tails, packed = pencil._sections
+    A, B = pencil.A.entries, pencil.B.entries
+    while dims[-1] and len(dims) < t_max:
+        if packed is None:
+            packed = _pack_mod_p(list(zip(*A))), _echelon_mod_p(_pack_mod_p(list(zip(*B))), w)
+        pa, base = packed
+        cols = None if tails is None else list(zip(*tails))
+
+        def kills(z):  # z = (y, c) kills M when A v + B y = 0, v = c L
+            y, v = z[:u], z[u:]
+            if cols is not None:
+                v = [sum(map(mul, v, col)) for col in cols]
+            return not any(sum(map(mul, a, v)) + sum(map(mul, b, y)) for a, b in zip(A, B))
+
+        new = pa[:] if tails is None else _packed_combinations(tails, pa, w)
+        kernel = _certified_kernel(new, w, kills, base)
+        if kernel is None:  # Bareiss on the exact [B^T ; L A^T]
+            lat = zip(*A) if tails is None else ([sum(map(mul, c, a)) for a in A] for c in tails)
+            kernel = linalg._bareiss_left_kernel(list(zip(*B)) + list(lat))
+        tails = [z[:u] for z in kernel]
+        dims = dims + [len(tails)]
+        pencil._sections = (dims, tails, packed if tails else None)
     return dims[:t_max] + [0] * (t_max - len(dims))
 
 
@@ -277,12 +296,19 @@ def twisted_section_dims(pencil, t_max):
     Let K be a basis of the left kernel of S_(t-1) and L its last u
     coordinates, so K R = L A^T.  A row vector (x, y) kills S_t exactly
     when x S_(t-1) = 0, that is x = c K, and c K R + y B^T = 0.  So
-    (c, y) -> (c K, y) maps the left kernel of the (h(t) + u) x w matrix
-    M = [L A^T ; B^T] one to one onto that of S_t (K has independent
+    (y, c) -> (c K, y) maps the left kernel of the (u + h(t)) x w matrix
+    M = [B^T ; L A^T] one to one onto that of S_t (K has independent
     rows): h(t+1) is the number of left kernel vectors of M, and their y
     parts are the next L.  The start is h(1) = u with L = I_u, since S_0
-    is empty.  (Counting ranks, rank S_t = rank S_(t-1) + rank M.)  Each
-    step takes the certified integer basis of ``ExactMatrix.left_kernel``.
+    is empty.  (Counting ranks, rank S_t = rank S_(t-1) + rank M.)
+
+    Every M starts with the rows B^T, so their elimination modulo a prime
+    runs once, and a step only reduces its new rows, L A^T mod p made from
+    the packed rows of A^T, by B^T's pivot records and then among
+    themselves.  Each kernel vector z = (y, c) is lifted to Z and checked
+    exactly through z M = (c L) A^T + y B^T: A (c L)^T + B y^T = 0 is 2w
+    dot products of length u.  If one does not lift or fails, Bareiss
+    elimination of the exact M gives the step's basis.
 
     The same sequence decides injectivity, so no other elimination runs:
     the steps go on to t = u+1 at least, and NotInjectiveError is raised

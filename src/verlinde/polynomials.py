@@ -282,13 +282,15 @@ def mult_matrix(f, src_deg):
     """
     if src_deg < 0:
         raise ValueError("source degree must be nonnegative")
+    if not set(map(type, f.terms.values())) <= {int}:
+        raise ValueError(f"mult_matrix needs integer coefficients, got {f}")
     targets = _mult_targets(f.n, f.degree, src_deg)
     rows, cols = comb(src_deg + f.degree + f.n, f.n), comb(src_deg + f.n, f.n)
     grid = [[0] * cols for _ in range(rows)]
     for m, c in f.terms.items():  # distinct monomials of f hit distinct rows of a column
         for j, i in enumerate(targets[m]):
             grid[i][j] = c
-    return ExactMatrix(rows, cols, grid)
+    return ExactMatrix._of_grid(rows, cols, grid)
 
 
 def _cleared(values):
@@ -297,20 +299,16 @@ def _cleared(values):
     return c, [v.numerator * (c // v.denominator) for v in values]
 
 
-def restrict_to_line(f, subst):
-    """Restrict f along x_i = a_i*s + b_i*t, given subst as the sequence of
-    (a_i, b_i) pairs; returns a binary form in (s, t), homogeneous of
-    degree deg f or zero.
+def _restricted_slots(f, pairs):
+    """(den, [g_0, ..., g_d]), ints with f(a*s + b*t) = sum_j g_j*s^(d-j)
+    *t^j/den along x_i = a_i*s + b_i*t, pairs the (a_i, b_i) as scalars.
 
     With c_f, c_s the lcms of the denominators of f and of the pairs and
-    (A, B) = c_s*(a, b), homogeneity gives f(a*s + b*t) = sum_j g_j*s^(d-j)
-    *t^j/(c_f*c_s^d) for g(tau) = c_f*f(A + B*tau) = sum_j g_j*tau^j, which
-    one big-int evaluation at tau = 2**S packs in d+1 signed S-bit slots:
+    (A, B) = c_s*(a, b), homogeneity gives den = c_f*c_s^d and g(tau) =
+    c_f*f(A + B*tau) = sum_j g_j*tau^j, which one big-int evaluation at
+    tau = 2**S packs in d+1 signed S-bit slots:
     |g_j| <= sum|c_f*c|*max(|A_i|+|B_i|)^d < 2**(S-2).
     """
-    pairs = [(scalar(a), scalar(b)) for a, b in subst]
-    if len(pairs) != f.num_vars:
-        raise ValueError(f"substitution must give all {f.num_vars} variables")
     d = f.degree
     c_f, coeffs = _cleared(list(f.terms.values()))
     c_s, ab = _cleared([v for pair in pairs for v in pair])
@@ -319,14 +317,26 @@ def restrict_to_line(f, subst):
     # powers[i][e] = x_i^e at tau = 2**S
     powers = [list(accumulate(repeat(a + (b << S), d), mul, initial=1)) for a, b in ab]
     value = sum([c * prod(map(list.__getitem__, powers, m)) for c, m in zip(coeffs, f.terms)])
-    den, terms = c_f * c_s**d, {}
-    for j in range(d + 1):  # slot j holds g_j, the coefficient of s^(d-j) t^j
+    slots = []
+    for _ in range(d + 1):  # slot j holds g_j
         g = value & ((1 << S) - 1)
         g -= (g >> (S - 1)) << S
-        if g:
-            terms[(d - j, j)] = g if den == 1 else Fraction(g, den)
+        slots.append(g)
         value = (value - g) >> S
-    return HomogeneousPolynomial(2, d, terms)
+    return c_f * c_s**d, slots
+
+
+def restrict_to_line(f, subst):
+    """Restrict f along x_i = a_i*s + b_i*t, given subst as the sequence of
+    (a_i, b_i) pairs: the binary form of ``_restricted_slots``, of degree
+    deg f or zero."""
+    pairs = [(scalar(a), scalar(b)) for a, b in subst]
+    if len(pairs) != f.num_vars:
+        raise ValueError(f"substitution must give all {f.num_vars} variables")
+    d = f.degree
+    den, slots = _restricted_slots(f, pairs)
+    return HomogeneousPolynomial(2, d, {(d - j, j): g if den == 1 else Fraction(g, den)
+                                        for j, g in enumerate(slots) if g})
 
 
 def binary_coeffs(f):
@@ -402,8 +412,8 @@ def gcd_degree(f1, f2, trials=3, seed=0, bound=COEFF_BOUND, _retries=16):
             rng = random.Random(f"{seed}:gcd:{trial}:{attempt}")
             pairs = [(rng.randint(-bound, bound), rng.randint(-bound, bound))
                      for _ in range(f1.num_vars)]
-            r1 = binary_coeffs(restrict_to_line(f1, pairs))
-            r2 = binary_coeffs(restrict_to_line(f2, pairs))
+            r1 = _restricted_slots(f1, pairs)[1]  # den*binary_coeffs(restrict_to_line),
+            r2 = _restricted_slots(f2, pairs)[1]  # with the same gcd degree
             if any(r1) or any(r2):
                 break
         else:

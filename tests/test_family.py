@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from verlinde import family
+from verlinde import family, linalg, pencils
 from verlinde.family import (
     DegenerateLineError,
     GenericTypeUndefinedError,
@@ -237,9 +237,10 @@ def test_line_memo_eliminates_each_h_step_once(monkeypatch, mode, type_first):
     line = sample_line(ctx, mode, seed=5)
     h = twisted_section_dims(verlinde_pencil(ctx, LineInSystem(line.f1, line.f2)), ctx.u + 1)
     steps = sum(1 for x in h[:-1] if x)  # h(t+1) is computed while h(t) > 0
-    mults, ranked, kernels = [], [], []
+    mults, ranked, kernels, eliminations = [], [], [], []
     real_mult = family.mult_matrix
     real_rank, real_kernel = ExactMatrix.rank, ExactMatrix.left_kernel
+    real_echelon = linalg._echelon_mod_p
 
     def counting_mult(f, src):
         mults.append(src)
@@ -253,9 +254,15 @@ def test_line_memo_eliminates_each_h_step_once(monkeypatch, mode, type_first):
         kernels.append((m.rows, m.cols))
         return real_kernel(m)
 
+    def counting_echelon(rest, width, base=None):  # rows stacked so far, this call's included
+        eliminations.append((base is not None, (len(base[1]) if base else 0) + len(rest), width))
+        return real_echelon(rest, width, base)
+
     monkeypatch.setattr(family, "mult_matrix", counting_mult)
     monkeypatch.setattr(ExactMatrix, "rank", counting_rank)
     monkeypatch.setattr(ExactMatrix, "left_kernel", counting_kernel)
+    for owner in (linalg, pencils):  # B^T's elimination, then the h-steps resuming it
+        monkeypatch.setattr(owner, "_echelon_mod_p", counting_echelon)
     if type_first:
         st_ = splitting_type(verlinde_pencil(ctx, line))
     zeros = zero_count(ctx, line)
@@ -265,9 +272,11 @@ def test_line_memo_eliminates_each_h_step_once(monkeypatch, mode, type_first):
     assert zeros == st_.zeros() == zero_count(ctx, line)
     assert generic is (st_ == generic_type(ctx)) is is_generic_type(ctx, line)
     assert mults == [ctx.k - ctx.d] * 2
-    assert ranked == []
-    assert len(kernels) == steps >= 1
-    assert kernels[0] == (2 * ctx.u, ctx.w)  # S_1 = [A^T ; B^T]
+    assert ranked == kernels == []
+    assert eliminations[0] == (False, ctx.u, ctx.w)  # B^T, once for the line
+    assert [resumed for resumed, _, _ in eliminations] == [False] + [True] * steps
+    assert steps >= 1
+    assert eliminations[1] == (True, 2 * ctx.u, ctx.w)  # S_1 = [B^T ; A^T]
 
 
 def test_line_memo_is_per_twist():

@@ -238,6 +238,12 @@ def reference_echelon_mod_p(rows):
     return pivots, mults, rest_idx
 
 
+def packed_echelon_mod_p(rows):
+    """The packed elimination without a base, in the reference's terms."""
+    pivots, mults, zero_rows, _ = linalg._echelon_mod_p(linalg._pack_mod_p(rows), len(rows[0]))
+    return pivots, mults, zero_rows
+
+
 _P = linalg._PRIME
 _EDGE_ENTRIES = (0, 1, -1, _P - 1, _P, -_P, 3 * _P, 2**40)
 
@@ -263,7 +269,7 @@ def _echelon_inputs(draw):
 @given(_echelon_inputs())
 @settings(max_examples=400, deadline=None)
 def test_packed_echelon_matches_reference(rows):
-    assert linalg._echelon_mod_p(rows) == reference_echelon_mod_p(rows)
+    assert packed_echelon_mod_p(rows) == reference_echelon_mod_p(rows)
 
 
 @pytest.mark.parametrize("rows", [
@@ -274,7 +280,29 @@ def test_packed_echelon_matches_reference(rows):
     [[0, 0, 2**40, -_P, 1, _P - 1, 0, 9]],               # wide, one row
 ])
 def test_packed_echelon_edge_shapes(rows):
-    assert linalg._echelon_mod_p(rows) == reference_echelon_mod_p(rows)
+    assert packed_echelon_mod_p(rows) == reference_echelon_mod_p(rows)
+
+
+@given(_echelon_inputs(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_resumed_echelon_gives_the_stacked_kernel_mod_p(rows, data):
+    # eliminating rows[:cut] once and resuming it with rows[cut:] finds the
+    # rank mod p of all the rows, and each zero row's vector kills them mod p
+    cut = data.draw(st.integers(1, len(rows)))
+    width = len(rows[0])
+    base = linalg._echelon_mod_p(linalg._pack_mod_p(rows[:cut]), width)
+    snapshot = repr(base)
+    resumed = (linalg._echelon_mod_p(linalg._pack_mod_p(rows[cut:]), width, base)
+               if cut < len(rows) else base)
+    assert repr(base) == snapshot
+    pivots, mults, zero_rows, _ = resumed
+    assert sorted(pivots + zero_rows) == list(range(len(rows)))
+    assert len(zero_rows) == len(packed_echelon_mod_p(rows)[2])
+    for i in zero_rows:
+        support, residues = linalg._left_kernel_mod_p(i, pivots, mults)
+        assert set(support) & set(zero_rows) == {i}
+        for c in range(width):
+            assert sum(r * rows[j][c] for j, r in zip(support, residues)) % _P == 0
 
 
 def test_packed_echelon_on_a_reference_cell_pencil():
@@ -282,7 +310,7 @@ def test_packed_echelon_on_a_reference_cell_pencil():
     pencil = verlinde_pencil(ctx, sample_line(ctx, "random", seed=0))
     rows = pencil.A.transpose().vstack(pencil.B.transpose()).entries
     assert (len(rows), len(rows[0])) == (70, 165)
-    assert linalg._echelon_mod_p(rows) == reference_echelon_mod_p(rows)
+    assert packed_echelon_mod_p(rows) == reference_echelon_mod_p(rows)
 
 
 def test_fold_keeps_packed_slots_apart():

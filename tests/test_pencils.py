@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from verlinde import linalg, pencils
-from verlinde.family import context, sample_line, verlinde_pencil
+from verlinde.family import context, sample_line, verlinde_pencil, zero_count
 from verlinde.linalg import ExactMatrix, random_unimodular
 from verlinde.pencils import (
     CokernelError,
@@ -190,8 +190,13 @@ def _h_by_definition(p, rank):
 
 def _assert_recursion_matches(p, rank=_exact_rank):
     want = _h_by_definition(p, rank)
-    got = twisted_section_dims(p, p.u + 1)
-    assert got == want + [0] * (p.u + 1 - len(want))
+    want += [0] * (p.u + 1 - len(want))
+    assert pencils._section_dims(p, p.u + 1) == want
+    if want[p.u] > p.u:
+        with pytest.raises(NotInjectiveError):
+            twisted_section_dims(p, p.u + 1)
+    else:
+        assert twisted_section_dims(p, p.u + 1) == want
 
 
 @given(st.integers(2, 8), st.data())
@@ -241,6 +246,69 @@ def test_unliftable_kernel_takes_the_bareiss_fallback(monkeypatch):
     assert splitting_type(p) == st_
     assert calls
     _assert_recursion_matches(p)
+
+
+@pytest.fixture
+def bareiss_kernels(monkeypatch):
+    calls = []
+    original = linalg._bareiss_left_kernel
+
+    def counting(rows):
+        calls.append(len(rows))
+        return original(rows)
+
+    monkeypatch.setattr(linalg, "_bareiss_left_kernel", counting)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["zero", "through-O", "through-O(-1)", "degree-1-kernel",
+                                  "kronecker+torsion"])
+@pytest.mark.parametrize("seed", range(6))
+def test_resumed_steps_match_sylvester_ranks_on_degenerate_pencils(kind, seed):
+    # B^T has zero rows mod p here; they stay zero rows of every step
+    rng = random.Random(f"degenerate:{kind}:{seed}")
+    if kind == "zero":
+        w = rng.randint(1, 5)
+        u = rng.randint(1, w)
+        p = Pencil(ExactMatrix.zero(w, u), ExactMatrix.zero(w, u))
+    else:
+        p = _pencil_of_kind(kind, rng)
+    _assert_recursion_matches(p)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_b_losing_rank_mod_p_takes_the_bareiss_fallback(bareiss_kernels, seed):
+    # both equivalences over Q keep the type, but leave B^T with zero rows
+    # modulo the engine's prime: all of B, or a column of A and of B
+    rng = random.Random(f"bad-prime:{seed}")
+    w = rng.randint(3, 7)
+    u = rng.randint(1, w - 1)
+    st_ = _random_type(rng, w, u)
+    p = kronecker_pencil(st_, w, u, seed=seed)
+    scaled = [[linalg._PRIME if i == j == u - 1 else int(i == j) for j in range(u)]
+              for i in range(u)]
+    for q in (p.coordinate_change(1, 0, 0, linalg._PRIME),
+              p.conjugate(ExactMatrix.identity(w), ExactMatrix.from_rows(scaled))):
+        bareiss_kernels.clear()
+        assert splitting_type(q) == st_
+        assert bareiss_kernels
+        _assert_recursion_matches(q)
+
+
+@pytest.mark.parametrize("mode", ["random", "jumping:1", "jumping:2"])
+def test_zero_count_then_type_matches_a_fresh_sequence(mode):
+    ctx = context(2, 3, 5)
+    for seed in range(3):
+        line = sample_line(ctx, mode, seed=seed)
+        p = verlinde_pencil(ctx, line)
+        zeros = zero_count(ctx, line)  # the first step, on the line's pencil
+        dims, _, packed = p._sections
+        assert len(dims) == 2 and (packed is None) == (dims[1] == 0)
+        fresh = Pencil(p.A, p.B)
+        assert splitting_type(p) == splitting_type(fresh)
+        assert zeros == splitting_type(p).zeros()
+        assert p._sections[0] == fresh._sections[0]
+        assert p._sections[2] is fresh._sections[2] is None  # dropped once h reaches 0
 
 
 def test_splitting_type_builds_no_sylvester_block(monkeypatch):
