@@ -131,13 +131,16 @@ def _build_parser():
     sp.add_argument("--f2", help="second spanning form")
     sp.add_argument("--sample", help="draw the line: random | jumping:D")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--trials", type=int, default=3, help="gcd oracle trials")
+    sp.add_argument("--trials", type=int, default=3,
+                    help="gcd oracle trials, at most TRIALS; stops once a trial proves the value")
     sp.set_defaults(func=_cmd_split)
 
     jc = sub.add_parser("jumping-class", help="reconciliation report for [Z]")
     jc.add_argument("--n", type=int, required=True)
     jc.add_argument("--d", type=int, required=True)
-    jc.add_argument("--trials", type=int, default=3)
+    jc.add_argument("--trials", type=int, default=3,
+                    help="Jacobian oracle trials, at most TRIALS; stops once a trial proves "
+                         "the value")
     jc.add_argument("--seed", type=int, default=0)
     jc.set_defaults(func=_cmd_jumping_class)
 

@@ -6,7 +6,8 @@ recomputes every pairing degree deg([Z] sigma_a sigma_b) through the
 push-pull pipeline on P^n x P^M (M the dimension of the degree-(d-1)
 system) and assembles the class by Giambelli.  dim Z itself is measured
 independently, as the rank of the differential of (g1, g2, h) ->
-(h*g1, h*g2) at a random rational point, less 4.  A reconciliation
+(h*g1, h*g2) at seeded random rational points, less 4; the trials stop
+at the first point whose rank reaches the proven ceiling.  A reconciliation
 report compares everything coefficient by coefficient and records any
 discrepancy as a deterministic flag, never as a silent correction.
 """
@@ -96,12 +97,26 @@ def dim_z_jacobian(n, d, trials=3, seed=0, bound=30):
     dimension dim Z + 4 of the image of phi.  So the maximum over trials
     can only undershoot, on an unlucky sample.  Harris, Algebraic
     Geometry: A First Course, Lecture 16.
+
+    The ceiling: phi is constant along (t*g1, t*g2, h/t), so
+    d(phi)(g1, g2, -h) = (h*g1 - g1*h, h*g2 - g2*h) = 0, and h != 0; at
+    every point rank d(phi) <= cols - 1, with cols = 2(n+1) + C(n+d-1, n)
+    the differential's column count.  No trial returns more than
+    cols - 5, so the trials stop once the running maximum reaches it:
+    ``trials`` is the most that run.  Each trial seeds its own generator
+    from (seed, trial), so the trials that do run draw what they would
+    draw in a full run, and the value is the full run's maximum.
     """
     _check_params(n, d)
     if trials < 1:
         raise ValueError(f"Jacobian oracle needs trials >= 1, got {trials}")
-    return max(0, *(_dim_at(*_trial_point(n, d, seed, trial, bound))
-                    for trial in range(trials)))
+    ceiling = 2 * (n + 1) + comb(n + d - 1, n) - 5  # cols - 1, less 4
+    best = 0
+    for trial in range(trials):
+        best = max(best, _dim_at(*_trial_point(n, d, seed, trial, bound)))
+        if best >= ceiling:
+            break
+    return best
 
 
 def _trial_point(n, d, seed, trial, bound):
@@ -110,13 +125,17 @@ def _trial_point(n, d, seed, trial, bound):
             random_form(n, d - 1, rng, bound))
 
 
-def _dim_at(g1, g2, h):
-    """rank d(phi) - 4, d(phi) = [[M_h, 0, M_g1], [0, M_h, M_g2]]."""
+def _differential(g1, g2, h):
+    """The rows of d(phi) = [[M_h, 0, M_g1], [0, M_h, M_g2]], 2N x cols."""
     mh = mult_matrix(h, 1).entries  # N x (n+1)
     zero = [0] * (h.n + 1)
     rows = [r + zero + s for r, s in zip(mh, mult_matrix(g1, h.degree).entries)]
-    rows += [zero + r + s for r, s in zip(mh, mult_matrix(g2, h.degree).entries)]
-    return ExactMatrix.from_rows(rows).rank() - 4
+    return rows + [zero + r + s for r, s in zip(mh, mult_matrix(g2, h.degree).entries)]
+
+
+def _dim_at(g1, g2, h):
+    """rank d(phi) - 4 at the point (g1, g2, h)."""
+    return ExactMatrix.from_rows(_differential(g1, g2, h)).rank() - 4
 
 
 @dataclass

@@ -395,6 +395,18 @@ def gcd_degree(f1, f2, trials=3, seed=0, bound=COEFF_BOUND, _retries=16):
     the minimum over trials.  It is always >= the true gcd degree, with
     equality off a proper closed locus of substitutions, so the error
     probability vanishes with independent trials.
+
+    The floor: if the gcd's restriction vanishes, so do both forms', a
+    substitution the retries skip; otherwise it is a binary form of the
+    gcd's degree dividing both restrictions.  So every trial reads at
+    least the true degree, and a trial that reads 0 has proved the answer.
+    The trials stop there: ``trials`` is the most that run.  Each trial
+    seeds its own generator from (seed, trial, attempt), so the trials
+    that do run draw what they would draw in a full run, and the value is
+    the full run's minimum.  The one difference: DegenerateSubstitutionError
+    (``_retries`` substitutions in a row on which both forms vanish) comes
+    only from a trial that runs, so a later trial that would have raised
+    it no longer does.
     """
     if f1.is_zero or f2.is_zero:
         raise ValueError("gcd_degree needs nonzero forms")
@@ -419,6 +431,8 @@ def gcd_degree(f1, f2, trials=3, seed=0, bound=COEFF_BOUND, _retries=16):
         else:
             raise DegenerateSubstitutionError("degenerate substitution")
         best = min(best, _binary_gcd_degree(r1, r2))
+        if best == 0:
+            break
     return best
 
 

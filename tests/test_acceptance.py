@@ -5,8 +5,11 @@ the checks it owns, enforces the stated case minimums, and prints one
 PASS/FAIL line (visible with `pytest -s` or on failure).
 """
 
+import hashlib
+
 import pytest
 
+from verlinde import cli, suites
 from verlinde.suites import (
     run_algebra_suite,
     run_criteria_suite,
@@ -16,6 +19,10 @@ from verlinde.suites import (
 )
 
 ACCEPTANCE_SEED = 0
+
+# sha256 of `verlinde verify --suite all --seed 0`'s stdout; a change is a
+# change of output
+VERIFY_ALL_SEED0 = "5e93ed6b4270110114a20655c4dcd7acdce53ad2a5cffb6ba83c3f9062cb54a5"
 
 
 @pytest.fixture(scope="module")
@@ -107,3 +114,15 @@ def test_criterion_9_dimension_oracle(jumping):
 def test_supporting_algebra_suite(algebra):
     _gate("A", "core algebra invariants (bases, spans, gcd oracle, rank laws)",
           algebra, set(algebra.checks), {"span_rank": 40})
+
+
+def test_verify_all_stdout_bytes_are_pinned(algebra, pencil, criteria, schubert, jumping,
+                                            monkeypatch, capsys):
+    # the CLI writes the document, run_all sets the suite order, and the
+    # suites hand back this module's results instead of running again
+    for name, result in [("algebra", algebra), ("pencil", pencil), ("criteria", criteria),
+                         ("schubert", schubert), ("jumping", jumping)]:
+        monkeypatch.setitem(suites.SUITES, name, lambda seed, result=result: result)
+    assert cli.main(["verify", "--suite", "all", "--seed", str(ACCEPTANCE_SEED)]) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == VERIFY_ALL_SEED0

@@ -289,3 +289,10 @@ def test_verify_exit_one_on_failure(monkeypatch, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["passed"] is False
     assert out["suites"][0]["failures"]
+
+
+@pytest.mark.parametrize("command", ["split", "jumping-class"])
+def test_trials_help_says_the_oracle_stops_early(command):
+    res = run_cli(command, "--help")
+    assert res.returncode == 0
+    assert "stops once a trial proves the value" in " ".join(res.stdout.split())

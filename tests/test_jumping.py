@@ -1,12 +1,15 @@
 from math import comb
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from verlinde import jumping
 from verlinde.jumping import (
     DESK_SCALE_N,
     PushPullMismatchError,
+    _differential,
     _dim_at,
     _middle_record,
     _trial_point,
@@ -98,6 +101,66 @@ def test_degenerate_point_never_overshoots(n, d):
     # g2 = -3*g1 makes a ^ b = 0, where the kernel argument does not apply
     g1, _, h = _trial_point(n, d, 0, 0, 30)
     assert _dim_at(g1, g1.scale(-3), h) <= bookkeeping_dim(n, d)
+
+
+@pytest.mark.parametrize("n,d", DESK_PAIRS)
+def test_scaling_direction_caps_every_trial(n, d):
+    # d(phi)(g1, g2, -h) = 0, so rank d(phi) <= cols - 1: the ceiling at
+    # which dim_z_jacobian stops, checked at reconcile's default trial
+    # points and at the degenerate point g2 = -3*g1
+    points = [_trial_point(n, d, 0, trial, 30) for trial in range(3)]
+    g1, _, h = points[0]
+    points.append((g1, g1.scale(-3), h))
+    for g1, g2, h in points:
+        rows = _differential(g1, g2, h)
+        vec = g1.coeff_vector() + g2.coeff_vector() + (-h).coeff_vector()
+        assert len(vec) == len(rows[0]) == 2 * (n + 1) + comb(n + d - 1, n)
+        assert all(sum(map(mul, row, vec)) == 0 for row in rows)
+        assert _dim_at(g1, g2, h) <= len(rows[0]) - 5
+
+
+def all_trials_dim(n, d, trials, seed):
+    """The reference: dim_z_jacobian's value as the largest _dim_at over
+    every trial, with no early stop."""
+    return max(0, *(_dim_at(*_trial_point(n, d, seed, trial, 30)) for trial in range(trials)))
+
+
+@pytest.mark.parametrize("n,d", DESK_PAIRS)
+def test_jacobian_stop_keeps_every_trial_maximum(n, d):
+    for seed in range(5):
+        for trials in (1, 2, 3):
+            assert dim_z_jacobian(n, d, trials=trials, seed=seed) == all_trials_dim(
+                n, d, trials, seed)
+
+
+def _counting_dim_at(monkeypatch, values=None):
+    """Patch jumping._dim_at to record its calls; with values, return them
+    in turn instead of ranking."""
+    calls = []
+
+    def counted(*point):
+        calls.append(point)
+        return values[len(calls) - 1] if values else _dim_at(*point)
+
+    monkeypatch.setattr(jumping, "_dim_at", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n,d", DESK_PAIRS)
+def test_generic_pair_ranks_one_trial(n, d, monkeypatch):
+    calls = _counting_dim_at(monkeypatch)
+    assert dim_z_jacobian(n, d, trials=3, seed=0) == bookkeeping_dim(n, d)
+    assert len(calls) == 1
+
+
+def test_trials_below_the_ceiling_keep_running(monkeypatch):
+    # at (2, 2) cols = 9, so the ceiling is 4: a trial reading 3 proves nothing
+    calls = _counting_dim_at(monkeypatch, values=[3, 2, 3])
+    assert dim_z_jacobian(2, 2, trials=3, seed=0) == 3
+    assert len(calls) == 3
+    calls = _counting_dim_at(monkeypatch, values=[3, 4, 4])
+    assert dim_z_jacobian(2, 2, trials=3, seed=0) == 4
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("n,d", [(2, 2), (2, 3), (3, 2)])

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from verlinde import polynomials
 from verlinde.polynomials import (
+    COEFF_BOUND,
     DegenerateSubstitutionError,
     _binary_gcd_degree,
     HomogeneousPolynomial,
@@ -197,13 +199,17 @@ def test_gcd_degree_examples():
     assert gcd_degree(sq0, sq1, trials=2, seed=1) == 0
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_gcd_degree_planted_factor(seed):
+def _planted_factor(seed):
+    """(h, g1, g2): a seeded common factor h of degree 1 or 2 and two quadrics."""
     rng = random.Random(f"plant:{seed}")
     n = rng.choice((2, 3))
     h = random_form(n, rng.randint(1, 2), rng, bound=9)
-    g1 = random_form(n, 2, rng, bound=9)
-    g2 = random_form(n, 2, rng, bound=9)
+    return h, random_form(n, 2, rng, bound=9), random_form(n, 2, rng, bound=9)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_gcd_degree_planted_factor(seed):
+    h, g1, g2 = _planted_factor(seed)
     inner = gcd_degree(g1, g2, trials=3, seed=seed)
     assert gcd_degree(h * g1, h * g2, trials=3, seed=seed) == h.degree + inner
 
@@ -423,3 +429,49 @@ def test_line_oracle_outputs_are_pinned():
         lines.append(f"{i} {gcd_degree(f1, f2, trials=3, seed=i)} {restricted}")
     digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
     assert digest == ORACLE_GOLDEN
+
+
+def all_trials_gcd_degree(f1, f2, trials, seed):
+    """The reference: gcd_degree's value as the least gcd degree of the
+    restrictions over every trial, with no early stop."""
+    best = f1.degree
+    for trial in range(trials):
+        for attempt in range(16):
+            rng = random.Random(f"{seed}:gcd:{trial}:{attempt}")
+            pairs = [(rng.randint(-COEFF_BOUND, COEFF_BOUND),
+                      rng.randint(-COEFF_BOUND, COEFF_BOUND)) for _ in range(f1.num_vars)]
+            r1, r2 = (binary_coeffs(restrict_to_line(f, pairs)) for f in (f1, f2))
+            if any(r1) or any(r2):
+                break
+        best = min(best, _binary_gcd_degree(r1, r2))
+    return best
+
+
+def _gcd_lines():
+    """The pinned grid's lines, then the planted-factor lines of
+    test_gcd_degree_planted_factor, each with its seed."""
+    for i, f1, f2, _ in _oracle_grid():
+        yield i, f1, f2
+    for seed in range(10):
+        h, g1, g2 = _planted_factor(seed)
+        yield seed, h * g1, h * g2
+
+
+def test_gcd_stop_keeps_every_trial_minimum(monkeypatch):
+    # a trial that reads 0 ends the loop; a positive degree runs every trial
+    calls = []
+
+    def counted(c1, c2):
+        calls.append(None)
+        return _binary_gcd_degree(c1, c2)
+
+    monkeypatch.setattr(polynomials, "_binary_gcd_degree", counted)
+    seen = set()
+    for seed, f1, f2 in _gcd_lines():
+        for trials in (1, 2, 3):
+            calls.clear()
+            got = gcd_degree(f1, f2, trials=trials, seed=seed)
+            assert got == all_trials_gcd_degree(f1, f2, trials, seed)
+            assert len(calls) == (1 if got == 0 else trials)
+            seen.add(got > 0)
+    assert seen == {False, True}
