@@ -3,19 +3,35 @@
 ``ExactMatrix`` holds ints only (a rational problem is made integral where
 its matrix is built); ``scalar`` is the forms' coefficient normal form, an
 ``int`` when integral, else a ``Fraction``.  ``ExactMatrix.left_kernel``
-gives an integer left kernel basis certified from one elimination modulo
-a word-size prime, with fraction-free (Bareiss) elimination of [M | I] as
-the exact fallback; ``ExactMatrix.rank`` is the number of rows less the
-size of that basis, with Bareiss on M alone as its fallback.  One Bareiss
-loop serves both fallbacks and the suites' independent rank oracle.
+is an integer left kernel basis certified over Z from eliminations modulo
+primes below 2**30 (``_certified_kernel``), and ``ExactMatrix.rank`` the
+number of rows less its size.  Bareiss elimination is only the suites'
+independent rank oracle.
 
-The modular elimination packs each working row into one int, a 96-bit
-slot per column, and updates it by one multiply-add of the pivot row
-folded under 2**31 (``_fold``): a slot would carry only after 2**35.  It
-resumes: rows stacked below eliminated rows are reduced by their pivot
-records, then among themselves, so a block shared by a sequence of
-matrices (a pencil's B^T) is eliminated once.  The caller picks the
-exact check of each lifted kernel vector (``_certified_kernel``).
+Certification.  Eliminating the rows of M modulo p leaves zero rows Z; each
+i in Z gives z with z M = 0 mod p, 1 at i and 0 on the rest of Z (z is
+normalized).  Rank mod p is at most rank over Q, so |Z| >= dim ker M.  Each
+z is lifted to Q by rational reconstruction and kept if it annihilates M
+over Z; |Z| such vectors are independent, so they are a basis.  Otherwise
+more primes follow, combined by CRT while they have the same Z: a prime
+with more zero rows is skipped, one with fewer or others starts afresh.
+
+Termination.  Let r = rank M and H >= |every minor of M| (Hadamard).  The
+k-th pivot of elimination over Q in this order is D_k / D_(k-1), D_k a
+nonzero k x k minor.  A prime dividing no D_k meets the same pivots and
+zeros, so it has the Z of Q and the residues of its normalized vectors,
+whose entries are n/d with |n|, d <= H (Cramer).  So at most
+r ceil(log2 H / 29) primes above 2**29 are bad, and once the good primes
+after the last bad one multiply past 2 H**2, every vector lifts and passes
+its check.  Should the primes below 2**30 run out first (their product
+exceeds 2**(7 * 10**8)), ArithmeticError is raised.
+
+The elimination packs each working row into one int, a 96-bit slot per
+column, updated by one multiply-add of the pivot row folded under 2**31
+(``_fold``): a slot carries only after 2**35 updates.  It resumes: rows
+stacked below eliminated ones are reduced by their pivot records, then
+among themselves, so a block shared by a sequence of matrices (a pencil's
+B^T) is eliminated once per prime.
 """
 
 from __future__ import annotations
@@ -32,12 +48,10 @@ try:
 except ImportError:  # pure-int fallback: same results, slower on large minors
     mpz = int
 
-# The modular engine's prime: the largest prime below 2**30, so a residue
-# is one 30-bit CPython digit and a product of two residues fits in two.
-_PRIME = 1073741789
-# Rational reconstruction recovers n/d from its residue when |n|, d <= this.
-_RECON_BOUND = math.isqrt((_PRIME - 1) // 2)
-_FOLD = 2**30 - _PRIME  # 2**30 mod p: the packed rows' fold constant
+# The engine's first primes p = 2**30 - c, by c = 2**30 mod p, the packed
+# rows' fold constant: the six within 2**7 of 2**30.  A residue is one
+# 30-bit CPython digit, and a product of two fits in two.
+_FOLDS = (35, 41, 83, 101, 105, 107)
 
 __all__ = ["ExactMatrix", "scalar", "random_unimodular"]
 
@@ -185,43 +199,20 @@ class ExactMatrix:
         return [sum(a * b for a, b in zip(row, vec)) for row in self.entries]
 
     def rank(self):
-        """Exact rank: the number of rows less the size of a certified
-        left kernel basis, with the matrix oriented so the short side is
-        the rows.
-
-        The basis comes from one elimination modulo a word-size prime (see
-        ``left_kernel``).  When a kernel vector does not lift, fraction-free
-        Bareiss elimination gives the rank instead; the rank needs no kernel,
-        so it eliminates the rows alone, not [M | I].
-        """
-        rows = (self.transpose() if self.rows > self.cols else self).entries
-        if not rows:
-            return 0
-        kernel = _modular_left_kernel(rows)
-        if kernel is None:
-            return _bareiss_rank(rows)
-        return len(rows) - len(kernel)
+        """Exact rank: rows less the size of the certified left kernel, with
+        the matrix oriented so the short side is the rows."""
+        m = self.transpose() if self.rows > self.cols else self
+        return m.rows - len(m.left_kernel())
 
     def left_kernel(self):
-        """Integer basis of the left kernel {z : z M = 0}, as row vectors.
-
-        The rows are eliminated modulo ``_PRIME``, giving r <= rank.  Each
-        of the rows - r rows that reduce to zero gives a vector that is 1
-        there and 0 at the other zero rows mod p; it is lifted by rational
-        reconstruction and checked to annihilate the matrix exactly over Z.
-        So the vectors are exact and independent, and there are rows - r >=
-        rows - rank of them: a basis.  If a vector does not lift (a bad
-        prime, or an entry past the reconstruction bound), fraction-free
-        elimination of [M | I] over the columns of M gives the basis
-        instead: the identity part of the rows left under the rank.
-        """
+        """Integer basis of the left kernel {z : z M = 0}, as row vectors:
+        the normalized vectors of ``_certified_kernel``, scaled to Z."""
         rows = self.entries
         if not rows:
             return []
-        kernel = _modular_left_kernel(rows)
-        if kernel is None:
-            kernel = _bareiss_left_kernel(rows)
-        return kernel
+        return list(_certified_kernel(
+            (), lambda c: _echelon_mod_p(_pack_mod_p(rows, c), self.cols, c),
+            functools.partial(_annihilates, rows))[0].values())
 
     def to_json(self):
         return [[str(x) for x in row] for row in self.entries]
@@ -244,39 +235,62 @@ def _packing(width):
             int.from_bytes((b"\xff" * 8 + b"\xc0\0\0\0") * width, "big"))
 
 
-def _fold(x, lo, hi):
-    """Fold each 96-bit slot of x below 2**31, keeping it mod ``_PRIME``:
-    2**30 = ``_FOLD`` (mod p), so a slot lo + 2**30 hi becomes lo + 35 hi,
-    and three folds take 96 bits to 72, 48, then under 2**31."""
-    for _ in range(3):
-        x = (x & lo) + _FOLD * ((x & hi) >> 30)
+def _primes(first=()):
+    """The fold constants c of the primes 2**30 - c: those in first, then
+    the others in order, ``_FOLDS`` and every further prime above 2**29."""
+    yield from first
+    for c in _FOLDS:
+        if c not in first:
+            yield c
+    for c in range(_FOLDS[-1] + 2, 2**29, 2):
+        p = 2**30 - c
+        if c not in first and all(p % q for q in range(3, math.isqrt(p) + 1, 2)):
+            yield c
+
+
+@functools.cache
+def _fold_rounds(c):
+    """Folds taking any 96-bit slot under 2**31, each taking one below b
+    under 2**30 + c (b >> 30): three for ``_FOLDS`` (96 -> 73, 50, 31 bits)."""
+    bound, rounds = 1 << 96, 0
+    while bound > 1 << 31:
+        bound, rounds = (1 << 30) + c * (bound >> 30), rounds + 1
+    return rounds
+
+
+def _fold(x, lo, hi, c):
+    """Fold each 96-bit slot of x below 2**31, keeping it mod p = 2**30 - c:
+    2**30 = c (mod p), so a slot lo + 2**30 hi becomes lo + c hi."""
+    for _ in range(_fold_rounds(c)):
+        x = (x & lo) + c * ((x & hi) >> 30)
     return x
 
 
-def _pack_mod_p(rows):
-    """Each integer row's residues mod ``_PRIME`` packed into one int."""
+def _pack_mod_p(rows, c):
+    """Each integer row's residues mod 2**30 - c packed into one int."""
+    p = 2**30 - c
     packer = _packing(len(rows[0]))[0]
-    return [int.from_bytes(packer.pack(*[x % _PRIME for x in row]), "big") for row in rows]
+    return [int.from_bytes(packer.pack(*[x % p for x in row]), "big") for row in rows]
 
 
-def _echelon_mod_p(rest, width, base=None):
-    """Gaussian elimination modulo ``_PRIME`` of packed rows (``_pack_mod_p``),
-    which it consumes.
+def _echelon_mod_p(rest, width, c, base=None):
+    """Gaussian elimination modulo p = 2**30 - c of packed rows
+    (``_pack_mod_p``), which it consumes.
 
     Returns the pivot rows in pivot order, each row's multipliers by pivot
     number, the rows that reduced to zero, and the pivots' records (slot
-    shift, folded tail, inverse).  Each working row is one int with a
-    96-bit slot per column, column 0 the highest; an update adds (p - f)
-    times the pivot row's slots below the pivot column, folded under
-    2**31, and drops the eliminated slots.  Slots stay nonnegative and grow
-    by under 2**61 per update, so a carry takes 2**35 updates; a row takes
-    at most min(rows, cols).  A base, the result for rows stacked above
-    these, is resumed and left as it was: these rows, numbered after its
-    own, are reduced by its records in order, clearing only the pivot slot
-    (an earlier column may be nonzero here with no pivot there), and then
-    eliminated among themselves.
+    shift, folded tail, inverse).  Column 0 is a row's highest slot.  An
+    update adds (p - f) times the pivot row's slots below the pivot column,
+    folded under 2**31, and drops the eliminated slots; slots stay
+    nonnegative and grow by under 2**61 an update, and a row takes at most
+    min(rows, cols) updates.  The next pivot column is the highest top slot
+    nonzero mod p, read off bit lengths; tops that are multiples of p are
+    cleared on the way.  A base, the result for rows stacked above these, is
+    resumed and left as it was: these rows, numbered after its own, are
+    reduced by its records in order, clearing only the pivot slot (an
+    earlier column may be nonzero here), then eliminated among themselves.
     """
-    p = _PRIME
+    p = 2**30 - c
     _, lo, hi = _packing(width)
     slot = (1 << 96) - 1
     pivots, mults, zero_rows, records = base or ([], [], [], [])
@@ -290,33 +304,38 @@ def _echelon_mod_p(rest, width, base=None):
             if f:
                 rest[i] = row - (e << shift) + (p - f) * tail
     rest_idx = list(range(first, first + len(rest)))
-    for c in range(width):
-        shift = 96 * (width - 1 - c)
-        column = [row >> shift & slot for row in rest]
-        for at, e in enumerate(column):
-            if e % p:
-                break
-        else:
+    tops = [(row.bit_length() + 95) // 96 for row in rest]  # top slot, from 1 at the right
+    while rest:
+        t = max(tops)
+        if not t:
+            break
+        at = tops.index(t)
+        shift = 96 * t - 96
+        below = (1 << shift) - 1
+        if not (rest[at] >> shift) % p:  # a top slot that is a multiple of p
+            rest[at] &= below
+            tops[at] = (rest[at].bit_length() + 95) // 96
             continue
         pivots.append(rest_idx.pop(at))
-        del column[at]
-        below = (1 << shift) - 1
-        tail = _fold(rest.pop(at) & below, lo, hi)
-        inv = pow(e, -1, p)
+        del tops[at]
+        row = rest.pop(at)
+        tail = _fold(row & below, lo, hi, c)
+        inv = pow(row >> shift, -1, p)
         records.append((shift, tail, inv))
-        if not rest:
-            break
-        for i, e in enumerate(column):
-            f = e * inv % p
+        for i, n in enumerate(tops):
+            f = 0
+            if n == t:
+                row = rest[i]
+                f = (row >> shift) * inv % p
+                rest[i] = row = (row & below) + (p - f) * tail if f else row & below
+                tops[i] = (row.bit_length() + 95) // 96
             mults[rest_idx[i]].append(f)
-            if f:
-                rest[i] = (rest[i] & below) + (p - f) * tail
     return pivots, mults, zero_rows + rest_idx, records
 
 
-def _left_kernel_mod_p(i, pivots, mults):
-    """The vector z mod p with z[i] = 1, zero at the other zero rows, and
-    z . rows = 0, as its support rows and their residues.
+def _left_kernel_mod_p(i, pivots, mults, p):
+    """The normalized vector z mod p of zero row i (z . rows = 0), as its
+    support rows and their residues.
 
     Row i reduced to zero, so it is the sum of its multipliers times the
     reduced pivot rows; pivot row k is its own reduced row plus its
@@ -324,7 +343,6 @@ def _left_kernel_mod_p(i, pivots, mults):
     triangular system backwards writes row i over the original pivot rows.
     (A zero row of a resumed base has no multipliers for later pivots.)
     """
-    p = _PRIME
     acc = mults[i] + [0] * (len(pivots) - len(mults[i]))
     support, residues = [i], [1]
     for k in range(len(pivots) - 1, -1, -1):
@@ -338,30 +356,41 @@ def _left_kernel_mod_p(i, pivots, mults):
     return support, residues
 
 
-def _lift(residues):
-    """Integer multiple of the vector of rationals n/d, |n|, d <=
-    ``_RECON_BOUND``, with these residues; None if an entry has none."""
-    nums, dens = [], []
+def _lift(residues, m):
+    """Integer multiple of the vector of rationals n/d, |n|, d <= B =
+    isqrt((m - 1) // 2), with these residues mod m (unique, as 2 B**2 < m);
+    None if an entry has none.  Under a running common denominator D <= B,
+    an entry with a D = x (mod m), |x| <= B, is x/D: one multiply-mod.
+    Euclid's algorithm takes the others, and D grows to a multiple of
+    their denominator."""
+    bound = math.isqrt((m - 1) // 2)
+    den, parts = 1, []
     for a in residues:
-        r0, r1, t0, t1 = _PRIME, a, 0, 1
-        while r1 > _RECON_BOUND:
+        x = a * den % m
+        if x > m >> 1:
+            x -= m
+        if -bound <= x <= bound and den <= bound:
+            parts.append((x, den))
+            continue
+        r0, r1, t0, t1 = m, a, 0, 1
+        while r1 > bound:
             q = r0 // r1
             r0, r1 = r1, r0 - q * r1
             t0, t1 = t1, t0 - q * t1
-        if abs(t1) > _RECON_BOUND or math.gcd(r1, t1) != 1:
+        if abs(t1) > bound or math.gcd(r1, t1) != 1:
             return None
-        nums.append(r1 if t1 > 0 else -r1)
-        dens.append(abs(t1))
-    l = math.lcm(*dens)
-    return [n * (l // d) for n, d in zip(nums, dens)]
+        parts.append((r1 if t1 > 0 else -r1, abs(t1)))
+        den = math.lcm(den, t1)
+    return [x * (den // d) for x, d in parts]
 
 
-def _packed_combinations(coeffs, packed, width):
-    """The packed residues of sum c_j row_j for each coefficient row c,
-    given the rows packed: fold(sum (c_j mod p) packed_j)."""
+def _packed_combinations(fed, packed, width, c):
+    """The packed residues mod 2**30 - c of sum r_j row_j for each sparse
+    vector (support, residues), given the rows packed; support past the
+    last row is ignored."""
     _, lo, hi = _packing(width)
-    return [_fold(sum([c % _PRIME * r for c, r in zip(row, packed) if c]), lo, hi)
-            for row in coeffs]
+    n = len(packed)
+    return [_fold(sum([r * packed[j] for j, r in zip(*z) if j < n]), lo, hi, c) for z in fed]
 
 
 def _annihilates(rows, vec):
@@ -371,31 +400,55 @@ def _annihilates(rows, vec):
     return not any(sum(map(mul, coeffs, col)) for col in zip(*support))
 
 
-def _certified_kernel(rest, width, exact, base=None):
-    """A left kernel basis from one elimination mod p of packed rows,
-    resuming base if given: one vector per zero row, lifted, and kept if
-    exact(vec) holds over Z; None if a vector does not lift or fails."""
-    size = len(rest) + (len(base[1]) if base else 0)
-    pivots, mults, zero_rows, _ = _echelon_mod_p(rest, width, base)
-    basis = []
-    for i in zero_rows:
-        support, residues = _left_kernel_mod_p(i, pivots, mults)
-        coeffs = _lift(residues)
-        if coeffs is None:
-            return None
-        vec = [0] * size
-        for j, c in zip(support, coeffs):
-            vec[j] = c
-        if not exact(vec):
-            return None
-        basis.append(vec)
-    return basis
+def _certified_kernel(first, eliminate, exact, k=1):
+    """A left kernel basis certified over Z (see the module docstring), as
+    {zero row: vector}; the fold constants of the primes lifted from; and
+    for one prime, each vector's (support, residues) mod p.
 
-
-def _modular_left_kernel(rows):
-    """The left kernel basis of ``ExactMatrix.left_kernel`` from one
-    elimination of the integer rows mod p, or None if a vector does not lift."""
-    return _certified_kernel(_pack_mod_p(rows), len(rows[0]), functools.partial(_annihilates, rows))
+    eliminate(c) is ``_echelon_mod_p`` of the rows modulo 2**30 - c, or
+    None if that prime cannot serve; exact(vec) checks a lifted vector over
+    Z.  Primes come in the order of ``_primes(first)``; lifting starts once
+    k agree.  One prime lifts its sparse residues; several combine dense
+    ones by CRT.
+    """
+    group, basis, sparse = [], {}, []
+    for c in _primes(first):
+        echelon = eliminate(c)
+        if echelon is None:
+            continue
+        pivots, mults, zero_rows, _ = echelon
+        if group and len(zero_rows) > len(group[0][3]):
+            continue
+        if group and zero_rows != group[0][3]:
+            group, basis, sparse = [], {}, []
+        group.append((c, pivots, mults, zero_rows))
+        if len(group) < k:
+            continue
+        size = len(pivots) + len(zero_rows)
+        for i in (i for i in zero_rows if i not in basis):
+            if len(group) == 1:  # sparse is returned only if this prime lifts them all
+                support, residues = _left_kernel_mod_p(i, pivots, mults, 2**30 - c)
+                coeffs = _lift(residues, 2**30 - c)
+                vec = [0] * size
+                for j, x in zip(support, coeffs or ()):
+                    vec[j] = x
+                sparse.append((support, residues))
+            else:
+                x, m = [0] * size, 1
+                for q, piv, mults_, _ in group:
+                    p, dense = 2**30 - q, [0] * size
+                    for j, r in zip(*_left_kernel_mod_p(i, piv, mults_, p)):
+                        dense[j] = r
+                    f = pow(m, -1, p)
+                    x = [a + m * ((b - a) * f % p) for a, b in zip(x, dense)]
+                    m *= p
+                coeffs = vec = _lift(x, m)
+            if coeffs is None or not exact(vec):
+                break
+            basis[i] = vec
+        else:  # basis was filled in the order of zero_rows
+            return basis, [g[0] for g in group], sparse if len(group) == 1 else None
+    raise ArithmeticError("no prime left between 2**29 and 2**30")
 
 
 def _bareiss(rows, n):
@@ -446,27 +499,11 @@ def _bareiss(rows, n):
 
 
 def _bareiss_rank(rows):
-    """Rank of an integer matrix by Bareiss elimination alone: the exact
-    fallback of ``ExactMatrix.rank`` and the suites' independent oracle."""
+    """Rank of an integer matrix by Bareiss elimination alone: the suites'
+    independent oracle."""
     if not rows:
         return 0
     return _bareiss([[mpz(x) for x in row] for row in rows], len(rows[0]))
-
-
-def _bareiss_left_kernel(rows):
-    """Left kernel basis of integer rows M by Bareiss elimination of
-    [M | I] over the columns of M.  A row left under the rank is t . [M | I]
-    with t M = 0; those t are independent, since [M | I] has full row rank
-    and elimination keeps it.  Each is divided by its content."""
-    m, n = len(rows), len(rows[0])
-    aug = [[mpz(x) for x in row] + [mpz(int(i == j)) for j in range(m)]
-           for i, row in enumerate(rows)]
-    r = _bareiss(aug, n)
-    basis = []
-    for row in aug[r:]:
-        g = math.gcd(*row[n:])
-        basis.append([int(x // g) for x in row[n:]])
-    return basis
 
 
 def random_unimodular(n, rng, shears=None):

@@ -8,8 +8,8 @@ S_(t-1), and the splitting type is the conjugate partition of their
 differences.  The blocks are never built: S_t is block upper triangular
 over S_(t-1), so a left kernel basis of S_t comes from one of S_(t-1)
 and the (u + h(t)) x w matrix [B^T ; L A^T], where L holds the last u
-coordinates of that basis; B^T is eliminated once for all steps (see
-``twisted_section_dims``).  The same sequence decides injectivity:
+coordinates of that basis, normalized; B^T is eliminated once per prime
+(see ``twisted_section_dims``).  The same sequence decides injectivity:
 h(u+1) <= u exactly for an injective pencil (see ``is_injective``).  Its
 first step eliminates S_1, so rank [A | B] = 2u - h(2) comes from that
 one shared step.  Each pencil keeps its sequence, so a later call
@@ -21,10 +21,10 @@ seeded test constructor.
 
 from __future__ import annotations
 
+import math
 import random
 from operator import mul
 
-from . import linalg
 from .linalg import (ExactMatrix, _certified_kernel, _echelon_mod_p, _pack_mod_p,
                      _packed_combinations, int_from_json, random_unimodular)
 
@@ -249,36 +249,57 @@ def sylvester_block(pencil, j):
 
 def _section_dims(pencil, t_max):
     """h(1), ..., h(t_max) with h(t) the left kernel dimension of S_(t-1),
-    as a new list; the recursion is described in ``twisted_section_dims``.
-    The pencil keeps (dims, tails, packed): the values so far, the last L
-    by rows (None for I_u), and until h reaches 0 the packed rows of A^T
-    mod p with B^T's elimination mod p.  So only the missing steps run,
-    and B^T is eliminated once."""
+    as a new list, by the recursion of ``twisted_section_dims``.  The
+    pencil keeps (dims, tails, primes): the values so far; L, normalized,
+    as integer rows over a common denominator (None for I_u); and until h
+    reaches 0, how many primes the last step used and, by prime, A^T's
+    packed rows, B^T's elimination and L's residues, the last step's primes
+    first.  So only the missing steps run, B^T is eliminated once per prime,
+    and a step starts with as many primes as the last one used."""
     u, w = pencil.u, pencil.w
     if pencil._sections is None:
-        pencil._sections = ([u], None, None)
-    dims, tails, packed = pencil._sections
+        pencil._sections = ([u], None, (1, {}))
+    dims, tails, primes = pencil._sections
     A, B = pencil.A.entries, pencil.B.entries
     while dims[-1] and len(dims) < t_max:
-        if packed is None:
-            packed = _pack_mod_p(list(zip(*A))), _echelon_mod_p(_pack_mod_p(list(zip(*B))), w)
-        pa, base = packed
-        cols = None if tails is None else list(zip(*tails))
+        (k, fields), (T, den) = primes, tails or (None, 1)
+        cols = T and list(zip(*T))
 
-        def kills(z):  # z = (y, c) kills M when A v + B y = 0, v = c L
+        def eliminate(c):  # M mod p = 2**30 - c; None if p divides den
+            if c not in fields:
+                fields[c] = [_pack_mod_p(list(zip(*A)), c),
+                             _echelon_mod_p(_pack_mod_p(list(zip(*B)), c), w, c), None]
+            pa, base, fed = field = fields[c]
+            if T is None:
+                return _echelon_mod_p(pa[:], w, c, base)
+            if fed is None:
+                p = 2**30 - c
+                if not den % p:
+                    return None
+                inv = pow(den, -1, p)
+                fed = field[2] = [(range(u), [x * inv % p for x in row]) for row in T]
+            return _echelon_mod_p(_packed_combinations(fed, pa, w, c), w, c, base)
+
+        def kills(z):  # z = (y, c) kills M when A v + B y = 0, v = c L = c T / den
             y, v = z[:u], z[u:]
             if cols is not None:
                 v = [sum(map(mul, v, col)) for col in cols]
-            return not any(sum(map(mul, a, v)) + sum(map(mul, b, y)) for a, b in zip(A, B))
+            return not any(sum(map(mul, a, v)) + den * sum(map(mul, b, y)) for a, b in zip(A, B))
 
-        new = pa[:] if tails is None else _packed_combinations(tails, pa, w)
-        kernel = _certified_kernel(new, w, kills, base)
-        if kernel is None:  # Bareiss on the exact [B^T ; L A^T]
-            lat = zip(*A) if tails is None else ([sum(map(mul, c, a)) for a in A] for c in tails)
-            kernel = linalg._bareiss_left_kernel(list(zip(*B)) + list(lat))
-        tails = [z[:u] for z in kernel]
-        dims = dims + [len(tails)]
-        pencil._sections = (dims, tails, packed if tails else None)
+        kernel, used, sparse = _certified_kernel(list(fields), eliminate, kills, k)
+        dims = dims + [len(kernel)]
+        if kernel:
+            den = math.lcm(*[z[i] for i, z in kernel.items()])  # z / z[i] is normalized
+            tails = ([z[:u] if z[i] == den else [x * (den // z[i]) for x in z[:u]]
+                      for i, z in kernel.items()], den)
+            for field in fields.values():
+                field[2] = None
+            if sparse is not None:  # one prime: its residues are L's
+                fields[used[0]][2] = sparse
+            primes = (len(used), {c: fields[c] for c in used + list(fields)})
+        else:
+            tails, primes = ([], 1), None
+        pencil._sections = (dims, tails, primes)
     return dims[:t_max] + [0] * (t_max - len(dims))
 
 
@@ -305,10 +326,26 @@ def twisted_section_dims(pencil, t_max):
     Every M starts with the rows B^T, so their elimination modulo a prime
     runs once, and a step only reduces its new rows, L A^T mod p made from
     the packed rows of A^T, by B^T's pivot records and then among
-    themselves.  Each kernel vector z = (y, c) is lifted to Z and checked
-    exactly through z M = (c L) A^T + y B^T: A (c L)^T + B y^T = 0 is 2w
-    dot products of length u.  If one does not lift or fails, Bareiss
-    elimination of the exact M gives the step's basis.
+    themselves.  ``linalg._certified_kernel`` certifies the kernel vectors
+    z = (y, c), each 1 at its own zero row and 0 at the others: lifted, z
+    is checked through z M = (c L) A^T + y B^T, A (c L)^T + B y^T = 0,
+    2w dot products of length u.  L is the y parts each divided by its
+    entry at its zero row, and a step is fed the residues of those
+    normalized vectors, not of lifted ones.
+
+    Normalization.  If K is normalized, the identity on a set Z of rows of
+    S_(t-1) (K = I_u is), then c K is c on Z: (y, c) are the entries of
+    x = (c K, y) on Z and on the last u rows, and x is normalized on the
+    new zero rows.  So a step's vectors are entries of the normalized
+    kernel basis of S_t, ratios of its minors (Cramer), whose size does
+    not grow from step to step as lifted, rescaled L's would.
+
+    Termination.  K's rows are its Z rows plus multiples of the other rows
+    P of S_(t-1), so a minor of M times D, a nonzero maximal minor of
+    S_(t-1) on P, is a minor of S_t, and D is a multiple of L's
+    denominators.  So a prime bad at a step divides D or one of M's pivot
+    minors, and the argument of the ``linalg`` docstring holds with H the
+    Hadamard bound of S_t.
 
     The same sequence decides injectivity, so no other elimination runs:
     the steps go on to t = u+1 at least, and NotInjectiveError is raised

@@ -1,10 +1,16 @@
+import functools
+import math
+import sys
 from fractions import Fraction
+
+import pytest
+
+from verlinde import linalg
 
 
 def naive_rank(matrix):
     """Plain Gaussian elimination over Fraction; independent of the
-    package's rank engine (elimination modulo a word-size prime, with a
-    fraction-free Bareiss fallback)."""
+    package's rank engine (certified eliminations modulo word-size primes)."""
     rows = [[Fraction(x) for x in row] for row in matrix.entries]
     rank = 0
     cols = matrix.cols
@@ -21,3 +27,41 @@ def naive_rank(matrix):
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def bareiss_left_kernel(rows):
+    """The kernel reference: a left kernel basis of integer rows M by
+    Bareiss elimination of [M | I] over the columns of M.  A row left under
+    the rank is t . [M | I] with t M = 0; those t are independent, since
+    [M | I] has full row rank and elimination keeps it.  Each is divided by
+    its content."""
+    m, n = len(rows), len(rows[0])
+    aug = [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(rows)]
+    r = linalg._bareiss(aug, n)
+    return [[x // math.gcd(*row[n:]) for x in row[n:]] for row in aug[r:]]
+
+
+def primes_used(echelons):
+    """How many primes the recorded ``_echelon_mod_p`` calls eliminated by."""
+    return len({args[2] for args in echelons})
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """linalg_calls(name) wraps ``linalg.<name>``, wherever a ``verlinde``
+    module holds it, and returns the list of the positional arguments of
+    each call, as passed."""
+    def watch(name):
+        calls = []
+        original = getattr(linalg, name)
+
+        @functools.wraps(original)
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "verlinde"]:
+            if vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, counting)
+        return calls
+    return watch

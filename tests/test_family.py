@@ -254,9 +254,9 @@ def test_line_memo_eliminates_each_h_step_once(monkeypatch, mode, type_first):
         kernels.append((m.rows, m.cols))
         return real_kernel(m)
 
-    def counting_echelon(rest, width, base=None):  # rows stacked so far, this call's included
+    def counting_echelon(rest, width, c, base=None):  # rows stacked so far, this call's included
         eliminations.append((base is not None, (len(base[1]) if base else 0) + len(rest), width))
-        return real_echelon(rest, width, base)
+        return real_echelon(rest, width, c, base)
 
     monkeypatch.setattr(family, "mult_matrix", counting_mult)
     monkeypatch.setattr(ExactMatrix, "rank", counting_rank)

@@ -20,7 +20,7 @@ from verlinde.polynomials import (
 )
 from verlinde.suites import _span_rank_oracle
 
-from conftest import naive_rank
+from conftest import bareiss_left_kernel, naive_rank, primes_used
 
 
 def test_identity_rank_and_kernel():
@@ -170,26 +170,30 @@ def test_left_kernel_is_a_certified_basis(m):
     _check_left_kernel(m)
 
 
-def test_left_kernel_fallback_eliminates_m_with_identity(monkeypatch):
-    calls = []
-    original = linalg._bareiss_left_kernel
-
-    def counting(rows):
-        calls.append(len(rows))
-        return original(rows)
-
-    monkeypatch.setattr(linalg, "_bareiss_left_kernel", counting)
+def test_left_kernel_past_one_prime_combines_primes(linalg_calls):
+    echelons, bareiss = linalg_calls("_echelon_mod_p"), linalg_calls("_bareiss")
     big = 2**40
-    # the kernel is spanned by (2^40, 0, -1), past the reconstruction bound
+    # the kernel is spanned by (2^40, 0, -1), past one prime's reconstruction bound
     m = ExactMatrix.from_rows([[1, 2, 3], [4, 5, 7], [big, 2 * big, 3 * big]])
     assert m.left_kernel() == [[big, 0, -1]] or m.left_kernel() == [[-big, 0, 1]]
-    assert calls
+    assert primes_used(echelons) >= 2 and bareiss == []
     _check_left_kernel(m)
-    # a bad prime: rank 1 modulo the engine's prime, 2 over Q
-    calls.clear()
-    bad = ExactMatrix.from_rows([[linalg._PRIME, 0], [0, 1], [linalg._PRIME, 1]])
+    # a bad prime: rank 1 modulo the engine's first prime, 2 over Q
+    echelons.clear()
+    bad = ExactMatrix.from_rows([[_P, 0], [0, 1], [_P, 1]])
+    bad.left_kernel()
+    assert primes_used(echelons) >= 2 and bareiss == []
     _check_left_kernel(bad)
-    assert calls
+
+
+@given(_integer_matrices())
+@settings(max_examples=200, deadline=None)
+def test_left_kernel_spans_the_bareiss_kernel(m):
+    kernel = m.left_kernel()
+    reference = bareiss_left_kernel(m.entries) if m.rows else []
+    assert len(kernel) == len(reference)
+    if kernel:  # the same row space: stacking adds no rank
+        assert naive_rank(ExactMatrix.from_rows(kernel + reference, cols=m.rows)) == len(kernel)
 
 
 def test_left_kernel_shapes():
@@ -200,9 +204,61 @@ def test_left_kernel_shapes():
 
 
 def test_engine_prime_is_a_word_size_prime():
-    p = linalg._PRIME
-    assert 2**29 < p < 2**30
-    assert all(p % q for q in range(2, math.isqrt(p) + 1))
+    supply = linalg._primes()
+    folds = [next(supply) for _ in range(8)]
+    assert folds[:6] == list(linalg._FOLDS) and folds == sorted(set(folds))
+    for c in folds:
+        p = 2**30 - c
+        assert 2**29 < p < 2**30
+        assert all(p % q for q in range(2, math.isqrt(p) + 1))
+    # no prime is skipped between them
+    assert all(any(n % q == 0 for q in range(2, math.isqrt(n) + 1))
+               for n in range(2**30 - folds[-1] + 1, 2**30) if 2**30 - n not in folds)
+
+
+@given(st.lists(st.tuples(st.integers(-2**40, 2**40), st.integers(1, 2**40)), max_size=12),
+       st.sampled_from([1, 2, 3]))
+@settings(max_examples=300, deadline=None)
+def test_lift_reconstructs_under_a_common_denominator(fracs, primes):
+    # every entry within the bound of the product of the first primes comes
+    # back as l * n/d, l the lcm of the reduced denominators
+    m = math.prod(2**30 - c for c in linalg._FOLDS[:primes])
+    bound = math.isqrt((m - 1) // 2)
+    values = [Fraction(n, d) for n, d in fracs]
+    residues = [v.numerator * pow(v.denominator, -1, m) % m for v in values]
+    lifted = linalg._lift(residues, m)
+    if all(abs(v.numerator) <= bound and v.denominator <= bound for v in values):
+        l = math.lcm(*[v.denominator for v in values])
+        assert lifted == [int(v * l) for v in values]
+    elif lifted is not None and math.gcd(residues[0], m) == 1:
+        # another vector within the bound: still D times the residues mod m
+        scale = lifted[0] * pow(residues[0], -1, m) % m
+        assert all(x % m == scale * a % m for x, a in zip(lifted, residues))
+
+
+def test_lift_keeps_every_entry_within_the_bound():
+    # once the common denominator passes the bound (151 * 157 > 23170), an
+    # entry x / D with |x| small need not be within the bound in lowest terms
+    p = 2**30 - linalg._FOLDS[0]
+    bound = math.isqrt((p - 1) // 2)
+    for x in range(1, 40):
+        residues = [1, pow(151, -1, p), pow(157, -1, p), x * pow(151 * 157, -1, p) % p]
+        lifted = linalg._lift(residues, p)
+        if lifted is not None:
+            for y, a in zip(lifted, residues):
+                f = Fraction(y, lifted[0])
+                assert abs(f.numerator) <= bound and f.denominator <= bound
+                assert f.numerator % p == a * f.denominator % p
+
+
+def test_a_bad_prime_after_a_good_one_is_skipped(linalg_calls):
+    # rank 2 over Q and modulo the first prime, rank 1 modulo the second;
+    # the kernel vector (-50000, -1, 1) needs two primes: the first and third
+    echelons = linalg_calls("_echelon_mod_p")
+    q = 2**30 - linalg._FOLDS[1]
+    m = ExactMatrix.from_rows([[1, 0], [0, q], [50000, q]])
+    assert m.left_kernel() in ([[-50000, -1, 1]], [[50000, 1, -1]])
+    assert [args[2] for args in echelons] == list(linalg._FOLDS[:3])
 
 
 # ------------------------------------------ the packed-row modular kernel
@@ -211,7 +267,7 @@ def reference_echelon_mod_p(rows):
     """The list-based elimination the packed-row kernel replaced: one list
     of residues per working row, kept reversed so the current column pops,
     and every nonzero multiplier rebuilds the row entry by entry."""
-    p = linalg._PRIME
+    p = _P
     rest_idx = list(range(len(rows)))
     rest = [[x % p for x in reversed(row)] for row in rows]
     mults = [[] for _ in rows]
@@ -240,11 +296,13 @@ def reference_echelon_mod_p(rows):
 
 def packed_echelon_mod_p(rows):
     """The packed elimination without a base, in the reference's terms."""
-    pivots, mults, zero_rows, _ = linalg._echelon_mod_p(linalg._pack_mod_p(rows), len(rows[0]))
+    packed = linalg._pack_mod_p(rows, _C)
+    pivots, mults, zero_rows, _ = linalg._echelon_mod_p(packed, len(rows[0]), _C)
     return pivots, mults, zero_rows
 
 
-_P = linalg._PRIME
+_C = linalg._FOLDS[0]  # the engine's first prime, 2**30 - _C
+_P = 2**30 - _C
 _EDGE_ENTRIES = (0, 1, -1, _P - 1, _P, -_P, 3 * _P, 2**40)
 
 
@@ -290,16 +348,16 @@ def test_resumed_echelon_gives_the_stacked_kernel_mod_p(rows, data):
     # rank mod p of all the rows, and each zero row's vector kills them mod p
     cut = data.draw(st.integers(1, len(rows)))
     width = len(rows[0])
-    base = linalg._echelon_mod_p(linalg._pack_mod_p(rows[:cut]), width)
+    base = linalg._echelon_mod_p(linalg._pack_mod_p(rows[:cut], _C), width, _C)
     snapshot = repr(base)
-    resumed = (linalg._echelon_mod_p(linalg._pack_mod_p(rows[cut:]), width, base)
+    resumed = (linalg._echelon_mod_p(linalg._pack_mod_p(rows[cut:], _C), width, _C, base)
                if cut < len(rows) else base)
     assert repr(base) == snapshot
     pivots, mults, zero_rows, _ = resumed
     assert sorted(pivots + zero_rows) == list(range(len(rows)))
     assert len(zero_rows) == len(packed_echelon_mod_p(rows)[2])
     for i in zero_rows:
-        support, residues = linalg._left_kernel_mod_p(i, pivots, mults)
+        support, residues = linalg._left_kernel_mod_p(i, pivots, mults, _P)
         assert set(support) & set(zero_rows) == {i}
         for c in range(width):
             assert sum(r * rows[j][c] for j, r in zip(support, residues)) % _P == 0
@@ -314,68 +372,64 @@ def test_packed_echelon_on_a_reference_cell_pencil():
 
 
 def test_fold_keeps_packed_slots_apart():
-    # 2**30 = _FOLD (mod p) is what lets a fold replace a slot's high part
-    assert linalg._FOLD == 2**30 - _P == 2**30 % _P
-    # folded slots are < 2**31 and multipliers < p, so a slot takes 2**35
-    # updates before it could carry into its neighbour
-    assert 2**31 * _P * 2**35 < 2**96
-    width = 7
-    _, lo, hi = linalg._packing(width)
-    full = 2**96 - 1
-    folded = linalg._fold(int.from_bytes(full.to_bytes(12, "big") * width, "big"), lo, hi)
-    for j in range(width):
-        s = folded >> (96 * j) & full
-        assert s < 2**31 and s % _P == full % _P
+    for c in linalg._FOLDS + (297, 10**6 + 3):  # the first primes, then larger folds
+        p = 2**30 - c
+        # 2**30 = c (mod p) is what lets a fold replace a slot's high part
+        assert 2**30 % p == c
+        # folded slots are < 2**31 and multipliers < p, so a slot takes 2**35
+        # updates before it could carry into its neighbour
+        assert 2**31 * p * 2**35 < 2**96
+        assert c >= 2**7 or linalg._fold_rounds(c) == 3
+        width = 7
+        _, lo, hi = linalg._packing(width)
+        for full in (2**96 - 1, 2**95 + 2**66 - 1, 2**31 - 1):
+            packed = int.from_bytes(full.to_bytes(12, "big") * width, "big")
+            folded = linalg._fold(packed, lo, hi, c)
+            for j in range(width):
+                s = folded >> (96 * j) & (2**96 - 1)
+                assert s < 2**31 and s % p == full % p
 
 
-@pytest.fixture
-def bareiss_calls(monkeypatch):
-    calls = []
-    original = linalg._bareiss_rank
-
-    def counting(rows):
-        calls.append(len(rows))
-        return original(rows)
-
-    monkeypatch.setattr(linalg, "_bareiss_rank", counting)
-    return calls
-
-
-def test_bad_prime_falls_back_to_bareiss(bareiss_calls):
-    # rank 2 over Q, rank 1 modulo the engine's prime
-    m = ExactMatrix.from_rows([[linalg._PRIME, 0], [0, 1]])
+def test_bad_prime_takes_a_second_prime(linalg_calls):
+    echelons, bareiss = linalg_calls("_echelon_mod_p"), linalg_calls("_bareiss")
+    # rank 2 over Q, rank 1 modulo the engine's first prime
+    m = ExactMatrix.from_rows([[_P, 0], [0, 1]])
     assert m.rank() == naive_rank(m) == 2
     assert m.transpose().rank() == 2
-    assert len(bareiss_calls) == 2
+    assert primes_used(echelons) == 2 and bareiss == []
 
 
-def test_kernel_past_reconstruction_bound_falls_back(bareiss_calls):
+def test_kernel_past_reconstruction_bound_combines_primes(linalg_calls):
+    echelons, bareiss = linalg_calls("_echelon_mod_p"), linalg_calls("_bareiss")
     # The engine takes kernel vectors on the short side (rows when square).
     # Third row 2^40 times the first: that kernel is spanned by
-    # (2^40, 0, -1), past the reconstruction bound.
+    # (2^40, 0, -1), past one prime's reconstruction bound.
     big = 2**40
     square = ExactMatrix.from_rows([[1, 2, 3], [4, 5, 7], [big, 2 * big, 3 * big]])
     assert square.rank() == naive_rank(square) == 2
-    assert len(bareiss_calls) == 1
+    assert primes_used(echelons) >= 2 and bareiss == []
     # tall, third column 2^40 times the first: the same kernel on the columns
+    echelons.clear()
     tall = ExactMatrix.from_rows([[1, 4, big], [2, 5, 2 * big], [3, 7, 3 * big], [1, 1, big]])
     assert tall.rank() == naive_rank(tall) == 2
-    assert len(bareiss_calls) == 2
+    assert primes_used(echelons) >= 2 and bareiss == []
 
 
-def test_deficient_rank_certified_without_fallback(bareiss_calls):
+def test_deficient_rank_certified_without_fallback(linalg_calls):
+    echelons, bareiss = linalg_calls("_echelon_mod_p"), linalg_calls("_bareiss")
     m = ExactMatrix.from_rows([[1, 2, 3], [4, 5, 6], [5, 7, 9], [2, 4, 6]])
     assert m.rank() == m.transpose().rank() == 2
-    assert bareiss_calls == []
+    assert primes_used(echelons) == 1 and bareiss == []
 
 
-def test_line_queries_stay_modular(bareiss_calls):
+def test_line_queries_stay_modular(linalg_calls):
+    echelons, bareiss = linalg_calls("_echelon_mod_p"), linalg_calls("_bareiss")
     ctx = context(2, 3, 5)
     line = sample_line(ctx, "random", seed="modular-only")
     splitting_type(verlinde_pencil(ctx, line))
     zero_count(ctx, line)
     is_generic_type(ctx, line)
-    assert bareiss_calls == []
+    assert primes_used(echelons) == 1 and bareiss == []
 
 
 # ------------------------------------- the scalar normal form, int matrices

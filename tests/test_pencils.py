@@ -24,6 +24,8 @@ from verlinde.pencils import (
 )
 from verlinde.suites import _exact_rank
 
+from conftest import primes_used
+
 
 def l_block(b):
     """The (b+1) x b canonical block with cokernel O(b)."""
@@ -226,15 +228,8 @@ def test_recursion_matches_engine_ranks_on_a_planted_line():
     assert twisted_section_dims(p, 7) == [21, 15, 10, 6, 3, 1, 0]
 
 
-def test_unliftable_kernel_takes_the_bareiss_fallback(monkeypatch):
-    calls = []
-    original = linalg._bareiss_left_kernel
-
-    def counting(rows):
-        calls.append(len(rows))
-        return original(rows)
-
-    monkeypatch.setattr(linalg, "_bareiss_left_kernel", counting)
+def test_unliftable_kernel_takes_a_second_prime(linalg_calls):
+    echelons, bareiss = linalg_calls("_echelon_mod_p"), linalg_calls("_bareiss")
     big = 2**40
     left = [[int(i == j) for j in range(6)] for i in range(6)]
     left[0][3], left[2][5] = big, -big
@@ -244,21 +239,36 @@ def test_unliftable_kernel_takes_the_bareiss_fallback(monkeypatch):
     p = kronecker_pencil(st_, 6, 3).conjugate(ExactMatrix.from_rows(left),
                                               ExactMatrix.from_rows(right))
     assert splitting_type(p) == st_
-    assert calls
+    assert primes_used(echelons) >= 2 and bareiss == []
     _assert_recursion_matches(p)
 
 
-@pytest.fixture
-def bareiss_kernels(monkeypatch):
-    calls = []
-    original = linalg._bareiss_left_kernel
+@pytest.mark.parametrize("cell", [(2, 2, 5), (3, 2, 4)])
+@pytest.mark.parametrize("seed", range(10))
+def test_planted_lines_need_at_most_two_primes(linalg_calls, cell, seed):
+    # Normalized kernel vectors feed the next step as residues, so their
+    # size does not compound: where they pass one prime's reconstruction
+    # bound, as at (2,2,5), two primes lift every step.
+    echelons, bareiss = linalg_calls("_echelon_mod_p"), linalg_calls("_bareiss")
+    ctx = context(*cell)
+    p = verlinde_pencil(ctx, sample_line(ctx, "jumping:1", seed=seed))
+    splitting_type(p)
+    assert primes_used(echelons) <= 2 and bareiss == []
+    want = _h_by_definition(p, _exact_rank)
+    assert twisted_section_dims(p, len(want)) == want
 
-    def counting(rows):
-        calls.append(len(rows))
-        return original(rows)
 
-    monkeypatch.setattr(linalg, "_bareiss_left_kernel", counting)
-    return calls
+def test_packed_state_is_released_once_h_reaches_0(linalg_calls):
+    echelons = linalg_calls("_echelon_mod_p")
+    ctx = context(2, 2, 5)
+    random_line = verlinde_pencil(ctx, sample_line(ctx, "random", seed=1))
+    planted = verlinde_pencil(ctx, sample_line(ctx, "jumping:1", seed=0))
+    for p, primes in ((random_line, 1), (planted, 2)):
+        echelons.clear()
+        splitting_type(p)
+        assert primes_used(echelons) == primes
+        dims, tails, packed = p._sections
+        assert dims[-1] == 0 and tails[0] == [] and packed is None
 
 
 @pytest.mark.parametrize("kind", ["zero", "through-O", "through-O(-1)", "degree-1-kernel",
@@ -277,21 +287,24 @@ def test_resumed_steps_match_sylvester_ranks_on_degenerate_pencils(kind, seed):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_b_losing_rank_mod_p_takes_the_bareiss_fallback(bareiss_kernels, seed):
+def test_b_losing_rank_mod_p_takes_a_second_prime(linalg_calls, seed):
     # both equivalences over Q keep the type, but leave B^T with zero rows
-    # modulo the engine's prime: all of B, or a column of A and of B
+    # modulo the engine's first prime: all of B, or a column of A and of B
+    echelons, bareiss = linalg_calls("_echelon_mod_p"), linalg_calls("_bareiss")
+    prime = 2**30 - linalg._FOLDS[0]
     rng = random.Random(f"bad-prime:{seed}")
     w = rng.randint(3, 7)
     u = rng.randint(1, w - 1)
     st_ = _random_type(rng, w, u)
     p = kronecker_pencil(st_, w, u, seed=seed)
-    scaled = [[linalg._PRIME if i == j == u - 1 else int(i == j) for j in range(u)]
+    scaled = [[prime if i == j == u - 1 else int(i == j) for j in range(u)]
               for i in range(u)]
-    for q in (p.coordinate_change(1, 0, 0, linalg._PRIME),
+    for q in (p.coordinate_change(1, 0, 0, prime),
               p.conjugate(ExactMatrix.identity(w), ExactMatrix.from_rows(scaled))):
-        bareiss_kernels.clear()
+        echelons.clear()
+        bareiss.clear()
         assert splitting_type(q) == st_
-        assert bareiss_kernels
+        assert primes_used(echelons) >= 2 and bareiss == []
         _assert_recursion_matches(q)
 
 
