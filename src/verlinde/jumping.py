@@ -14,11 +14,12 @@ discrepancy as a deterministic flag, never as a silent correction.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from math import comb
 
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, _rank_mod_p
 from .polynomials import mult_matrix, random_form
 from .schubert import (
     GrContext,
@@ -101,11 +102,11 @@ def dim_z_jacobian(n, d, trials=3, seed=0, bound=30):
     The ceiling: phi is constant along (t*g1, t*g2, h/t), so
     d(phi)(g1, g2, -h) = (h*g1 - g1*h, h*g2 - g2*h) = 0, and h != 0; at
     every point rank d(phi) <= cols - 1, with cols = 2(n+1) + C(n+d-1, n)
-    the differential's column count.  No trial returns more than
-    cols - 5, so the trials stop once the running maximum reaches it:
-    ``trials`` is the most that run.  Each trial seeds its own generator
-    from (seed, trial), so the trials that do run draw what they would
-    draw in a full run, and the value is the full run's maximum.
+    the differential's column count (so a rank mod p of cols - 1 is exact,
+    see _dim_at).  No trial returns more than cols - 5, so the trials stop
+    once the running maximum reaches it: ``trials`` is the most that run.
+    Each trial seeds its own generator from (seed, trial), so the trials
+    that run draw what a full run would, and give the full run's maximum.
     """
     _check_params(n, d)
     if trials < 1:
@@ -134,8 +135,14 @@ def _differential(g1, g2, h):
 
 
 def _dim_at(g1, g2, h):
-    """rank d(phi) - 4 at the point (g1, g2, h)."""
-    return ExactMatrix.from_rows(_differential(g1, g2, h)).rank() - 4
+    """rank d(phi) - 4 at (g1, g2, h).  Every minor mod p is the residue of
+    the same minor over Z, so rank mod p <= rank over Q <= cols - 1, and a
+    rank mod p of cols - 1 is the rank; any other is taken exactly."""
+    rows = _differential(g1, g2, h)
+    rank = _rank_mod_p(list(zip(*rows)))
+    if rank != len(rows[0]) - 1:
+        rank = ExactMatrix.from_rows(rows).rank()
+    return rank - 4
 
 
 @dataclass
@@ -242,17 +249,18 @@ def class_from_pushpull(n, d, dim_z):
     """Assemble [Z] from push-pull pairing degrees via Giambelli.
 
     Every coefficient is deg([Z] sigma_a sigma_b) - deg([Z] sigma_(a+1)
-    sigma_(b-1)) with both degrees produced by the bidegree pipeline.
-    For n = 3 and even dim_z the middle pairing deg([Z] sigma_b sigma_b)
-    is taken to be zero, and the resulting (signed) middle coefficient is
-    kept rather than suppressed.
+    sigma_(b-1)) with both degrees produced by the bidegree pipeline, each
+    once per call, as coefficients (a, b) and (a-1, b+1) share one.  For
+    n = 3 and even dim_z the middle pairing deg([Z] sigma_b sigma_b) is
+    taken to be zero, and the signed middle coefficient is kept.
     """
     _check_params(n, d)
     M = comb(n + d - 1, n) - 1
+    pair = functools.cache(lambda a, b: _pair_degree(n, M, a, b))
 
     def coefficient(a, b):
-        first = 0 if a == b and n == 3 else _pair_degree(n, M, a, b)
-        return first - _pair_degree(n, M, a + 1, b - 1)
+        first = 0 if a == b and n == 3 else pair(a, b)
+        return first - pair(a + 1, b - 1)
 
     return _assemble(n, d, dim_z, coefficient)
 

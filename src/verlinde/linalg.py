@@ -162,11 +162,6 @@ class ExactMatrix:
         return ExactMatrix(self.rows, self.cols + other.cols,
                            [self.entries[i] + other.entries[i] for i in range(self.rows)])
 
-    def vstack(self, other):
-        if self.cols != other.cols:
-            raise ValueError("column counts differ")
-        return ExactMatrix(self.rows + other.rows, self.cols, self.entries + other.entries)
-
     def scale(self, c):
         return ExactMatrix(self.rows, self.cols,
                            [[c * x for x in row] for row in self.entries])
@@ -331,6 +326,11 @@ def _echelon_mod_p(rest, width, c, base=None):
                 tops[i] = (row.bit_length() + 95) // 96
             mults[rest_idx[i]].append(f)
     return pivots, mults, zero_rows + rest_idx, records
+
+
+def _rank_mod_p(rows):
+    """Rank of integer rows modulo the first prime: at most that over Q."""
+    return len(_echelon_mod_p(_pack_mod_p(rows, _FOLDS[0]), len(rows[0]), _FOLDS[0])[0])
 
 
 def _left_kernel_mod_p(i, pivots, mults, p):

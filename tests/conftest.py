@@ -1,4 +1,5 @@
 import functools
+import importlib
 import math
 import sys
 from fractions import Fraction
@@ -47,19 +48,25 @@ def primes_used(echelons):
 
 
 @pytest.fixture
-def linalg_calls(monkeypatch):
-    """linalg_calls(name) wraps ``linalg.<name>``, wherever a ``verlinde``
-    module holds it, and returns the list of the positional arguments of
-    each call, as passed."""
-    def watch(name):
-        calls = []
-        original = getattr(linalg, name)
+def spy(monkeypatch):
+    """spy("module.name") wraps ``verlinde.<module>.<name>``, a function or a
+    method ("module.Class.method"), wherever a ``verlinde`` module holds
+    it, and returns the list of the positional arguments of each call, as
+    passed (a method's first is its instance)."""
+    def watch(path):
+        head, *attrs = path.split(".")
+        owner = importlib.import_module(f"verlinde.{head}")
+        for attr in attrs[:-1]:
+            owner = getattr(owner, attr)
+        name, calls = attrs[-1], []
+        original = getattr(owner, name)
 
         @functools.wraps(original)
         def counting(*args):
             calls.append(args)
             return original(*args)
 
+        monkeypatch.setattr(owner, name, counting)
         for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "verlinde"]:
             if vars(module).get(name) is original:
                 monkeypatch.setattr(module, name, counting)

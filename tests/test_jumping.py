@@ -20,7 +20,7 @@ from verlinde.jumping import (
     dim_z_jacobian,
     reconcile,
 )
-from verlinde.linalg import ExactMatrix
+from verlinde.linalg import ExactMatrix, _bareiss_rank
 from verlinde.polynomials import mult_matrix
 from verlinde.schubert import GrContext, SchubertClass
 
@@ -103,6 +103,11 @@ def test_degenerate_point_never_overshoots(n, d):
     assert _dim_at(g1, g1.scale(-3), h) <= bookkeeping_dim(n, d)
 
 
+def _scaling_vector(g1, g2, h):
+    """(g1, g2, -h), in the differential's column order."""
+    return g1.coeff_vector() + g2.coeff_vector() + (-h).coeff_vector()
+
+
 @pytest.mark.parametrize("n,d", DESK_PAIRS)
 def test_scaling_direction_caps_every_trial(n, d):
     # d(phi)(g1, g2, -h) = 0, so rank d(phi) <= cols - 1: the ceiling at
@@ -113,10 +118,52 @@ def test_scaling_direction_caps_every_trial(n, d):
     points.append((g1, g1.scale(-3), h))
     for g1, g2, h in points:
         rows = _differential(g1, g2, h)
-        vec = g1.coeff_vector() + g2.coeff_vector() + (-h).coeff_vector()
+        vec = _scaling_vector(g1, g2, h)
         assert len(vec) == len(rows[0]) == 2 * (n + 1) + comb(n + d - 1, n)
         assert all(sum(map(mul, row, vec)) == 0 for row in rows)
         assert _dim_at(g1, g2, h) <= len(rows[0]) - 5
+
+
+@pytest.mark.parametrize("n,d", DESK_PAIRS)
+def test_ceiling_certificate_agrees_with_bareiss(n, d, spy):
+    # a rank mod p of cols - 1 is the rank over Q: no kernel is certified
+    kernels = spy("linalg._certified_kernel")
+    for seed in range(5):
+        for trial in range(3):
+            point = _trial_point(n, d, seed, trial, 30)
+            assert _dim_at(*point) == _bareiss_rank(_differential(*point)) - 4
+    assert kernels == []
+
+
+@pytest.mark.parametrize("n,d", DESK_PAIRS)
+def test_below_the_ceiling_one_exact_rank_runs(n, d, spy):
+    # g2 = -3*g1 alone keeps rank d(phi) at cols - 1; with g1 | h the kernel
+    # holds (dg1, -3*dg1, -k*dg1) for every linear dg1, h = g1*k
+    ranks = spy("linalg.ExactMatrix.rank")
+    g1, _, k = _trial_point(n, d - 1, 0, 0, 30)
+    point = (g1, g1.scale(-3), g1 * k)
+    assert _dim_at(*point) == _bareiss_rank(_differential(*point)) - 4 < bookkeeping_dim(n, d)
+    assert len(ranks) == 1
+
+
+@pytest.mark.parametrize("n,d", DESK_PAIRS)
+def test_bad_prime_reading_below_the_ceiling_ranks_exactly(n, d, monkeypatch, spy):
+    monkeypatch.setattr(jumping, "_rank_mod_p", lambda columns: len(columns) - 2)
+    ranks = spy("linalg.ExactMatrix.rank")
+    point = _trial_point(n, d, 0, 0, 30)
+    assert _dim_at(*point) == _bareiss_rank(_differential(*point)) - 4 == bookkeeping_dim(n, d)
+    assert len(ranks) == 1
+
+
+def test_full_rank_is_ranked_exactly_not_capped(monkeypatch, spy):
+    # a differential without the scaling direction in its kernel has rank
+    # cols; the oracle must report that, and so miss the bookkeeping value
+    monkeypatch.setattr(jumping, "_differential",
+                        lambda *point: _differential(*point) + [_scaling_vector(*point)])
+    ranks = spy("linalg.ExactMatrix.rank")
+    for n, d in DESK_PAIRS:
+        assert dim_z_jacobian(n, d, trials=1) == bookkeeping_dim(n, d) + 1
+    assert len(ranks) == len(DESK_PAIRS)
 
 
 def all_trials_dim(n, d, trials, seed):
@@ -195,6 +242,53 @@ def test_class_from_formula_23():
 @pytest.mark.parametrize("n,d,dim", [(2, 2, 4), (2, 3, 7), (3, 2, 7)])
 def test_pushpull_agrees_with_formula(n, d, dim):
     assert class_from_pushpull(n, d, dim).cls == class_from_formula(n, d, dim).cls
+
+
+def pushpull_reference(n, d, dim_z):
+    """class_from_pushpull with every coefficient's two pairings computed
+    afresh."""
+    M = comb(n + d - 1, n) - 1
+
+    def coefficient(a, b):
+        first = 0 if a == b and n == 3 else jumping._pair_degree(n, M, a, b)
+        return first - jumping._pair_degree(n, M, a + 1, b - 1)
+
+    return jumping._assemble(n, d, dim_z, coefficient)
+
+
+@pytest.mark.parametrize("n,d", DESK_PAIRS)
+def test_pushpull_computes_each_pairing_once(n, d, spy):
+    pairings = spy("jumping._pair_degree")
+    reference = pushpull_reference(n, d, bookkeeping_dim(n, d))
+    needed = set(pairings)
+    assert len(needed) < len(pairings)  # neighbours share a pairing
+    pairings.clear()
+    rep = reconcile(n, d)
+    assert rep.dim_z_oracle == bookkeeping_dim(n, d)
+    assert sorted(pairings) == sorted(needed)
+    assert rep.class_pushpull.cls == reference.cls
+    assert rep.class_pushpull.out_of_range == reference.out_of_range
+    oracle = class_from_formula(n, d, rep.dim_z_oracle).cls
+    assert rep.coefficient_table == [
+        {"a": a, "b": b, "theorem": oracle.coefficient(a, b),
+         "pushpull": reference.cls.coefficient(a, b),
+         "equal": oracle.coefficient(a, b) == reference.cls.coefficient(a, b)}
+        for a, b in sorted(set(oracle.coeffs) | set(reference.cls.coeffs))]
+
+
+@pytest.mark.parametrize("n,d", [(2, 3), (3, 2)])
+def test_pushpull_mismatch_at_any_pairing_raises(n, d, monkeypatch, spy):
+    dim = bookkeeping_dim(n, d)
+    pipeline = spy("jumping.bidegree_degree")
+    counted = jumping.bidegree_degree
+    class_from_pushpull(n, d, dim)
+    for k in range(len(pipeline)):
+        pipeline.clear()
+        # the pipeline disagrees with the binomial at its k-th pairing only
+        monkeypatch.setattr(jumping, "bidegree_degree",
+                            lambda cls, k=k: counted(cls) + (len(pipeline) == k + 1))
+        with pytest.raises(PushPullMismatchError):
+            class_from_pushpull(n, d, dim)
 
 
 def test_pushpull_rejects_wrong_dimension():

@@ -97,12 +97,17 @@ def test_unimodular_has_full_rank(n, seed):
     assert m.rank() == n
 
 
+def vstack(top, bottom):
+    """[top; bottom]; the constructor refuses differing column counts."""
+    return ExactMatrix.from_rows(top.entries + bottom.entries, cols=top.cols)
+
+
 def test_matmul_and_stacking():
     a = ExactMatrix.from_rows([[1, 2], [3, 4]])
     b = ExactMatrix.from_rows([[0, 1], [1, 0]])
     assert (a @ b).entries == [[2, 1], [4, 3]]
     assert a.hstack(b).cols == 4
-    assert a.vstack(b).rows == 4
+    assert vstack(a, b).rows == 4
     with pytest.raises(ValueError):
         a.hstack(ExactMatrix.zero(3, 1))
 
@@ -170,8 +175,8 @@ def test_left_kernel_is_a_certified_basis(m):
     _check_left_kernel(m)
 
 
-def test_left_kernel_past_one_prime_combines_primes(linalg_calls):
-    echelons, bareiss = linalg_calls("_echelon_mod_p"), linalg_calls("_bareiss")
+def test_left_kernel_past_one_prime_combines_primes(spy):
+    echelons, bareiss = spy("linalg._echelon_mod_p"), spy("linalg._bareiss")
     big = 2**40
     # the kernel is spanned by (2^40, 0, -1), past one prime's reconstruction bound
     m = ExactMatrix.from_rows([[1, 2, 3], [4, 5, 7], [big, 2 * big, 3 * big]])
@@ -251,10 +256,10 @@ def test_lift_keeps_every_entry_within_the_bound():
                 assert f.numerator % p == a * f.denominator % p
 
 
-def test_a_bad_prime_after_a_good_one_is_skipped(linalg_calls):
+def test_a_bad_prime_after_a_good_one_is_skipped(spy):
     # rank 2 over Q and modulo the first prime, rank 1 modulo the second;
     # the kernel vector (-50000, -1, 1) needs two primes: the first and third
-    echelons = linalg_calls("_echelon_mod_p")
+    echelons = spy("linalg._echelon_mod_p")
     q = 2**30 - linalg._FOLDS[1]
     m = ExactMatrix.from_rows([[1, 0], [0, q], [50000, q]])
     assert m.left_kernel() in ([[-50000, -1, 1]], [[50000, 1, -1]])
@@ -366,7 +371,7 @@ def test_resumed_echelon_gives_the_stacked_kernel_mod_p(rows, data):
 def test_packed_echelon_on_a_reference_cell_pencil():
     ctx = context(3, 4, 8)
     pencil = verlinde_pencil(ctx, sample_line(ctx, "random", seed=0))
-    rows = pencil.A.transpose().vstack(pencil.B.transpose()).entries
+    rows = vstack(pencil.A.transpose(), pencil.B.transpose()).entries
     assert (len(rows), len(rows[0])) == (70, 165)
     assert packed_echelon_mod_p(rows) == reference_echelon_mod_p(rows)
 
@@ -390,8 +395,8 @@ def test_fold_keeps_packed_slots_apart():
                 assert s < 2**31 and s % p == full % p
 
 
-def test_bad_prime_takes_a_second_prime(linalg_calls):
-    echelons, bareiss = linalg_calls("_echelon_mod_p"), linalg_calls("_bareiss")
+def test_bad_prime_takes_a_second_prime(spy):
+    echelons, bareiss = spy("linalg._echelon_mod_p"), spy("linalg._bareiss")
     # rank 2 over Q, rank 1 modulo the engine's first prime
     m = ExactMatrix.from_rows([[_P, 0], [0, 1]])
     assert m.rank() == naive_rank(m) == 2
@@ -399,8 +404,8 @@ def test_bad_prime_takes_a_second_prime(linalg_calls):
     assert primes_used(echelons) == 2 and bareiss == []
 
 
-def test_kernel_past_reconstruction_bound_combines_primes(linalg_calls):
-    echelons, bareiss = linalg_calls("_echelon_mod_p"), linalg_calls("_bareiss")
+def test_kernel_past_reconstruction_bound_combines_primes(spy):
+    echelons, bareiss = spy("linalg._echelon_mod_p"), spy("linalg._bareiss")
     # The engine takes kernel vectors on the short side (rows when square).
     # Third row 2^40 times the first: that kernel is spanned by
     # (2^40, 0, -1), past one prime's reconstruction bound.
@@ -415,15 +420,15 @@ def test_kernel_past_reconstruction_bound_combines_primes(linalg_calls):
     assert primes_used(echelons) >= 2 and bareiss == []
 
 
-def test_deficient_rank_certified_without_fallback(linalg_calls):
-    echelons, bareiss = linalg_calls("_echelon_mod_p"), linalg_calls("_bareiss")
+def test_deficient_rank_certified_without_fallback(spy):
+    echelons, bareiss = spy("linalg._echelon_mod_p"), spy("linalg._bareiss")
     m = ExactMatrix.from_rows([[1, 2, 3], [4, 5, 6], [5, 7, 9], [2, 4, 6]])
     assert m.rank() == m.transpose().rank() == 2
     assert primes_used(echelons) == 1 and bareiss == []
 
 
-def test_line_queries_stay_modular(linalg_calls):
-    echelons, bareiss = linalg_calls("_echelon_mod_p"), linalg_calls("_bareiss")
+def test_line_queries_stay_modular(spy):
+    echelons, bareiss = spy("linalg._echelon_mod_p"), spy("linalg._bareiss")
     ctx = context(2, 3, 5)
     line = sample_line(ctx, "random", seed="modular-only")
     splitting_type(verlinde_pencil(ctx, line))
@@ -438,24 +443,17 @@ def _all_int(rows):
     return all(type(x) is int for row in rows for x in row)
 
 
-def test_integer_line_stays_integer(monkeypatch):
+def test_integer_line_stays_integer(spy):
     ctx = context(2, 3, 5)
     line = sample_line(ctx, "random", seed="normal-form")
     pencil = verlinde_pencil(ctx, line)
     assert _all_int(mult_matrix(line.f1, ctx.k - ctx.d).entries)
     assert _all_int(pencil.at(3, -7).entries)
     assert _all_int(sylvester_block(pencil, 2).entries)
-    # the Jacobian rows as built, before the matrix constructor sees them
-    built = []
-    from_rows = ExactMatrix.from_rows
-
-    def spy(rows, cols=None):
-        built.append(rows)
-        return from_rows(rows, cols)
-
-    monkeypatch.setattr(ExactMatrix, "from_rows", spy)
+    # the Jacobian's columns as _dim_at packs them, with no constructor check
+    packed = spy("linalg._rank_mod_p")
     dim_z_jacobian(2, 3, trials=1)
-    assert built and all(_all_int(rows) for rows in built)
+    assert packed and all(_all_int(columns) for columns, in packed)
 
 
 def test_scalar_normal_form():

@@ -228,8 +228,8 @@ def test_recursion_matches_engine_ranks_on_a_planted_line():
     assert twisted_section_dims(p, 7) == [21, 15, 10, 6, 3, 1, 0]
 
 
-def test_unliftable_kernel_takes_a_second_prime(linalg_calls):
-    echelons, bareiss = linalg_calls("_echelon_mod_p"), linalg_calls("_bareiss")
+def test_unliftable_kernel_takes_a_second_prime(spy):
+    echelons, bareiss = spy("linalg._echelon_mod_p"), spy("linalg._bareiss")
     big = 2**40
     left = [[int(i == j) for j in range(6)] for i in range(6)]
     left[0][3], left[2][5] = big, -big
@@ -245,11 +245,11 @@ def test_unliftable_kernel_takes_a_second_prime(linalg_calls):
 
 @pytest.mark.parametrize("cell", [(2, 2, 5), (3, 2, 4)])
 @pytest.mark.parametrize("seed", range(10))
-def test_planted_lines_need_at_most_two_primes(linalg_calls, cell, seed):
+def test_planted_lines_need_at_most_two_primes(spy, cell, seed):
     # Normalized kernel vectors feed the next step as residues, so their
     # size does not compound: where they pass one prime's reconstruction
     # bound, as at (2,2,5), two primes lift every step.
-    echelons, bareiss = linalg_calls("_echelon_mod_p"), linalg_calls("_bareiss")
+    echelons, bareiss = spy("linalg._echelon_mod_p"), spy("linalg._bareiss")
     ctx = context(*cell)
     p = verlinde_pencil(ctx, sample_line(ctx, "jumping:1", seed=seed))
     splitting_type(p)
@@ -258,8 +258,8 @@ def test_planted_lines_need_at_most_two_primes(linalg_calls, cell, seed):
     assert twisted_section_dims(p, len(want)) == want
 
 
-def test_packed_state_is_released_once_h_reaches_0(linalg_calls):
-    echelons = linalg_calls("_echelon_mod_p")
+def test_packed_state_is_released_once_h_reaches_0(spy):
+    echelons = spy("linalg._echelon_mod_p")
     ctx = context(2, 2, 5)
     random_line = verlinde_pencil(ctx, sample_line(ctx, "random", seed=1))
     planted = verlinde_pencil(ctx, sample_line(ctx, "jumping:1", seed=0))
@@ -287,10 +287,10 @@ def test_resumed_steps_match_sylvester_ranks_on_degenerate_pencils(kind, seed):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_b_losing_rank_mod_p_takes_a_second_prime(linalg_calls, seed):
+def test_b_losing_rank_mod_p_takes_a_second_prime(spy, seed):
     # both equivalences over Q keep the type, but leave B^T with zero rows
     # modulo the engine's first prime: all of B, or a column of A and of B
-    echelons, bareiss = linalg_calls("_echelon_mod_p"), linalg_calls("_bareiss")
+    echelons, bareiss = spy("linalg._echelon_mod_p"), spy("linalg._bareiss")
     prime = 2**30 - linalg._FOLDS[0]
     rng = random.Random(f"bad-prime:{seed}")
     w = rng.randint(3, 7)
