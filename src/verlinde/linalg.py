@@ -26,9 +26,16 @@ after the last bad one multiply past 2 H**2, every vector lifts and passes
 its check.  Should the primes below 2**30 run out first (their product
 exceeds 2**(7 * 10**8)), ArithmeticError is raised.
 
-The elimination packs each working row into one int, a 96-bit slot per
-column, updated by one multiply-add of the pivot row folded under 2**31
-(``_fold``): a slot carries only after 2**35 updates.  It resumes: rows
+Packing.  A matrix is packed once, exactly (``_pack``): a row x is one int
+E = sum x_j 2**(96 (w-1-j)), from one struct.pack of signed 32-bit fields
+in 96-bit slots, less 2**32 at its negative slots, marked by N.  If every
+x is in [-2**29, 2**29), its residues mod p are E + p N, as x mod p = x + p
+for -p < x < 0; another row reduces each entry.  A lifted vector is
+checked over Z by one packed sum (``_annihilates``).
+
+The elimination takes each working row as one int of residues, updated
+by one multiply-add of the pivot row folded under 2**31 (``_fold``): a
+slot carries only after 2**35 updates.  It resumes: rows
 stacked below eliminated ones are reduced by their pivot records, then
 among themselves, so a block shared by a sequence of matrices (a pencil's
 B^T) is eliminated once per prime.
@@ -202,12 +209,12 @@ class ExactMatrix:
     def left_kernel(self):
         """Integer basis of the left kernel {z : z M = 0}, as row vectors:
         the normalized vectors of ``_certified_kernel``, scaled to Z."""
-        rows = self.entries
-        if not rows:
+        if not self.entries:
             return []
+        packed = _pack(self.entries)
         return list(_certified_kernel(
-            (), lambda c: _echelon_mod_p(_pack_mod_p(rows, c), self.cols, c),
-            functools.partial(_annihilates, rows))[0].values())
+            (), lambda c: _echelon_mod_p(_pack_mod_p(packed, c), self.cols, c),
+            functools.partial(_annihilates, packed))[0].values())
 
     def to_json(self):
         return [[str(x) for x in row] for row in self.entries]
@@ -223,11 +230,13 @@ class ExactMatrix:
 
 @functools.cache
 def _packing(width):
-    """The Struct that packs ``width`` residues into 96-bit slots, and the
-    masks of every slot's low 30 bits and of its high 66 bits."""
-    return (struct.Struct(">" + "8xI" * width),
+    """The Struct that packs ``width`` signed 32-bit ints into the low bits of
+    96-bit slots, and the masks of every slot's low 30 bits, of its high 66
+    bits and of its lowest bit."""
+    return (struct.Struct(">" + "8xi" * width),
             int.from_bytes((bytes(8) + b"\x3f\xff\xff\xff") * width, "big"),
-            int.from_bytes((b"\xff" * 8 + b"\xc0\0\0\0") * width, "big"))
+            int.from_bytes((b"\xff" * 8 + b"\xc0\0\0\0") * width, "big"),
+            int.from_bytes((bytes(11) + b"\1") * width, "big"))
 
 
 def _primes(first=()):
@@ -261,11 +270,45 @@ def _fold(x, lo, hi, c):
     return x
 
 
-def _pack_mod_p(rows, c):
-    """Each integer row's residues mod 2**30 - c packed into one int."""
+def _pack_wide(rows, size):
+    """Each row as sum x_j 2**(8 size (w-1-j)), every |x| < 2**(8 size - 1):
+    each x + 2**(8 size - 1) in an unsigned field of size bytes, less those."""
+    half = 1 << 8 * size - 1
+    offset = half * int.from_bytes((bytes(size - 1) + b"\1") * len(rows[0]), "big")
+    return [int.from_bytes(b"".join([(x + half).to_bytes(size, "big") for x in row]), "big")
+            - offset for row in rows]
+
+
+def _pack(rows):
+    """Nonempty integer rows packed once, exactly (see the module docstring):
+    (rows, [E], [N], top, {}).  A wide row, with an entry outside
+    [-2**29, 2**29), has N None and E 0, and sets top >= 2**95; top bounds
+    every |x|.  The dict caches ``_annihilates``'s wider packings."""
+    packer, _, high, ones = _packing(len(rows[0]))
+    exact, marks, top, half = [], [], 2**29, ones << 29
+    for row in rows:
+        try:
+            e = int.from_bytes(packer.pack(*row), "big")
+            n = (e >> 31) & ones  # the sign bits of the 32-bit fields
+            e -= n << 32
+            if (e + half) & high:  # a slot of E + 2**29 outside [0, 2**30)
+                raise struct.error
+        except struct.error:
+            e, n, top = 0, None, max(top, 2**95, *map(abs, row))
+        exact.append(e)
+        marks.append(n)
+    return rows, exact, marks, top, {}
+
+
+def _pack_mod_p(packed, c):
+    """The residues mod p = 2**30 - c of rows packed by ``_pack``, each row's
+    in one int: E + p N, as x mod p = x + p for -p < x < 0."""
+    rows, exact, marks, _, _ = packed
     p = 2**30 - c
     packer = _packing(len(rows[0]))[0]
-    return [int.from_bytes(packer.pack(*[x % p for x in row]), "big") for row in rows]
+    return [e + p * n if n is not None else
+            int.from_bytes(packer.pack(*[x % p for x in row]), "big")
+            for row, e, n in zip(rows, exact, marks)]
 
 
 def _echelon_mod_p(rest, width, c, base=None):
@@ -286,7 +329,7 @@ def _echelon_mod_p(rest, width, c, base=None):
     earlier column may be nonzero here), then eliminated among themselves.
     """
     p = 2**30 - c
-    _, lo, hi = _packing(width)
+    _, lo, hi, _ = _packing(width)
     slot = (1 << 96) - 1
     pivots, mults, zero_rows, records = base or ([], [], [], [])
     first = len(mults)
@@ -330,7 +373,7 @@ def _echelon_mod_p(rest, width, c, base=None):
 
 def _rank_mod_p(rows):
     """Rank of integer rows modulo the first prime: at most that over Q."""
-    return len(_echelon_mod_p(_pack_mod_p(rows, _FOLDS[0]), len(rows[0]), _FOLDS[0])[0])
+    return len(_echelon_mod_p(_pack_mod_p(_pack(rows), _FOLDS[0]), len(rows[0]), _FOLDS[0])[0])
 
 
 def _left_kernel_mod_p(i, pivots, mults, p):
@@ -388,16 +431,26 @@ def _packed_combinations(fed, packed, width, c):
     """The packed residues mod 2**30 - c of sum r_j row_j for each sparse
     vector (support, residues), given the rows packed; support past the
     last row is ignored."""
-    _, lo, hi = _packing(width)
+    _, lo, hi, _ = _packing(width)
     n = len(packed)
     return [_fold(sum([r * packed[j] for j, r in zip(*z) if j < n]), lo, hi, c) for z in fed]
 
 
-def _annihilates(rows, vec):
-    """Whether vec . rows is zero over Z: one dot product per column, over
-    the rows where vec is nonzero."""
-    coeffs, support = zip(*[(c, row) for c, row in zip(vec, rows) if c])
-    return not any(sum(map(mul, coeffs, col)) for col in zip(*support))
+def _annihilates(packed, vec):
+    """Whether vec . rows = 0 over Z, for rows packed by ``_pack``.  In
+    slots of 96 m bits, sum vec_i E_i = sum s_j 2**(96 m (w-1-j)), s_j the
+    column sums, |s_j| <= b = top sum |vec_i|.  For the least m with
+    b < 2**(96 m - 1), it is 0 only when every s_j is: at its lowest slot k
+    with s_j != 0 it is s_j 2**(96 m k) mod 2**(96 m (k+1)), and
+    0 < |s_j| < 2**(96 m).  m = 1 uses E (a wide row makes m > 1 unless
+    vec = 0); a wider m packs the rows again, once per m."""
+    rows, exact, _, top, wider = packed
+    m = (top * sum(map(abs, vec))).bit_length() // 96 + 1
+    if m > 1:
+        if m not in wider:
+            wider[m] = _pack_wide(rows, 12 * m)
+        exact = wider[m]
+    return not sum(map(mul, vec, exact))
 
 
 def _certified_kernel(first, eliminate, exact, k=1):
@@ -411,17 +464,17 @@ def _certified_kernel(first, eliminate, exact, k=1):
     k agree.  One prime lifts its sparse residues; several combine dense
     ones by CRT.
     """
-    group, basis, sparse = [], {}, []
+    group, basis, sparse = {}, {}, []
     for c in _primes(first):
         echelon = eliminate(c)
         if echelon is None:
             continue
         pivots, mults, zero_rows, _ = echelon
-        if group and len(zero_rows) > len(group[0][3]):
+        if group and len(zero_rows) > len(zeros):
             continue
-        if group and zero_rows != group[0][3]:
-            group, basis, sparse = [], {}, []
-        group.append((c, pivots, mults, zero_rows))
+        if not group or zero_rows != zeros:
+            group, basis, sparse, zeros = {}, {}, [], zero_rows
+        group[c] = echelon
         if len(group) < k:
             continue
         size = len(pivots) + len(zero_rows)
@@ -435,7 +488,7 @@ def _certified_kernel(first, eliminate, exact, k=1):
                 sparse.append((support, residues))
             else:
                 x, m = [0] * size, 1
-                for q, piv, mults_, _ in group:
+                for q, (piv, mults_, _, _) in group.items():
                     p, dense = 2**30 - q, [0] * size
                     for j, r in zip(*_left_kernel_mod_p(i, piv, mults_, p)):
                         dense[j] = r
@@ -447,7 +500,7 @@ def _certified_kernel(first, eliminate, exact, k=1):
                 break
             basis[i] = vec
         else:  # basis was filled in the order of zero_rows
-            return basis, [g[0] for g in group], sparse if len(group) == 1 else None
+            return basis, list(group), sparse if len(group) == 1 else None
     raise ArithmeticError("no prime left between 2**29 and 2**30")
 
 

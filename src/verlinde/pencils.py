@@ -25,8 +25,8 @@ import math
 import random
 from operator import mul
 
-from .linalg import (ExactMatrix, _certified_kernel, _echelon_mod_p, _pack_mod_p,
-                     _packed_combinations, int_from_json, random_unimodular)
+from .linalg import (ExactMatrix, _annihilates, _certified_kernel, _echelon_mod_p, _pack,
+                     _pack_mod_p, _packed_combinations, int_from_json, random_unimodular)
 
 __all__ = [
     "Pencil",
@@ -252,40 +252,42 @@ def _section_dims(pencil, t_max):
     as a new list, by the recursion of ``twisted_section_dims``.  The
     pencil keeps (dims, tails, primes): the values so far; L, normalized,
     as integer rows over a common denominator (None for I_u); and until h
-    reaches 0, how many primes the last step used and, by prime, A^T's
-    packed rows, B^T's elimination and L's residues, the last step's primes
-    first.  So only the missing steps run, B^T is eliminated once per prime,
-    and a step starts with as many primes as the last one used."""
+    reaches 0, how many primes the last step used, by prime A^T's residues,
+    B^T's elimination and L's residues, the last step's primes first, and
+    [A^T ; B^T] packed.  So only the missing steps run, the pencil is packed
+    once, B^T eliminated once per prime, and a step starts with as many
+    primes as the last one used."""
     u, w = pencil.u, pencil.w
     if pencil._sections is None:
-        pencil._sections = ([u], None, (1, {}))
+        at_bt = list(zip(*pencil.A.entries)) + list(zip(*pencil.B.entries))
+        pencil._sections = ([u], None, (1, {}, _pack(at_bt) if u else None))
     dims, tails, primes = pencil._sections
-    A, B = pencil.A.entries, pencil.B.entries
+
+    # eliminate and kills read the step's fields, packed, T, den and cols, bound below
+    def eliminate(c):  # M mod p = 2**30 - c; None if p divides den
+        if c not in fields:
+            residues = _pack_mod_p(packed, c)
+            fields[c] = [residues[:u], _echelon_mod_p(residues[u:], w, c), None]
+        pa, base, fed = field = fields[c]
+        if T is None:
+            return _echelon_mod_p(pa[:], w, c, base)
+        if fed is None:
+            p = 2**30 - c
+            if not den % p:
+                return None
+            inv = pow(den, -1, p)
+            fed = field[2] = [(range(u), [x * inv % p for x in row]) for row in T]
+        return _echelon_mod_p(_packed_combinations(fed, pa, w, c), w, c, base)
+
+    def kills(z):  # z = (y, c) kills M when A v + B y = 0, v = c L = c T / den
+        y, v = z[:u], z[u:]
+        if cols is not None:
+            v = [sum(map(mul, v, col)) for col in cols]
+        return _annihilates(packed, v + [den * x for x in y])
+
     while dims[-1] and len(dims) < t_max:
-        (k, fields), (T, den) = primes, tails or (None, 1)
+        (k, fields, packed), (T, den) = primes, tails or (None, 1)
         cols = T and list(zip(*T))
-
-        def eliminate(c):  # M mod p = 2**30 - c; None if p divides den
-            if c not in fields:
-                fields[c] = [_pack_mod_p(list(zip(*A)), c),
-                             _echelon_mod_p(_pack_mod_p(list(zip(*B)), c), w, c), None]
-            pa, base, fed = field = fields[c]
-            if T is None:
-                return _echelon_mod_p(pa[:], w, c, base)
-            if fed is None:
-                p = 2**30 - c
-                if not den % p:
-                    return None
-                inv = pow(den, -1, p)
-                fed = field[2] = [(range(u), [x * inv % p for x in row]) for row in T]
-            return _echelon_mod_p(_packed_combinations(fed, pa, w, c), w, c, base)
-
-        def kills(z):  # z = (y, c) kills M when A v + B y = 0, v = c L = c T / den
-            y, v = z[:u], z[u:]
-            if cols is not None:
-                v = [sum(map(mul, v, col)) for col in cols]
-            return not any(sum(map(mul, a, v)) + den * sum(map(mul, b, y)) for a, b in zip(A, B))
-
         kernel, used, sparse = _certified_kernel(list(fields), eliminate, kills, k)
         dims = dims + [len(kernel)]
         if kernel:
@@ -296,7 +298,7 @@ def _section_dims(pencil, t_max):
                 field[2] = None
             if sparse is not None:  # one prime: its residues are L's
                 fields[used[0]][2] = sparse
-            primes = (len(used), {c: fields[c] for c in used + list(fields)})
+            primes = (len(used), {c: fields[c] for c in used + list(fields)}, packed)
         else:
             tails, primes = ([], 1), None
         pencil._sections = (dims, tails, primes)
@@ -328,8 +330,9 @@ def twisted_section_dims(pencil, t_max):
     the packed rows of A^T, by B^T's pivot records and then among
     themselves.  ``linalg._certified_kernel`` certifies the kernel vectors
     z = (y, c), each 1 at its own zero row and 0 at the others: lifted, z
-    is checked through z M = (c L) A^T + y B^T, A (c L)^T + B y^T = 0,
-    2w dot products of length u.  L is the y parts each divided by its
+    is checked through z M = (c L) A^T + y B^T, L = T / den, as one packed
+    sum (``linalg._annihilates``): (c T, den y) [A^T ; B^T] = 0, with
+    [A^T ; B^T] packed once per pencil.  L is the y parts each divided by its
     entry at its zero row, and a step is fed the residues of those
     normalized vectors, not of lifted ones.
 

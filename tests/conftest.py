@@ -1,8 +1,10 @@
 import functools
 import importlib
 import math
+import struct
 import sys
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -40,6 +42,20 @@ def bareiss_left_kernel(rows):
     aug = [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(rows)]
     r = linalg._bareiss(aug, n)
     return [[x // math.gcd(*row[n:]) for x in row[n:]] for row in aug[r:]]
+
+
+def per_entry_pack_mod_p(rows, c):
+    """The packer ``linalg._pack_mod_p`` replaced: each entry reduced by
+    x % p, p = 2**30 - c, into its own 96-bit slot, one int per row."""
+    p = 2**30 - c
+    packer = struct.Struct(">" + "8xI" * len(rows[0]))
+    return [int.from_bytes(packer.pack(*[x % p for x in row]), "big") for row in rows]
+
+
+def dense_annihilates(rows, vec):
+    """The check ``linalg._annihilates`` replaced: whether vec . rows is
+    zero over Z, one dot product per column."""
+    return not any(sum(map(mul, vec, col)) for col in zip(*rows))
 
 
 def primes_used(echelons):

@@ -96,11 +96,22 @@ def test_factored_rank_equals_pluecker_rows_any_seed(pair, seed, trial):
     assert _dim_at(*point) == pluecker_dim(*point)
 
 
+def _degenerate_point(n, d):
+    """(g1, -3*g1, g1*k), deg k = d - 2.  g2 = -3*g1 makes a ^ b = 0, and
+    with g1 | h the kernel of d(phi) holds (dg1, -3*dg1, -k*dg1) for every
+    linear dg1: n + 1 directions, so rank d(phi) = cols - n - 1 (g2 = -3*g1
+    alone keeps the rank at the ceiling cols - 1)."""
+    g1, _, k = _trial_point(n, d - 1, 0, 0, 30)
+    return g1, g1.scale(-3), g1 * k
+
+
 @pytest.mark.parametrize("n,d", DESK_PAIRS)
 def test_degenerate_point_never_overshoots(n, d):
-    # g2 = -3*g1 makes a ^ b = 0, where the kernel argument does not apply
-    g1, _, h = _trial_point(n, d, 0, 0, 30)
-    assert _dim_at(g1, g1.scale(-3), h) <= bookkeeping_dim(n, d)
+    # a ^ b = 0 there, where the kernel argument does not apply
+    point = _degenerate_point(n, d)
+    cols = len(_differential(*point)[0])
+    assert _dim_at(*point) + 4 == _bareiss_rank(_differential(*point)) == cols - n - 1
+    assert _dim_at(*point) < bookkeeping_dim(n, d)
 
 
 def _scaling_vector(g1, g2, h):
@@ -112,11 +123,9 @@ def _scaling_vector(g1, g2, h):
 def test_scaling_direction_caps_every_trial(n, d):
     # d(phi)(g1, g2, -h) = 0, so rank d(phi) <= cols - 1: the ceiling at
     # which dim_z_jacobian stops, checked at reconcile's default trial
-    # points and at the degenerate point g2 = -3*g1
+    # points and at the degenerate point, below it
     points = [_trial_point(n, d, 0, trial, 30) for trial in range(3)]
-    g1, _, h = points[0]
-    points.append((g1, g1.scale(-3), h))
-    for g1, g2, h in points:
+    for g1, g2, h in points + [_degenerate_point(n, d)]:
         rows = _differential(g1, g2, h)
         vec = _scaling_vector(g1, g2, h)
         assert len(vec) == len(rows[0]) == 2 * (n + 1) + comb(n + d - 1, n)
@@ -137,11 +146,8 @@ def test_ceiling_certificate_agrees_with_bareiss(n, d, spy):
 
 @pytest.mark.parametrize("n,d", DESK_PAIRS)
 def test_below_the_ceiling_one_exact_rank_runs(n, d, spy):
-    # g2 = -3*g1 alone keeps rank d(phi) at cols - 1; with g1 | h the kernel
-    # holds (dg1, -3*dg1, -k*dg1) for every linear dg1, h = g1*k
     ranks = spy("linalg.ExactMatrix.rank")
-    g1, _, k = _trial_point(n, d - 1, 0, 0, 30)
-    point = (g1, g1.scale(-3), g1 * k)
+    point = _degenerate_point(n, d)
     assert _dim_at(*point) == _bareiss_rank(_differential(*point)) - 4 < bookkeeping_dim(n, d)
     assert len(ranks) == 1
 

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from verlinde import linalg
 from verlinde.family import context, is_generic_type, sample_line, verlinde_pencil, zero_count
-from verlinde.jumping import dim_z_jacobian
+from verlinde.jumping import _differential, _trial_point, dim_z_jacobian
 from verlinde.linalg import ExactMatrix, random_unimodular
 from verlinde.pencils import Pencil, splitting_type, sylvester_block
 from verlinde.polynomials import (
@@ -20,7 +21,8 @@ from verlinde.polynomials import (
 )
 from verlinde.suites import _span_rank_oracle
 
-from conftest import bareiss_left_kernel, naive_rank, primes_used
+from conftest import (bareiss_left_kernel, dense_annihilates, naive_rank,
+                      per_entry_pack_mod_p, primes_used)
 
 
 def test_identity_rank_and_kernel():
@@ -299,10 +301,13 @@ def reference_echelon_mod_p(rows):
     return pivots, mults, rest_idx
 
 
+def residues_mod_p(rows):
+    return linalg._pack_mod_p(linalg._pack(rows), _C)
+
+
 def packed_echelon_mod_p(rows):
     """The packed elimination without a base, in the reference's terms."""
-    packed = linalg._pack_mod_p(rows, _C)
-    pivots, mults, zero_rows, _ = linalg._echelon_mod_p(packed, len(rows[0]), _C)
+    pivots, mults, zero_rows, _ = linalg._echelon_mod_p(residues_mod_p(rows), len(rows[0]), _C)
     return pivots, mults, zero_rows
 
 
@@ -353,9 +358,9 @@ def test_resumed_echelon_gives_the_stacked_kernel_mod_p(rows, data):
     # rank mod p of all the rows, and each zero row's vector kills them mod p
     cut = data.draw(st.integers(1, len(rows)))
     width = len(rows[0])
-    base = linalg._echelon_mod_p(linalg._pack_mod_p(rows[:cut], _C), width, _C)
+    base = linalg._echelon_mod_p(residues_mod_p(rows[:cut]), width, _C)
     snapshot = repr(base)
-    resumed = (linalg._echelon_mod_p(linalg._pack_mod_p(rows[cut:], _C), width, _C, base)
+    resumed = (linalg._echelon_mod_p(residues_mod_p(rows[cut:]), width, _C, base)
                if cut < len(rows) else base)
     assert repr(base) == snapshot
     pivots, mults, zero_rows, _ = resumed
@@ -376,6 +381,82 @@ def test_packed_echelon_on_a_reference_cell_pencil():
     assert packed_echelon_mod_p(rows) == reference_echelon_mod_p(rows)
 
 
+# ------------------------------------ the exact packing and its uses
+
+_PACK_EDGES = _EDGE_ENTRIES + (2**29 - 1, -(2**29 - 1), 2**29, -2**29, 2**31, -2**31, -2**40)
+
+
+@given(st.integers(0, 12).flatmap(lambda cols: st.lists(
+           st.lists(st.one_of(st.sampled_from(_PACK_EDGES), st.integers(-2**29, 2**29)),
+                    min_size=cols, max_size=cols), min_size=1, max_size=8)),
+       st.sampled_from(linalg._FOLDS + (297,)))
+@settings(max_examples=200, deadline=None)
+def test_pack_is_exact_and_its_residues_match_the_per_entry_packer(rows, c):
+    packed = linalg._pack(rows)
+    _, exact, marks, top, wider = packed
+    for row, e, n in zip(rows, exact, marks):
+        assert (n is None) == any(not -2**29 <= x < 2**29 for x in row)  # a wide row
+        if n is None:
+            assert e == 0 and top >= 2**95
+        else:
+            assert e == sum(x << 96 * (len(row) - 1 - j) for j, x in enumerate(row))
+            assert n == sum(1 << 96 * (len(row) - 1 - j) for j, x in enumerate(row) if x < 0)
+    assert top >= max([abs(x) for row in rows for x in row], default=0) and wider == {}
+    assert linalg._pack_mod_p(packed, c) == per_entry_pack_mod_p(rows, c)
+
+
+def test_pack_mod_p_matches_on_a_pencil_and_a_differential():
+    ctx = context(3, 4, 8)
+    pencil = verlinde_pencil(ctx, sample_line(ctx, "random", seed=0))
+    columns = list(zip(*_differential(*_trial_point(3, 5, 0, 0, 30))))
+    for rows in (pencil.A.transpose().entries, pencil.B.transpose().entries, columns):
+        packed = linalg._pack(rows)
+        assert None not in packed[2]  # the fast path
+        for c in linalg._FOLDS[:2]:
+            assert linalg._pack_mod_p(packed, c) == per_entry_pack_mod_p(rows, c)
+
+
+@given(_integer_matrices(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_annihilates_agrees_with_the_dense_check(m, data):
+    if not m.rows:
+        return
+    packed = linalg._pack(m.entries)
+    coeff = st.integers(-2**120, 2**120) if data.draw(st.booleans()) else st.integers(-9, 9)
+    vecs = [data.draw(st.lists(coeff, min_size=m.rows, max_size=m.rows))]
+    for z in m.left_kernel():  # kernel vectors, then each with one entry nudged
+        i = data.draw(st.integers(0, m.rows - 1))
+        vecs += [z, z[:i] + [z[i] + 1] + z[i + 1:]]
+    for vec in vecs:
+        assert linalg._annihilates(packed, vec) == dense_annihilates(m.entries, vec)
+
+
+@pytest.mark.parametrize("rows,vec", [
+    ([[-1, 0], [0, 1]], [1, 2**96]),             # small rows, a vector past the bound
+    ([[-1, 0], [0, 2**48]], [1, 2**48]),         # a wide row
+    ([[-2**28, 0], [0, 2**28]], [2**68, 2**164]),  # slot sums past 2**96
+])
+def test_annihilates_rejects_slot_sums_that_cancel_by_a_carry(rows, vec):
+    # the column sums are (-s, 2**96 s), s != 0, so sum vec_i E_i is 0
+    sums = [sum(map(mul, vec, col)) for col in zip(*rows)]
+    assert sums[1] == -(sums[0] << 96) != 0
+    assert sum(map(mul, vec, linalg._pack_wide(rows, 12))) == 0
+    assert not linalg._annihilates(linalg._pack(rows), vec)
+    assert not dense_annihilates(rows, vec)
+
+
+@pytest.mark.parametrize("scale", [1, 2**40, 2**90])
+def test_splitting_type_is_scale_invariant_past_the_fast_pack(scale):
+    # c (s A + t B) has the cokernel of s A + t B; at 2**40 the nonzero
+    # rows are wide, at 2**90 every kernel check also takes wider slots
+    ctx = context(2, 3, 5)
+    p = verlinde_pencil(ctx, sample_line(ctx, "jumping:1", seed=0))
+    scaled = Pencil(p.A.scale(scale), p.B.scale(scale))
+    assert (None in linalg._pack(scaled.A.transpose().entries)[2]) == (scale > 1)
+    assert splitting_type(scaled) == splitting_type(p)
+    assert scaled.A.rank() == p.A.rank()
+
+
 def test_fold_keeps_packed_slots_apart():
     for c in linalg._FOLDS + (297, 10**6 + 3):  # the first primes, then larger folds
         p = 2**30 - c
@@ -386,7 +467,7 @@ def test_fold_keeps_packed_slots_apart():
         assert 2**31 * p * 2**35 < 2**96
         assert c >= 2**7 or linalg._fold_rounds(c) == 3
         width = 7
-        _, lo, hi = linalg._packing(width)
+        _, lo, hi, _ = linalg._packing(width)
         for full in (2**96 - 1, 2**95 + 2**66 - 1, 2**31 - 1):
             packed = int.from_bytes(full.to_bytes(12, "big") * width, "big")
             folded = linalg._fold(packed, lo, hi, c)

@@ -259,14 +259,22 @@ def test_planted_lines_need_at_most_two_primes(spy, cell, seed):
 
 
 def test_packed_state_is_released_once_h_reaches_0(spy):
-    echelons = spy("linalg._echelon_mod_p")
+    echelons, packs = spy("linalg._echelon_mod_p"), spy("linalg._pack")
     ctx = context(2, 2, 5)
     random_line = verlinde_pencil(ctx, sample_line(ctx, "random", seed=1))
     planted = verlinde_pencil(ctx, sample_line(ctx, "jumping:1", seed=0))
     for p, primes in ((random_line, 1), (planted, 2)):
         echelons.clear()
+        packs.clear()
+        pencils._section_dims(p, 2)  # one step: the exact packing of [A^T ; B^T] is kept
+        assert len(packs) == 1 and p._sections[0][-1]
+        kept = p._sections[2][2]
+        at_bt = p.A.transpose().entries + p.B.transpose().entries
+        assert kept == linalg._pack([tuple(row) for row in at_bt])
+        packs.clear()
         splitting_type(p)
         assert primes_used(echelons) == primes
+        assert packs == []  # packed once per pencil, for every prime and step
         dims, tails, packed = p._sections
         assert dims[-1] == 0 and tails[0] == [] and packed is None
 
