@@ -247,9 +247,15 @@ def _primes(first=()):
         if c not in first:
             yield c
     for c in range(_FOLDS[-1] + 2, 2**29, 2):
-        p = 2**30 - c
-        if c not in first and all(p % q for q in range(3, math.isqrt(p) + 1, 2)):
+        if c not in first and _is_prime_fold(c):
             yield c
+
+
+@functools.cache
+def _is_prime_fold(c):
+    """Whether 2**30 - c is prime, by trial division; tested once per c."""
+    p = 2**30 - c
+    return all(p % q for q in range(3, math.isqrt(p) + 1, 2))
 
 
 @functools.cache
@@ -377,8 +383,8 @@ def _rank_mod_p(rows):
 
 
 def _left_kernel_mod_p(i, pivots, mults, p):
-    """The normalized vector z mod p of zero row i (z . rows = 0), as its
-    support rows and their residues.
+    """The normalized vector z mod p of zero row i (z . rows = 0), dense,
+    one residue per row.
 
     Row i reduced to zero, so it is the sum of its multipliers times the
     reduced pivot rows; pivot row k is its own reduced row plus its
@@ -387,16 +393,16 @@ def _left_kernel_mod_p(i, pivots, mults, p):
     (A zero row of a resumed base has no multipliers for later pivots.)
     """
     acc = mults[i] + [0] * (len(pivots) - len(mults[i]))
-    support, residues = [i], [1]
+    z = [0] * len(mults)
+    z[i] = 1
     for k in range(len(pivots) - 1, -1, -1):
         y = acc[k]
         if y:
-            support.append(pivots[k])
-            residues.append(p - y)
+            z[pivots[k]] = p - y
             for j, f in enumerate(mults[pivots[k]]):
                 if f:
                     acc[j] = (acc[j] - y * f) % p
-    return support, residues
+    return z
 
 
 def _lift(residues, m):
@@ -427,13 +433,11 @@ def _lift(residues, m):
     return [x * (den // d) for x, d in parts]
 
 
-def _packed_combinations(fed, packed, width, c):
-    """The packed residues mod 2**30 - c of sum r_j row_j for each sparse
-    vector (support, residues), given the rows packed; support past the
-    last row is ignored."""
+def _packed_combinations(vecs, packed, width, c):
+    """The packed residues mod 2**30 - c of sum r_j row_j for each vector r
+    of residues, one per row, given the rows packed."""
     _, lo, hi, _ = _packing(width)
-    n = len(packed)
-    return [_fold(sum([r * packed[j] for j, r in zip(*z) if j < n]), lo, hi, c) for z in fed]
+    return [_fold(sum(map(mul, r, packed)), lo, hi, c) for r in vecs]
 
 
 def _annihilates(packed, vec):
@@ -455,52 +459,40 @@ def _annihilates(packed, vec):
 
 def _certified_kernel(first, eliminate, exact, k=1):
     """A left kernel basis certified over Z (see the module docstring), as
-    {zero row: vector}; the fold constants of the primes lifted from; and
-    for one prime, each vector's (support, residues) mod p.
+    {zero row: vector}, and the fold constants of the primes lifted from.
 
     eliminate(c) is ``_echelon_mod_p`` of the rows modulo 2**30 - c, or
     None if that prime cannot serve; exact(vec) checks a lifted vector over
     Z.  Primes come in the order of ``_primes(first)``; lifting starts once
-    k agree.  One prime lifts its sparse residues; several combine dense
-    ones by CRT.
+    k agree, and combines by CRT the residues of every prime that agrees.
     """
-    group, basis, sparse = {}, {}, []
+    group, basis = {}, {}
     for c in _primes(first):
         echelon = eliminate(c)
         if echelon is None:
             continue
-        pivots, mults, zero_rows, _ = echelon
+        zero_rows = echelon[2]
         if group and len(zero_rows) > len(zeros):
             continue
         if not group or zero_rows != zeros:
-            group, basis, sparse, zeros = {}, {}, [], zero_rows
+            group, basis, zeros = {}, {}, zero_rows
         group[c] = echelon
         if len(group) < k:
             continue
-        size = len(pivots) + len(zero_rows)
         for i in (i for i in zero_rows if i not in basis):
-            if len(group) == 1:  # sparse is returned only if this prime lifts them all
-                support, residues = _left_kernel_mod_p(i, pivots, mults, 2**30 - c)
-                coeffs = _lift(residues, 2**30 - c)
-                vec = [0] * size
-                for j, x in zip(support, coeffs or ()):
-                    vec[j] = x
-                sparse.append((support, residues))
-            else:
-                x, m = [0] * size, 1
-                for q, (piv, mults_, _, _) in group.items():
-                    p, dense = 2**30 - q, [0] * size
-                    for j, r in zip(*_left_kernel_mod_p(i, piv, mults_, p)):
-                        dense[j] = r
-                    f = pow(m, -1, p)
-                    x = [a + m * ((b - a) * f % p) for a, b in zip(x, dense)]
-                    m *= p
-                coeffs = vec = _lift(x, m)
-            if coeffs is None or not exact(vec):
+            x, m = [], 1
+            for q, (pivots, mults, _, _) in group.items():
+                p = 2**30 - q
+                z = _left_kernel_mod_p(i, pivots, mults, p)
+                f = pow(m, -1, p)
+                x = [a + m * ((b - a) * f % p) for a, b in zip(x, z)] if x else z
+                m *= p
+            vec = _lift(x, m)
+            if vec is None or not exact(vec):
                 break
             basis[i] = vec
         else:  # basis was filled in the order of zero_rows
-            return basis, list(group), sparse if len(group) == 1 else None
+            return basis, list(group)
     raise ArithmeticError("no prime left between 2**29 and 2**30")
 
 
@@ -559,19 +551,17 @@ def _bareiss_rank(rows):
     return _bareiss([[mpz(x) for x in row] for row in rows], len(rows[0]))
 
 
-def random_unimodular(n, rng, shears=None):
+def random_unimodular(n, rng):
     """Random integer matrix with determinant +-1 (small entries).
 
-    Built from seeded row shears and a permutation, so conjugating by it
-    preserves rank and splitting data while scrambling any visible block
-    structure.
+    Built from 2n + 2 seeded row shears and a permutation, so conjugating
+    by it preserves rank and splitting data while scrambling any visible
+    block structure.
     """
     if n == 0:
         return ExactMatrix.zero(0, 0)
-    if shears is None:
-        shears = 2 * n + 2
     rows = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(shears):
+    for _ in range(2 * n + 2):
         i = rng.randrange(n)
         j = rng.randrange(n)
         if i == j:

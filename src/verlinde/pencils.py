@@ -104,7 +104,12 @@ class SplittingType:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(obj["entries"])
+        """Read ``to_json``'s object; every entry must be a JSON integer,
+        else ValueError."""
+        try:
+            return cls([int_from_json(b) for b in obj["entries"]])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed splitting type object: {exc}") from exc
 
 
 def dominates(t1, t2):
@@ -252,11 +257,11 @@ def _section_dims(pencil, t_max):
     as a new list, by the recursion of ``twisted_section_dims``.  The
     pencil keeps (dims, tails, primes): the values so far; L, normalized,
     as integer rows over a common denominator (None for I_u); and until h
-    reaches 0, how many primes the last step used, by prime A^T's residues,
-    B^T's elimination and L's residues, the last step's primes first, and
-    [A^T ; B^T] packed.  So only the missing steps run, the pencil is packed
-    once, B^T eliminated once per prime, and a step starts with as many
-    primes as the last one used."""
+    reaches 0, how many primes the last step used, by prime A^T's residues
+    and B^T's elimination, the last step's primes first, and [A^T ; B^T]
+    packed.  So only the missing steps run, the pencil is packed once, B^T
+    eliminated once per prime, and a step starts with as many primes as the
+    last one used."""
     u, w = pencil.u, pencil.w
     if pencil._sections is None:
         at_bt = list(zip(*pencil.A.entries)) + list(zip(*pencil.B.entries))
@@ -264,19 +269,18 @@ def _section_dims(pencil, t_max):
     dims, tails, primes = pencil._sections
 
     # eliminate and kills read the step's fields, packed, T, den and cols, bound below
-    def eliminate(c):  # M mod p = 2**30 - c; None if p divides den
+    def eliminate(c):  # M mod p = 2**30 - c, fed L = T den^-1 mod p; None if p divides den
         if c not in fields:
             residues = _pack_mod_p(packed, c)
-            fields[c] = [residues[:u], _echelon_mod_p(residues[u:], w, c), None]
-        pa, base, fed = field = fields[c]
+            fields[c] = (residues[:u], _echelon_mod_p(residues[u:], w, c))
+        pa, base = fields[c]
         if T is None:
             return _echelon_mod_p(pa[:], w, c, base)
-        if fed is None:
-            p = 2**30 - c
-            if not den % p:
-                return None
-            inv = pow(den, -1, p)
-            fed = field[2] = [(range(u), [x * inv % p for x in row]) for row in T]
+        p = 2**30 - c
+        if not den % p:
+            return None
+        inv = pow(den, -1, p)
+        fed = [[x * inv % p for x in row] for row in T]
         return _echelon_mod_p(_packed_combinations(fed, pa, w, c), w, c, base)
 
     def kills(z):  # z = (y, c) kills M when A v + B y = 0, v = c L = c T / den
@@ -288,16 +292,12 @@ def _section_dims(pencil, t_max):
     while dims[-1] and len(dims) < t_max:
         (k, fields, packed), (T, den) = primes, tails or (None, 1)
         cols = T and list(zip(*T))
-        kernel, used, sparse = _certified_kernel(list(fields), eliminate, kills, k)
+        kernel, used = _certified_kernel(list(fields), eliminate, kills, k)
         dims = dims + [len(kernel)]
         if kernel:
             den = math.lcm(*[z[i] for i, z in kernel.items()])  # z / z[i] is normalized
             tails = ([z[:u] if z[i] == den else [x * (den // z[i]) for x in z[:u]]
                       for i, z in kernel.items()], den)
-            for field in fields.values():
-                field[2] = None
-            if sparse is not None:  # one prime: its residues are L's
-                fields[used[0]][2] = sparse
             primes = (len(used), {c: fields[c] for c in used + list(fields)}, packed)
         else:
             tails, primes = ([], 1), None

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
+from .linalg import int_from_json
+
 __all__ = [
     "GrContext",
     "SchubertClass",
@@ -130,8 +132,17 @@ class SchubertClass:
 
     @classmethod
     def from_json(cls, obj):
-        ctx = GrContext(int(obj["N"]))
-        return cls(ctx, {(int(t["a"]), int(t["b"])): int(t["c"]) for t in obj["terms"]})
+        """Read ``to_json``'s object; ``N`` and each term's a, b and c must
+        be JSON integers, else ValueError.  A repeated index sums its terms."""
+        try:
+            ctx = GrContext(int_from_json(obj["N"]))
+            coeffs = {}
+            for t in obj["terms"]:
+                key = (int_from_json(t["a"]), int_from_json(t["b"]))
+                coeffs[key] = coeffs.get(key, 0) + int_from_json(t["c"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed Schubert class object: {exc}") from exc
+        return cls(ctx, coeffs)
 
 
 def sigma(ctx, a, b=0):

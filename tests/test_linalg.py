@@ -367,10 +367,10 @@ def test_resumed_echelon_gives_the_stacked_kernel_mod_p(rows, data):
     assert sorted(pivots + zero_rows) == list(range(len(rows)))
     assert len(zero_rows) == len(packed_echelon_mod_p(rows)[2])
     for i in zero_rows:
-        support, residues = linalg._left_kernel_mod_p(i, pivots, mults, _P)
-        assert set(support) & set(zero_rows) == {i}
+        z = linalg._left_kernel_mod_p(i, pivots, mults, _P)
+        assert len(z) == len(rows) and [j for j in zero_rows if z[j]] == [i] and z[i] == 1
         for c in range(width):
-            assert sum(r * rows[j][c] for j, r in zip(support, residues)) % _P == 0
+            assert sum(r * row[c] for r, row in zip(z, rows)) % _P == 0
 
 
 def test_packed_echelon_on_a_reference_cell_pencil():

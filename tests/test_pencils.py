@@ -1,5 +1,7 @@
+import functools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from verlinde import linalg, pencils
 from verlinde.family import context, sample_line, verlinde_pencil, zero_count
-from verlinde.linalg import ExactMatrix, random_unimodular
+from verlinde.linalg import ExactMatrix, _bareiss_rank, random_unimodular
 from verlinde.pencils import (
     CokernelError,
     NotInjectiveError,
@@ -22,9 +24,8 @@ from verlinde.pencils import (
     sylvester_block,
     twisted_section_dims,
 )
-from verlinde.suites import _exact_rank
 
-from conftest import primes_used
+from conftest import bareiss_left_kernel, primes_used
 
 
 def l_block(b):
@@ -179,19 +180,21 @@ def test_json_round_trip():
 
 # ------------------------------------------- the incremental h-sequence
 
-def _h_by_definition(p, rank):
+def _h_by_definition(p, engine=False):
     """h(t) = t*u - rank(S_(t-1)) from the Sylvester blocks themselves, up
-    to and including the first zero."""
+    to and including the first zero; ranked by Bareiss, or by the modular
+    engine if asked."""
     dims = []
     for t in range(1, p.u + 2):
-        dims.append(t * p.u - rank(sylvester_block(p, t - 1)))
+        block = sylvester_block(p, t - 1)
+        dims.append(t * p.u - (block.rank() if engine else _bareiss_rank(block.entries)))
         if dims[-1] == 0:
             break
     return dims
 
 
-def _assert_recursion_matches(p, rank=_exact_rank):
-    want = _h_by_definition(p, rank)
+def _assert_recursion_matches(p, engine=False):
+    want = _h_by_definition(p, engine)
     want += [0] * (p.u + 1 - len(want))
     assert pencils._section_dims(p, p.u + 1) == want
     if want[p.u] > p.u:
@@ -224,7 +227,7 @@ def test_recursion_matches_engine_ranks_on_a_planted_line():
     # modular engine's rank here
     ctx = context(2, 4, 9)
     p = verlinde_pencil(ctx, sample_line(ctx, "jumping:3", seed=0))
-    _assert_recursion_matches(p, rank=ExactMatrix.rank)
+    _assert_recursion_matches(p, engine=True)
     assert twisted_section_dims(p, 7) == [21, 15, 10, 6, 3, 1, 0]
 
 
@@ -254,7 +257,7 @@ def test_planted_lines_need_at_most_two_primes(spy, cell, seed):
     p = verlinde_pencil(ctx, sample_line(ctx, "jumping:1", seed=seed))
     splitting_type(p)
     assert primes_used(echelons) <= 2 and bareiss == []
-    want = _h_by_definition(p, _exact_rank)
+    want = _h_by_definition(p)
     assert twisted_section_dims(p, len(want)) == want
 
 
@@ -449,6 +452,70 @@ def test_splitting_type_makes_no_rank_call(monkeypatch):
     assert (len(st_), st_.total) == (ctx.rank, ctx.degree)
 
 
+@pytest.fixture
+def fold_primes_only(monkeypatch):
+    # The six fold primes are plenty for these pencils; with no more to
+    # try, a lift that never certifies raises ArithmeticError instead of
+    # searching every prime below 2**30.
+    monkeypatch.setattr(linalg, "_primes",
+                        lambda first=(): iter(dict.fromkeys([*first, *linalg._FOLDS])))
+
+
+def _certified_kernel_of(rows, k):
+    packed = linalg._pack(rows)
+    return linalg._certified_kernel(
+        (), lambda c: linalg._echelon_mod_p(linalg._pack_mod_p(packed, c), len(rows[0]), c),
+        functools.partial(linalg._annihilates, packed), k)
+
+
+def _normalized_on(kernel, zero_rows):
+    """The basis of kernel's row space over Q that is the identity on the
+    coordinates zero_rows, in their order."""
+    rows = [[Fraction(x) for x in row] for row in kernel]
+    for r, i in enumerate(zero_rows):
+        piv = next(s for s in range(r, len(rows)) if rows[s][i])
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][i] for x in rows[r]]
+        for s in range(len(rows)):
+            if s != r and rows[s][i]:
+                rows[s] = [a - rows[s][i] * b for a, b in zip(rows[s], rows[r])]
+    return rows
+
+
+def _assert_one_prime_and_two_lift_the_same_basis(p):
+    # the kernel of the first h-step's [B^T ; A^T], lifted from one prime
+    # and by CRT from two, against Bareiss up to each vector's scale
+    rows = p.B.transpose().entries + p.A.transpose().entries
+    if not rows:
+        return
+    one, _ = _certified_kernel_of(rows, 1)
+    two, primes = _certified_kernel_of(rows, 2)
+    assert one == two and len(primes) >= 2
+    reference = bareiss_left_kernel(rows)
+    assert len(reference) == len(one)
+    for (i, vec), want in zip(one.items(), _normalized_on(reference, list(one))):
+        assert [Fraction(x, vec[i]) for x in vec] == want
+
+
+@pytest.mark.parametrize("kind", PENCIL_KINDS)
+@pytest.mark.parametrize("seed", range(8))
+def test_one_prime_and_two_lift_the_same_basis(kind, seed, fold_primes_only):
+    _assert_one_prime_and_two_lift_the_same_basis(
+        _pencil_of_kind(kind, random.Random(f"lift:{kind}:{seed}")))
+
+
+@pytest.mark.parametrize("mode", ["random", "jumping:2", "jumping:3"])
+def test_one_prime_and_two_lift_the_same_basis_at_a_reference_cell(mode, fold_primes_only):
+    # the whole h-sequence also certifies within the fold primes, every
+    # step after the first fed L = T / den modulo each prime, and matches
+    # the engine's ranks of the Sylvester blocks
+    ctx = context(3, 4, 8)
+    p = verlinde_pencil(ctx, sample_line(ctx, mode, seed=0))
+    _assert_one_prime_and_two_lift_the_same_basis(p)
+    want = _h_by_definition(p, engine=True)
+    assert twisted_section_dims(p, len(want)) == want
+
+
 # ------------------------------------------------------------- wire format
 
 @st.composite
@@ -495,6 +562,21 @@ def test_pencil_from_json_raises_only_value_error(obj):
 def test_pencil_from_json_strict_numbers(obj):
     with pytest.raises(ValueError):
         Pencil.from_json(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    {"entries": [2.7, 1]},
+    {"entries": [2.0, 1]},
+    {"entries": [1, True]},
+    {"entries": ["0"]},
+    {"entries": "21"},
+    {"entries": 3},
+    {},
+    None,
+])
+def test_splitting_type_from_json_strict_numbers(obj):
+    with pytest.raises(ValueError):
+        SplittingType.from_json(obj)
 
 
 # ------------------------------------------- the resumable h-sequence
