@@ -10,8 +10,9 @@ and the gcd test that predicts jumping behavior.
 The zero count and the genericity test read the same number, rank [A|B]
 = 2u - h(2), from the first step of the pencil's h-sequence, the step the
 splitting type takes first.  Each line keeps a private memo of its pencil
-per twist k, and the pencil keeps its h-sequence, so [A^T ; B^T] is
-eliminated once per line, however many criteria ask.
+per twist k, and the pencil keeps its h-sequence's state, so each h-step
+runs once per line however many criteria ask; B^T is eliminated once per
+call that runs steps.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from .polynomials import (
     mult_matrix,
     random_form,
 )
+
+_LINE_RETRIES = 16  # draws sample_line makes before giving up on a dependent pair
 
 __all__ = [
     "VerlindeContext",
@@ -216,7 +219,7 @@ def predict_by_gcd(ctx, line, trials=3, seed=0):
     return GcdPrediction(gcd_degree=dprime, jumping=jumping, predicted_type=predicted)
 
 
-def sample_line(ctx, mode, seed, bound=COEFF_BOUND, _retries=16):
+def sample_line(ctx, mode, seed, bound=COEFF_BOUND):
     """Draw a line: mode 'random', or 'jumping:D' for a planted gcd of degree D.
 
     Jumping mode draws h of degree D and g1, g2 of degree d - D and spans
@@ -232,7 +235,7 @@ def sample_line(ctx, mode, seed, bound=COEFF_BOUND, _retries=16):
         raise ValueError(f"unknown sampling mode {mode!r}")
     if dprime is not None and not 0 <= dprime <= d - 1:
         raise ValueError(f"planted gcd degree must lie in [0, {d - 1}], got {dprime}")
-    for attempt in range(_retries):
+    for attempt in range(_LINE_RETRIES):
         rng = random.Random(f"{seed}:line:{mode}:{attempt}")
         try:
             if dprime is None:
@@ -244,7 +247,7 @@ def sample_line(ctx, mode, seed, bound=COEFF_BOUND, _retries=16):
             return LineInSystem(h * g1, h * g2)
         except DegenerateLineError:
             continue
-    raise RuntimeError(f"failed to sample an independent line after {_retries} tries")
+    raise RuntimeError(f"failed to sample an independent line after {_LINE_RETRIES} tries")
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,11 @@ k-th pivot of elimination over Q in this order is D_k / D_(k-1), D_k a
 nonzero k x k minor.  A prime dividing no D_k meets the same pivots and
 zeros, so it has the Z of Q and the residues of its normalized vectors,
 whose entries are n/d with |n|, d <= H (Cramer).  So at most
-r ceil(log2 H / 29) primes above 2**29 are bad, and once the good primes
-after the last bad one multiply past 2 H**2, every vector lifts and passes
-its check.  Should the primes below 2**30 run out first (their product
-exceeds 2**(7 * 10**8)), ArithmeticError is raised.
+B = r ceil(log2 H / 29) primes above 2**29 are bad, and once G good primes
+agree, with G 29 >= log2 H**2 + 2, their product passes 2 H**2 and every
+vector lifts and passes its check.  A bad prime that starts afresh ends at
+most one run of fewer than G good primes, so ArithmeticError is raised
+after (B + 1) G primes, two at least (``_certified_kernel``).
 
 Packing.  A matrix is packed once, exactly (``_pack``): a row x is one int
 E = sum x_j 2**(96 (w-1-j)), from one struct.pack of signed 32-bit fields
@@ -44,6 +45,7 @@ B^T) is eliminated once per prime.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import re
 import struct
@@ -212,9 +214,11 @@ class ExactMatrix:
         if not self.entries:
             return []
         packed = _pack(self.entries)
+        n = min(self.rows, self.cols)
         return list(_certified_kernel(
-            (), lambda c: _echelon_mod_p(_pack_mod_p(packed, c), self.cols, c),
-            functools.partial(_annihilates, packed))[0].values())
+            lambda c: _echelon_mod_p(_pack_mod_p(packed, c), self.cols, c),
+            functools.partial(_annihilates, packed),
+            lambda: (n, _hadamard_bits(n, self.entries)))[0].values())
 
     def to_json(self):
         return [[str(x) for x in row] for row in self.entries]
@@ -239,15 +243,12 @@ def _packing(width):
             int.from_bytes((bytes(11) + b"\1") * width, "big"))
 
 
-def _primes(first=()):
-    """The fold constants c of the primes 2**30 - c: those in first, then
-    the others in order, ``_FOLDS`` and every further prime above 2**29."""
-    yield from first
-    for c in _FOLDS:
-        if c not in first:
-            yield c
+def _primes():
+    """The fold constants c of the primes 2**30 - c in order: ``_FOLDS``,
+    then every further prime above 2**29."""
+    yield from _FOLDS
     for c in range(_FOLDS[-1] + 2, 2**29, 2):
-        if c not in first and _is_prime_fold(c):
+        if _is_prime_fold(c):
             yield c
 
 
@@ -457,17 +458,32 @@ def _annihilates(packed, vec):
     return not sum(map(mul, vec, exact))
 
 
-def _certified_kernel(first, eliminate, exact, k=1):
+def _hadamard_bits(n, rows):
+    """An int at least log2 of (top sqrt(n))**n, top the largest |entry| of rows:
+    the Hadamard bound on the minors of an n-row or n-column matrix of such entries."""
+    top = max(map(abs, itertools.chain.from_iterable(rows)), default=0)
+    return n * (top.bit_length() + (n.bit_length() + 1) // 2)
+
+
+def _certified_kernel(eliminate, exact, bound, k=1):
     """A left kernel basis certified over Z (see the module docstring), as
     {zero row: vector}, and the fold constants of the primes lifted from.
 
     eliminate(c) is ``_echelon_mod_p`` of the rows modulo 2**30 - c, or
     None if that prime cannot serve; exact(vec) checks a lifted vector over
-    Z.  Primes come in the order of ``_primes(first)``; lifting starts once
-    k agree, and combines by CRT the residues of every prime that agrees.
-    """
-    group, basis = {}, {}
-    for c in _primes(first):
+    Z.  Primes come in the order of ``_primes``; lifting starts once k
+    agree, and combines by CRT the residues of every prime that agrees.
+    bound(), asked once a third prime is needed, is (r, bits): every bad
+    prime divides one of r nonzero minors, each below H = 2**bits.
+    ArithmeticError is raised past max(2, (B + 1) G) primes, the module
+    docstring's bound with G >= k."""
+    group, basis, cap = {}, {}, 2
+    for tried, c in enumerate(_primes()):
+        if tried == 2:
+            minors, bits = bound()
+            cap = (minors * -(-bits // 29) + 1) * max(k, (2 * bits + 30) // 29)
+        if tried >= cap:
+            break
         echelon = eliminate(c)
         if echelon is None:
             continue
@@ -493,7 +509,7 @@ def _certified_kernel(first, eliminate, exact, k=1):
             basis[i] = vec
         else:  # basis was filled in the order of zero_rows
             return basis, list(group)
-    raise ArithmeticError("no prime left between 2**29 and 2**30")
+    raise ArithmeticError("no kernel certified within the proven number of primes")
 
 
 def _bareiss(rows, n):

@@ -8,12 +8,13 @@ S_(t-1), and the splitting type is the conjugate partition of their
 differences.  The blocks are never built: S_t is block upper triangular
 over S_(t-1), so a left kernel basis of S_t comes from one of S_(t-1)
 and the (u + h(t)) x w matrix [B^T ; L A^T], where L holds the last u
-coordinates of that basis, normalized; B^T is eliminated once per prime
-(see ``twisted_section_dims``).  The same sequence decides injectivity:
-h(u+1) <= u exactly for an injective pencil (see ``is_injective``).  Its
-first step eliminates S_1, so rank [A | B] = 2u - h(2) comes from that
-one shared step.  Each pencil keeps its sequence, so a later call
-resumes it and no step runs twice.
+coordinates of that basis, normalized (see ``twisted_section_dims``).
+The same sequence decides injectivity: h(u+1) <= u exactly for an
+injective pencil (see ``is_injective``).  Its first step eliminates S_1,
+so rank [A | B] = 2u - h(2) comes from that one shared step.  Each
+pencil keeps only its recursion's state, the h values and the last L, so
+a later call runs the missing steps alone and no step runs twice; B^T is
+eliminated once per call that runs steps.
 This avoids computing any canonical form of the (possibly singular)
 pencil; canonical blocks appear only in the forward direction as a
 seeded test constructor.
@@ -25,8 +26,9 @@ import math
 import random
 from operator import mul
 
-from .linalg import (ExactMatrix, _annihilates, _certified_kernel, _echelon_mod_p, _pack,
-                     _pack_mod_p, _packed_combinations, int_from_json, random_unimodular)
+from .linalg import (ExactMatrix, _annihilates, _certified_kernel, _echelon_mod_p,
+                     _hadamard_bits, _pack, _pack_mod_p, _packed_combinations, int_from_json,
+                     random_unimodular)
 
 __all__ = [
     "Pencil",
@@ -255,20 +257,22 @@ def sylvester_block(pencil, j):
 def _section_dims(pencil, t_max):
     """h(1), ..., h(t_max) with h(t) the left kernel dimension of S_(t-1),
     as a new list, by the recursion of ``twisted_section_dims``.  The
-    pencil keeps (dims, tails, primes): the values so far; L, normalized,
-    as integer rows over a common denominator (None for I_u); and until h
-    reaches 0, how many primes the last step used, by prime A^T's residues
-    and B^T's elimination, the last step's primes first, and [A^T ; B^T]
-    packed.  So only the missing steps run, the pencil is packed once, B^T
-    eliminated once per prime, and a step starts with as many primes as the
-    last one used."""
+    pencil keeps (dims, T, den): the values so far and the last step's
+    tails L = T / den, normalized, as integer rows over a common
+    denominator (T is None for I_u, and empty once h reaches 0).  So no
+    step runs twice.  A call that runs steps packs [A^T ; B^T], eliminates
+    B^T once per prime and starts each step with as many primes as the
+    last one used; it keeps none of that."""
     u, w = pencil.u, pencil.w
     if pencil._sections is None:
-        at_bt = list(zip(*pencil.A.entries)) + list(zip(*pencil.B.entries))
-        pencil._sections = ([u], None, (1, {}, _pack(at_bt) if u else None))
-    dims, tails, primes = pencil._sections
+        pencil._sections = ([u], None, 1)
+    dims, T, den = pencil._sections
+    if not dims[-1] or len(dims) >= t_max:
+        return (dims + [0] * t_max)[:t_max]
+    at_bt = list(zip(*pencil.A.entries)) + list(zip(*pencil.B.entries))
+    packed, fields, k = _pack(at_bt), {}, 1  # fields by prime: A^T's residues, B^T's echelon
 
-    # eliminate and kills read the step's fields, packed, T, den and cols, bound below
+    # eliminate and kills read the step's T, den and cols, bound below
     def eliminate(c):  # M mod p = 2**30 - c, fed L = T den^-1 mod p; None if p divides den
         if c not in fields:
             residues = _pack_mod_p(packed, c)
@@ -290,19 +294,15 @@ def _section_dims(pencil, t_max):
         return _annihilates(packed, v + [den * x for x in y])
 
     while dims[-1] and len(dims) < t_max:
-        (k, fields, packed), (T, den) = primes, tails or (None, 1)
-        cols = T and list(zip(*T))
-        kernel, used = _certified_kernel(list(fields), eliminate, kills, k)
-        dims = dims + [len(kernel)]
-        if kernel:
-            den = math.lcm(*[z[i] for i, z in kernel.items()])  # z / z[i] is normalized
-            tails = ([z[:u] if z[i] == den else [x * (den // z[i]) for x in z[:u]]
-                      for i, z in kernel.items()], den)
-            primes = (len(used), {c: fields[c] for c in used + list(fields)}, packed)
-        else:
-            tails, primes = ([], 1), None
-        pencil._sections = (dims, tails, primes)
-    return dims[:t_max] + [0] * (t_max - len(dims))
+        t, cols = len(dims), T and list(zip(*T))
+        kernel, used = _certified_kernel(eliminate, kills, lambda: (  # S_t's minors: M's pivots, D
+            min(u + dims[-1], w) + 1, _hadamard_bits(min((t + 1) * u, t * w), at_bt)), k)
+        dims, k = dims + [len(kernel)], len(used)
+        den = math.lcm(*[z[i] for i, z in kernel.items()])  # z / z[i] is normalized
+        T = [z[:u] if z[i] == den else [x * (den // z[i]) for x in z[:u]]
+             for i, z in kernel.items()]
+        pencil._sections = (dims, T, den)
+    return (dims + [0] * t_max)[:t_max]
 
 
 def twisted_section_dims(pencil, t_max):
@@ -326,14 +326,14 @@ def twisted_section_dims(pencil, t_max):
     is empty.  (Counting ranks, rank S_t = rank S_(t-1) + rank M.)
 
     Every M starts with the rows B^T, so their elimination modulo a prime
-    runs once, and a step only reduces its new rows, L A^T mod p made from
-    the packed rows of A^T, by B^T's pivot records and then among
-    themselves.  ``linalg._certified_kernel`` certifies the kernel vectors
-    z = (y, c), each 1 at its own zero row and 0 at the others: lifted, z
-    is checked through z M = (c L) A^T + y B^T, L = T / den, as one packed
-    sum (``linalg._annihilates``): (c T, den y) [A^T ; B^T] = 0, with
-    [A^T ; B^T] packed once per pencil.  L is the y parts each divided by its
-    entry at its zero row, and a step is fed the residues of those
+    runs once per call, and a step only reduces its new rows, L A^T mod p
+    made from the packed rows of A^T, by B^T's pivot records and then
+    among themselves.  ``linalg._certified_kernel`` certifies the kernel
+    vectors z = (y, c), each 1 at its own zero row and 0 at the others:
+    lifted, z is checked through z M = (c L) A^T + y B^T, L = T / den, as
+    one packed sum (``linalg._annihilates``): (c T, den y) [A^T ; B^T] = 0,
+    with [A^T ; B^T] packed once per call.  L is the y parts each divided
+    by its entry at its zero row, and a step is fed the residues of those
     normalized vectors, not of lifted ones.
 
     Normalization.  If K is normalized, the identity on a set Z of rows of
@@ -347,8 +347,8 @@ def twisted_section_dims(pencil, t_max):
     P of S_(t-1), so a minor of M times D, a nonzero maximal minor of
     S_(t-1) on P, is a minor of S_t, and D is a multiple of L's
     denominators.  So a prime bad at a step divides D or one of M's pivot
-    minors, and the argument of the ``linalg`` docstring holds with H the
-    Hadamard bound of S_t.
+    minors, and the argument of the ``linalg`` docstring holds with
+    r = rank M + 1 and H the Hadamard bound of S_t.
 
     The same sequence decides injectivity, so no other elimination runs:
     the steps go on to t = u+1 at least, and NotInjectiveError is raised
@@ -389,12 +389,8 @@ def splitting_type(pencil):
         raise CokernelError("section dimensions are not convex")
     if counts[0] > w - u:
         raise CokernelError("more nonzero entries than the rank allows")
-    entries = []
-    for i in range(1, counts[0] + 1):
-        entries.append(sum(1 for c in counts if c >= i))
-    entries.sort(reverse=True)
-    entries.extend([0] * (w - u - len(entries)))
-    return SplittingType(entries)
+    entries = [sum(1 for c in counts if c >= i) for i in range(1, counts[0] + 1)]
+    return SplittingType(entries + [0] * (w - u - counts[0]))
 
 
 def kronecker_pencil(st, w, u, seed=None):

@@ -35,6 +35,8 @@ __all__ = [
 ]
 
 COEFF_BOUND = 50  # default range for random integer coefficients
+_GCD_RETRIES = 16  # substitutions a gcd trial draws before giving up on a degenerate one
+_FORM_RETRIES = 64  # draws random_form makes before giving up on a zero form
 
 
 class DegenerateSubstitutionError(RuntimeError):
@@ -387,7 +389,7 @@ def _binary_gcd_degree(c1, c2):
     return min(s1, s2) + min(t1, t2) + _univariate_gcd_degree(core1, core2)
 
 
-def gcd_degree(f1, f2, trials=3, seed=0, bound=COEFF_BOUND, _retries=16):
+def gcd_degree(f1, f2, trials=3, seed=0, bound=COEFF_BOUND):
     """Monte Carlo degree of gcd(f1, f2) via random line restrictions.
 
     Each trial restricts both forms to a random rational line and takes the
@@ -404,7 +406,7 @@ def gcd_degree(f1, f2, trials=3, seed=0, bound=COEFF_BOUND, _retries=16):
     seeds its own generator from (seed, trial, attempt), so the trials
     that do run draw what they would draw in a full run, and the value is
     the full run's minimum.  The one difference: DegenerateSubstitutionError
-    (``_retries`` substitutions in a row on which both forms vanish) comes
+    (``_GCD_RETRIES`` substitutions in a row on which both forms vanish) comes
     only from a trial that runs, so a later trial that would have raised
     it no longer does.
     """
@@ -420,7 +422,7 @@ def gcd_degree(f1, f2, trials=3, seed=0, bound=COEFF_BOUND, _retries=16):
         raise ValueError(f"gcd oracle needs trials >= 1, got {trials}")
     best = f1.degree
     for trial in range(trials):
-        for attempt in range(_retries):
+        for attempt in range(_GCD_RETRIES):
             rng = random.Random(f"{seed}:gcd:{trial}:{attempt}")
             pairs = [(rng.randint(-bound, bound), rng.randint(-bound, bound))
                      for _ in range(f1.num_vars)]
@@ -490,10 +492,10 @@ def parse_form(text, n, degree=None):
     return HomogeneousPolynomial(n + 1, final_degree, terms)
 
 
-def random_form(n, degree, rng, bound=COEFF_BOUND, _retries=64):
+def random_form(n, degree, rng, bound=COEFF_BOUND):
     """Random nonzero degree-`degree` form with integer coefficients in [-bound, bound]."""
     basis = monomial_basis(n, degree)
-    for _ in range(_retries):
+    for _ in range(_FORM_RETRIES):
         terms = {}
         for m in basis:
             c = rng.randint(-bound, bound)

@@ -13,7 +13,6 @@ import os
 import random
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb
 
 from . import jumping as jp
@@ -29,16 +28,7 @@ from .family import (
 from .linalg import ExactMatrix, _bareiss_rank, random_unimodular
 from .pencils import SplittingType, dominates, kronecker_pencil, splitting_type, twisted_section_dims
 from .polynomials import gcd_degree, monomial_basis, mult_matrix, random_form
-from .schubert import (
-    GrContext,
-    SchubertClass,
-    bidegree_degree,
-    giambelli,
-    hyperplane_power,
-    product,
-    pushforward_factor2,
-    sigma,
-)
+from .schubert import GrContext, SchubertClass, giambelli, product, sigma
 from .schubert import degree as schubert_degree
 
 __all__ = ["SuiteResult", "SUITES", "run_suite", "run_all", "worker_count"]
@@ -114,25 +104,6 @@ def _map_cases(fn, args_list):
 
 # ---------------------------------------------------------------- algebra
 
-def _span_rank_oracle(vectors):
-    """Rank of a span by one-at-a-time insertion (independent of rank engines)."""
-    rows = {}
-    rank = 0
-    for v in vectors:
-        v = list(v)
-        while True:
-            lead = next((i for i, a in enumerate(v) if a), None)
-            if lead is None or lead not in rows:
-                break
-            row = rows[lead]
-            f = Fraction(v[lead], row[lead])  # not v[lead] / row[lead]: a float on ints
-            v = [a - f * b for a, b in zip(v, row)]
-        if lead is not None:
-            rows[lead] = v
-            rank += 1
-    return rank
-
-
 def run_algebra_suite(seed=0):
     res = SuiteResult("algebra", seed)
     t0 = time.time()
@@ -152,10 +123,8 @@ def run_algebra_suite(seed=0):
         f2 = random_form(n, d, rng, bound=9)
         m1, m2 = mult_matrix(f1, e), mult_matrix(f2, e)
         concat = m1.hstack(m2)
-        vectors = [m1.column(j) for j in range(m1.cols)]
-        vectors += [m2.column(j) for j in range(m2.cols)]
         res.record("span_rank", f"span({n},{d},{e})#{i}",
-                   _span_rank_oracle(vectors), concat.rank())
+                   _bareiss_rank(concat.entries), concat.rank())
         res.record("mult_injective", f"inj({n},{d},{e})#{i}", m1.cols, m1.rank())
         res.cases += 1
 
@@ -431,10 +400,8 @@ def run_schubert_suite(seed=0):
                 a = dim - b
                 if a < 0:
                     continue
-                lam = pushforward_factor2(hyperplane_power(n, M, a + 1))
-                via = bidegree_degree(lam * hyperplane_power(n, M, b + 1))
                 res.record("pushpull", f"P{n}xP{M}:({a},{b})",
-                           comb(a + 1, n) * comb(b + 1, n), via)
+                           comb(a + 1, n) * comb(b + 1, n), jp._pair_degree(n, M, a, b))
                 res.cases += 1
 
     res.wall_time_s = time.time() - t0

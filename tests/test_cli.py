@@ -3,14 +3,17 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 CLI = [sys.executable, "-m", "verlinde.cli"]
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(*args, env=None):
     full_env = dict(os.environ)
+    full_env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, full_env.get("PYTHONPATH")]))
     if env:
         full_env.update(env)
     return subprocess.run(CLI + list(args), capture_output=True, text=True, env=full_env)

@@ -236,7 +236,7 @@ def test_line_memo_eliminates_each_h_step_once(monkeypatch, mode, type_first):
     line = sample_line(ctx, mode, seed=5)
     h = twisted_section_dims(verlinde_pencil(ctx, LineInSystem(line.f1, line.f2)), ctx.u + 1)
     steps = sum(1 for x in h[:-1] if x)  # h(t+1) is computed while h(t) > 0
-    mults, ranked, kernels, eliminations = [], [], [], []
+    mults, ranked, kernels, eliminations, primes = [], [], [], [], set()
     real_mult = family.mult_matrix
     real_rank, real_kernel = ExactMatrix.rank, ExactMatrix.left_kernel
     real_echelon = linalg._echelon_mod_p
@@ -255,6 +255,7 @@ def test_line_memo_eliminates_each_h_step_once(monkeypatch, mode, type_first):
 
     def counting_echelon(rest, width, c, base=None):  # rows stacked so far, this call's included
         eliminations.append((base is not None, (len(base[1]) if base else 0) + len(rest), width))
+        primes.add(c)
         return real_echelon(rest, width, c, base)
 
     monkeypatch.setattr(family, "mult_matrix", counting_mult)
@@ -272,10 +273,14 @@ def test_line_memo_eliminates_each_h_step_once(monkeypatch, mode, type_first):
     assert generic is (st_ == generic_type(ctx)) is is_generic_type(ctx, line)
     assert mults == [ctx.k - ctx.d] * 2
     assert ranked == kernels == []
-    assert eliminations[0] == (False, ctx.u, ctx.w)  # B^T, once for the line
-    assert [resumed for resumed, _, _ in eliminations] == [False] + [True] * steps
-    assert steps >= 1
+    assert eliminations[0] == (False, ctx.u, ctx.w)  # B^T, once per call that runs steps
     assert eliminations[1] == (True, 2 * ctx.u, ctx.w)  # S_1 = [B^T ; A^T]
+    # type first: one call runs every step; else zero_count runs the first
+    # and splitting_type the rest, eliminating B^T again; each step runs once
+    runs = [steps] if type_first else [1, steps - 1]
+    assert steps >= 1 and primes == {linalg._FOLDS[0]}  # one elimination per step, per B^T
+    assert [resumed for resumed, _, _ in eliminations] == [
+        resumed for n in runs if n for resumed in [False] + [True] * n]
 
 
 def test_line_memo_is_per_twist():

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from verlinde import linalg
+from verlinde import linalg, pencils
 from verlinde.family import context, is_generic_type, sample_line, verlinde_pencil, zero_count
 from verlinde.jumping import _differential, _trial_point, dim_z_jacobian
 from verlinde.linalg import ExactMatrix, random_unimodular
-from verlinde.pencils import Pencil, splitting_type, sylvester_block
+from verlinde.pencils import Pencil, kronecker_pencil, splitting_type, sylvester_block
 from verlinde.polynomials import (
     _univariate_gcd_degree,
     binary_coeffs,
@@ -19,7 +19,6 @@ from verlinde.polynomials import (
     parse_form,
     restrict_to_line,
 )
-from verlinde.suites import _span_rank_oracle
 
 from conftest import (bareiss_left_kernel, dense_annihilates, naive_rank,
                       per_entry_pack_mod_p, primes_used)
@@ -266,6 +265,35 @@ def test_a_bad_prime_after_a_good_one_is_skipped(spy):
     m = ExactMatrix.from_rows([[1, 0], [0, q], [50000, q]])
     assert m.left_kernel() in ([[-50000, -1, 1]], [[50000, 1, -1]])
     assert [args[2] for args in echelons] == list(linalg._FOLDS[:3])
+
+
+def _proven_primes(minors, bits):
+    """The module docstring's (B + 1) G: B = minors ceil(bits / 29) bad
+    primes, and G good ones whose product passes 2 H**2, H = 2**bits."""
+    return (minors * math.ceil(bits / 29) + 1) * math.ceil((2 * bits + 2) / 29)
+
+
+def test_a_kernel_that_never_certifies_stops_at_the_proven_primes(monkeypatch, spy):
+    # no lifted vector ever passes its check: the search gives up after the
+    # primes the proof allows, sized from the input, not after every prime
+    echelons = spy("linalg._echelon_mod_p")
+    m = ExactMatrix.from_rows([[1, 2], [2, 4], [3, 5]])
+    bits = linalg._hadamard_bits(2, m.entries)
+    assert 2**bits >= (5 * math.sqrt(2))**2  # the Hadamard bound, 5 the largest entry
+    monkeypatch.setattr(linalg, "_annihilates", lambda packed, vec: False)
+    with pytest.raises(ArithmeticError):
+        m.left_kernel()
+    assert len(echelons) == _proven_primes(2, bits) == 3  # one elimination a prime
+    # the first h-step of O(2): S_1 = M = [B^T ; A^T] is 4 x 3 with entries
+    # 0 and 1, 3 pivot minors and D = 1; B^T's elimination and the resumed
+    # one a prime
+    echelons.clear()
+    monkeypatch.setattr(pencils, "_annihilates", lambda packed, vec: False)
+    p = kronecker_pencil((2,), 3, 2)
+    with pytest.raises(ArithmeticError):
+        splitting_type(p)
+    bits = linalg._hadamard_bits(3, p.A.entries + p.B.entries)
+    assert len(echelons) == 2 * _proven_primes(4, bits) == 10
 
 
 # ------------------------------------------ the packed-row modular kernel
@@ -584,6 +612,3 @@ def test_divisions_stay_exact_on_integer_input():
     line = [(Fraction(1, 3), 1), (0, 0), (0, 0)]
     r = binary_coeffs(restrict_to_line(parse_form("x0^2", 2), line))
     assert r == [Fraction(1, 9), Fraction(2, 3), 1] and type(r[2]) is int
-    # the third vector is the sum of the first two; float division by 3
-    # leaves a rounding residue that reads as rank 3
-    assert _span_rank_oracle([(3, 1, 1), (1, 3, 7), (4, 4, 8)]) == 2

@@ -261,25 +261,32 @@ def test_planted_lines_need_at_most_two_primes(spy, cell, seed):
     assert twisted_section_dims(p, len(want)) == want
 
 
+def _assert_holds_only_its_recursion(p):
+    # (dims, T, den): the h values and the last tails L = T / den as ints,
+    # no packed rows, residues or echelons
+    dims, T, den = p._sections
+    assert all(type(h) is int for h in dims) and type(den) is int
+    assert T is None or (len(T) == dims[-1] and all(
+        len(row) == p.u and all(type(x) is int for x in row) for row in T))
+
+
 def test_packed_state_is_released_once_h_reaches_0(spy):
     echelons, packs = spy("linalg._echelon_mod_p"), spy("linalg._pack")
-    ctx = context(2, 2, 5)
+    ctx, big = context(2, 2, 5), context(3, 4, 8)
     random_line = verlinde_pencil(ctx, sample_line(ctx, "random", seed=1))
     planted = verlinde_pencil(ctx, sample_line(ctx, "jumping:1", seed=0))
-    for p, primes in ((random_line, 1), (planted, 2)):
+    reference = verlinde_pencil(big, sample_line(big, "random", seed=0))
+    for p, primes in ((random_line, 1), (planted, 2), (reference, 1)):
         echelons.clear()
         packs.clear()
-        pencils._section_dims(p, 2)  # one step: the exact packing of [A^T ; B^T] is kept
-        assert len(packs) == 1 and p._sections[0][-1]
-        kept = p._sections[2][2]
-        at_bt = p.A.transpose().entries + p.B.transpose().entries
-        assert kept == linalg._pack([tuple(row) for row in at_bt])
+        pencils._section_dims(p, 2)  # one step: only its recursion is kept
+        assert len(packs) == 1 and len(p._sections[0]) == 2 and p._sections[0][-1]
+        _assert_holds_only_its_recursion(p)
         packs.clear()
         splitting_type(p)
         assert primes_used(echelons) == primes
-        assert packs == []  # packed once per pencil, for every prime and step
-        dims, tails, packed = p._sections
-        assert dims[-1] == 0 and tails[0] == [] and packed is None
+        assert len(packs) == 1  # packed once by the call that runs the other steps
+        assert p._sections == (p._sections[0], [], 1) and p._sections[0][-1] == 0
 
 
 @pytest.mark.parametrize("kind", ["zero", "through-O", "through-O(-1)", "degree-1-kernel",
@@ -326,13 +333,12 @@ def test_zero_count_then_type_matches_a_fresh_sequence(mode):
         line = sample_line(ctx, mode, seed=seed)
         p = verlinde_pencil(ctx, line)
         zeros = zero_count(ctx, line)  # the first step, on the line's pencil
-        dims, _, packed = p._sections
-        assert len(dims) == 2 and (packed is None) == (dims[1] == 0)
+        assert len(p._sections[0]) == 2
+        _assert_holds_only_its_recursion(p)
         fresh = Pencil(p.A, p.B)
         assert splitting_type(p) == splitting_type(fresh)
         assert zeros == splitting_type(p).zeros()
-        assert p._sections[0] == fresh._sections[0]
-        assert p._sections[2] is fresh._sections[2] is None  # dropped once h reaches 0
+        assert p._sections == fresh._sections  # T = [] and den = 1 once h reaches 0
 
 
 def test_splitting_type_builds_no_sylvester_block(monkeypatch):
@@ -454,18 +460,17 @@ def test_splitting_type_makes_no_rank_call(monkeypatch):
 
 @pytest.fixture
 def fold_primes_only(monkeypatch):
-    # The six fold primes are plenty for these pencils; with no more to
-    # try, a lift that never certifies raises ArithmeticError instead of
-    # searching every prime below 2**30.
-    monkeypatch.setattr(linalg, "_primes",
-                        lambda first=(): iter(dict.fromkeys([*first, *linalg._FOLDS])))
+    # The six fold primes are plenty for these pencils; a lift that needs
+    # more raises ArithmeticError.
+    monkeypatch.setattr(linalg, "_primes", lambda: iter(linalg._FOLDS))
 
 
 def _certified_kernel_of(rows, k):
-    packed = linalg._pack(rows)
+    packed, n = linalg._pack(rows), min(len(rows), len(rows[0]))
     return linalg._certified_kernel(
-        (), lambda c: linalg._echelon_mod_p(linalg._pack_mod_p(packed, c), len(rows[0]), c),
-        functools.partial(linalg._annihilates, packed), k)
+        lambda c: linalg._echelon_mod_p(linalg._pack_mod_p(packed, c), len(rows[0]), c),
+        functools.partial(linalg._annihilates, packed),
+        lambda: (n, linalg._hadamard_bits(n, rows)), k)
 
 
 def _normalized_on(kernel, zero_rows):
