@@ -13,6 +13,7 @@ from .family import (
     near_generic_type,
     predict_by_gcd,
     sample_line,
+    type_from_gcd,
     verlinde_pencil,
     zero_count,
 )

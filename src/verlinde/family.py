@@ -5,7 +5,8 @@ V_k restricted to the line spanned by forms f1, f2 is the cokernel of the
 pencil (A, B) = (mult by f1, mult by f2) acting from degree k-d to degree
 k.  Everything here is an executable criterion about that pencil: the
 zero count of the splitting type, genericity as a single rank condition,
-and the gcd test that predicts jumping behavior.
+and the gcd test that predicts jumping behavior; ``type_from_gcd`` gives
+the whole type in closed form from deg gcd(f1, f2).
 
 The zero count and the genericity test read the same number, rank [A|B]
 = 2u - h(2), from the first step of the pencil's h-sequence, the step the
@@ -43,6 +44,7 @@ __all__ = [
     "zero_count",
     "generic_type",
     "near_generic_type",
+    "type_from_gcd",
     "is_generic_type",
     "GcdPrediction",
     "predict_by_gcd",
@@ -174,7 +176,9 @@ def _check_generic_defined(ctx):
 
 
 def generic_type(ctx):
-    """The type (1,...,1,0,...,0) with u ones; needs degree <= rank."""
+    """The type (1,...,1,0,...,0) with u ones; needs degree <= rank.  At
+    k >= 2d no line attains it (``type_from_gcd`` has more zeros for every
+    d'), so there ``split`` reports "generic": false, dominance against it."""
     _check_generic_defined(ctx)
     return SplittingType((1,) * ctx.u + (0,) * (ctx.rank - ctx.u))
 
@@ -195,6 +199,41 @@ def near_generic_type(ctx):
     return SplittingType((2,) + (1,) * (ctx.u - 2) + (0,) * (ctx.rank - ctx.u + 1))
 
 
+def type_from_gcd(ctx, dprime):
+    """The splitting type of V_k on a line whose forms have a gcd of degree
+    d': with e = d - d', m = k - d' and r(a) = C(a + n, n) (0 for a < 0),
+    #{i : a_i >= j} = r(m - je) - r(m - (j+1)e) for j >= 1, zeros elsewhere.
+
+    Proof.  Write f_i = g g_i, g = gcd(f1, f2), g1 and g2 coprime of degree
+    e.  V is the cokernel of R_(k-d) (x) O(-1) -> R_k (x) O under
+    g (s g1 + t g2); g is a nonzerodivisor, so 0 -> W -> V -> (R_k / g R_m)
+    (x) O -> 0 is exact, W the cokernel of R_(m-e) (x) O(-1) -> R_m (x) O
+    under s g1 + t g2.  For j >= 1, H^0(W(-j)) is the kernel of
+    R_(m-e) (x) H^1(O(-1-j)) -> R_m (x) H^1(O(-j)): the chains
+    (c_1, ..., c_j) with g1 c_i + g2 c_(i+1) = 0, up to sign.  By the
+    Koszul complex of the coprime g1, g2 (Eisenbud, Commutative Algebra,
+    section 17), c_i = +-g1^(i-1) g2^(j-i) q with q in R_(m-je), so
+    h^0(W(-j)) = r(m - je).  W and V are quotients of trivial bundles, so
+    every a_i >= 0, H^1(W) = 0, the sequence splits, and #{a_i >= j} =
+    h^0(W(-j)) - h^0(W(-j-1)) (Okonek, Schneider and Spindler, Vector
+    Bundles on Complex Projective Spaces, I.2).
+
+    So the sum is r(k - d) = u, there are w - 2u + r(k - 2d + d') zeros
+    (jumping iff d' >= 2d - k), the largest entry is max(0, floor(m / e)),
+    and at k = d + 1 the type is generic unless d' = d - 1.  A d' above
+    d - 1, which only an overshooting gcd oracle reads on a line, is taken
+    as d - 1, still not below the truth."""
+    if dprime < 0:
+        raise ValueError(f"gcd degree must be >= 0, got {dprime}")
+    dprime = min(dprime, ctx.d - 1)
+    e, m, n = ctx.d - dprime, ctx.k - dprime, ctx.n
+    h = [comb(m - j * e + n, n) for j in range(m // e + 1)] + [0, 0]  # h^0(W(-j))
+    entries = []
+    for j in range(m // e, 0, -1):  # #{a_i >= j} - #{a_i >= j + 1} entries equal j
+        entries += [j] * (h[j] - 2 * h[j + 1] + h[j + 2])
+    return SplittingType(entries + [0] * (ctx.rank - len(entries)))
+
+
 @dataclass(frozen=True)
 class GcdPrediction:
     gcd_degree: int
@@ -206,8 +245,8 @@ def predict_by_gcd(ctx, line, trials=3, seed=0):
     """Predict jumping behavior from deg gcd(f1, f2).
 
     The line is jumping iff deg gcd >= 2d - k; at k = d + 1 the full type
-    is determined: (2,1,...,1,0,...,0) when jumping, the generic type
-    otherwise.
+    is ``type_from_gcd``'s: (2,1,...,1,0,...,0) when jumping, the generic
+    type otherwise.
     """
     _check_generic_defined(ctx)
     _check_line(ctx, line)
@@ -215,7 +254,7 @@ def predict_by_gcd(ctx, line, trials=3, seed=0):
     jumping = dprime >= 2 * ctx.d - ctx.k
     predicted = None
     if ctx.k == ctx.d + 1:
-        predicted = near_generic_type(ctx) if jumping else generic_type(ctx)
+        predicted = type_from_gcd(ctx, dprime)
     return GcdPrediction(gcd_degree=dprime, jumping=jumping, predicted_type=predicted)
 
 

@@ -194,9 +194,6 @@ class ExactMatrix:
                for row in self.entries]
         return ExactMatrix(self.rows, other.cols, out)
 
-    def column(self, j):
-        return [self.entries[i][j] for i in range(self.rows)]
-
     def apply_to_vector(self, vec):
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
@@ -472,12 +469,14 @@ def _certified_kernel(eliminate, exact, bound, k=1):
     eliminate(c) is ``_echelon_mod_p`` of the rows modulo 2**30 - c, or
     None if that prime cannot serve; exact(vec) checks a lifted vector over
     Z.  Primes come in the order of ``_primes``; lifting starts once k
-    agree, and combines by CRT the residues of every prime that agrees.
+    agree.  Each unresolved zero row i keeps crt[i], its vector's residues
+    modulo m, the agreeing primes' product, and each agreeing prime is
+    folded in once by CRT; a prime with other zero rows starts afresh.
     bound(), asked once a third prime is needed, is (r, bits): every bad
     prime divides one of r nonzero minors, each below H = 2**bits.
     ArithmeticError is raised past max(2, (B + 1) G) primes, the module
     docstring's bound with G >= k."""
-    group, basis, cap = {}, {}, 2
+    used, cap = [], 2
     for tried, c in enumerate(_primes()):
         if tried == 2:
             minors, bits = bound()
@@ -487,28 +486,27 @@ def _certified_kernel(eliminate, exact, bound, k=1):
         echelon = eliminate(c)
         if echelon is None:
             continue
-        zero_rows = echelon[2]
-        if group and len(zero_rows) > len(zeros):
+        pivots, mults, zero_rows, _ = echelon
+        if used and len(zero_rows) > len(zeros):
             continue
-        if not group or zero_rows != zeros:
-            group, basis, zeros = {}, {}, zero_rows
-        group[c] = echelon
-        if len(group) < k:
+        if not used or zero_rows != zeros:
+            used, basis, crt, m, zeros = [], {}, {}, 1, zero_rows
+        p = 2**30 - c
+        f = pow(m, -1, p)
+        for i in zero_rows[len(basis):]:  # basis holds a prefix of zero_rows
+            z = _left_kernel_mod_p(i, pivots, mults, p)
+            crt[i] = [a + m * ((b - a) * f % p) for a, b in zip(crt[i], z)] if used else z
+        used.append(c)
+        m *= p
+        if len(used) < k:
             continue
-        for i in (i for i in zero_rows if i not in basis):
-            x, m = [], 1
-            for q, (pivots, mults, _, _) in group.items():
-                p = 2**30 - q
-                z = _left_kernel_mod_p(i, pivots, mults, p)
-                f = pow(m, -1, p)
-                x = [a + m * ((b - a) * f % p) for a, b in zip(x, z)] if x else z
-                m *= p
-            vec = _lift(x, m)
+        for i in zero_rows[len(basis):]:
+            vec = _lift(crt[i], m)
             if vec is None or not exact(vec):
                 break
             basis[i] = vec
-        else:  # basis was filled in the order of zero_rows
-            return basis, list(group)
+        else:
+            return basis, used
     raise ArithmeticError("no kernel certified within the proven number of primes")
 
 

@@ -1,15 +1,13 @@
 """Seeded verification suites.
 
 Each suite enumerates a deterministic list of cases from a root seed,
-evaluates them (optionally across worker processes, capped by the
-VERLINDE_THREADS environment variable), and returns a SuiteResult whose
-JSON form is byte-identical across reruns with the same seed.  Wall time
-is reported separately on stderr by the CLI, never inside the JSON.
+evaluates them in order, and returns a SuiteResult whose JSON form is
+byte-identical across reruns with the same seed.  Wall time is reported
+separately on stderr by the CLI, never inside the JSON.
 """
 
 from __future__ import annotations
 
-import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -23,6 +21,7 @@ from .family import (
     near_generic_type,
     predict_by_gcd,
     sample_line,
+    type_from_gcd,
     verlinde_pencil,
 )
 from .linalg import ExactMatrix, _bareiss_rank, random_unimodular
@@ -31,7 +30,7 @@ from .polynomials import gcd_degree, monomial_basis, mult_matrix, random_form
 from .schubert import GrContext, SchubertClass, giambelli, product, sigma
 from .schubert import degree as schubert_degree
 
-__all__ = ["SuiteResult", "SUITES", "run_suite", "run_all", "worker_count"]
+__all__ = ["SuiteResult", "SUITES", "run_suite", "run_all"]
 
 JUMPING_PAIRS = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)]
 EVEN_CASE_PAIR = (3, 5)  # first n=3 pair whose measured dimension is even
@@ -50,11 +49,8 @@ class SuiteResult:
     def passed(self):
         return not self.failures
 
-    def count(self, check, n=1):
-        self.checks[check] = self.checks.get(check, 0) + n
-
     def record(self, check, case, expected, actual):
-        self.count(check)
+        self.checks[check] = self.checks.get(check, 0) + 1
         if expected != actual:
             self.failures.append({
                 "check": check,
@@ -62,13 +58,6 @@ class SuiteResult:
                 "expected": repr(expected),
                 "actual": repr(actual),
             })
-
-    def merge(self, other):
-        """Add another result's cases, check counts and failures."""
-        self.cases += other.cases
-        for check, n in other.checks.items():
-            self.count(check, n)
-        self.failures.extend(other.failures)
 
     def to_json(self):
         return {
@@ -79,27 +68,6 @@ class SuiteResult:
             "failures": self.failures,
             "passed": self.passed,
         }
-
-
-def worker_count():
-    """Worker cap from VERLINDE_THREADS (default 1, i.e. sequential)."""
-    raw = os.environ.get("VERLINDE_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, min(n, os.cpu_count() or 1))
-
-
-def _map_cases(fn, args_list):
-    """Order-preserving map, fanned out over processes when allowed."""
-    workers = worker_count()
-    if workers <= 1 or len(args_list) < 4:
-        return [fn(a) for a in args_list]
-    import multiprocessing
-
-    with multiprocessing.Pool(workers) as pool:
-        return pool.map(fn, args_list, chunksize=8)
 
 
 # ---------------------------------------------------------------- algebra
@@ -265,25 +233,24 @@ def _line_specs(seed):
     return specs
 
 
-def _line_case(spec):
-    """Evaluate every per-line criterion, as a one-case result."""
+def _line_case(res, spec):
+    """Record every per-line criterion of one line into res.  The expected
+    zero count and genericity are ``type_from_gcd``'s at the gcd oracle's
+    d'; an oracle overshoot that changes them shows as a failure."""
     n, d, k, mode, case_seed, _pop = spec
     ctx = context(n, d, k)
     line = sample_line(ctx, mode, seed=case_seed)
     case = f"({n},{d},{k}):{mode}:{case_seed.rsplit(':', 1)[-1]}"
-    res = SuiteResult("criteria", case_seed, cases=1)
+    res.cases += 1
 
-    pencil = verlinde_pencil(ctx, line)
-    st = splitting_type(pencil)
-    # Bareiss on [A|B] against the type from the h-sequence, whose first
-    # step also gives zero_count and is_generic_type
-    stacked = _bareiss_rank(pencil.A.hstack(pencil.B).entries)
-    res.record("zero_count", case, ctx.w - stacked, st.zeros())
+    st = splitting_type(verlinde_pencil(ctx, line))
+    pred = predict_by_gcd(ctx, line, trials=3, seed=case_seed)
+    closed = type_from_gcd(ctx, pred.gcd_degree)
+    res.record("zero_count", case, closed.zeros(), st.zeros())
     res.record("frame", case, (ctx.rank, ctx.degree), (len(st), st.total))
     gen = generic_type(ctx)
-    res.record("generic_iff", case, stacked == 2 * ctx.u, st == gen)
+    res.record("generic_iff", case, closed == gen, st == gen)
     res.record("dominance", case, True, dominates(st, gen))
-    pred = predict_by_gcd(ctx, line, trials=3, seed=case_seed)
     res.record("gcd_iff", case, not is_generic_type(ctx, line), pred.jumping)
     if k == d + 1:
         two = near_generic_type(ctx)
@@ -293,17 +260,6 @@ def _line_case(spec):
             res.record("random_generic", case, True, st == gen)
         if mode == f"jumping:{d - 1}":
             res.record("planted_max_gcd", case, two, st)
-    return res
-
-
-def _gcd_sweep_case(spec):
-    n, d, k, dp, case_seed = spec
-    ctx = context(n, d, k)
-    line = sample_line(ctx, f"jumping:{dp}", seed=case_seed)
-    res = SuiteResult("criteria", case_seed, cases=1)
-    res.record("gcd_criterion", f"({n},{d},{k}):d'={dp}:{case_seed.rsplit(':', 1)[-1]}",
-               dp >= 2 * d - k, not is_generic_type(ctx, line))
-    return res
 
 
 def run_criteria_suite(seed=0):
@@ -328,18 +284,20 @@ def run_criteria_suite(seed=0):
                                True, ctx.degree <= ctx.rank)
                 res.cases += 1
 
-    for outcome in _map_cases(_line_case, _line_specs(seed)):
-        res.merge(outcome)
+    for spec in _line_specs(seed):
+        _line_case(res, spec)
 
-    sweep = []
     for n in (2, 3):
         for d in (2, 3, 4):
             for k in range(d, 2 * d + 1):
+                ctx = context(n, d, k)
                 for dp in range(0, d):
                     for rep in range(3):
-                        sweep.append((n, d, k, dp, f"{seed}:sweep:{n}:{d}:{k}:{dp}:{rep}"))
-    for outcome in _map_cases(_gcd_sweep_case, sweep):
-        res.merge(outcome)
+                        line = sample_line(ctx, f"jumping:{dp}",
+                                           seed=f"{seed}:sweep:{n}:{d}:{k}:{dp}:{rep}")
+                        res.record("gcd_criterion", f"({n},{d},{k}):d'={dp}:{rep}",
+                                   dp >= 2 * d - k, not is_generic_type(ctx, line))
+                        res.cases += 1
 
     # past k = 2d the generic type never occurs (degree still <= rank here)
     ctx = context(2, 2, 5)

@@ -1,10 +1,12 @@
+import multiprocessing
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from verlinde import family, linalg, pencils
+from verlinde import family, linalg, pencils, suites
 from verlinde.family import (
     DegenerateLineError,
     GenericTypeUndefinedError,
@@ -16,12 +18,13 @@ from verlinde.family import (
     near_generic_type,
     predict_by_gcd,
     sample_line,
+    type_from_gcd,
     verlinde_pencil,
     zero_count,
 )
 from verlinde.linalg import ExactMatrix, _bareiss_rank
 from verlinde.pencils import is_injective, splitting_type, twisted_section_dims
-from verlinde.polynomials import HomogeneousPolynomial
+from verlinde.polynomials import HomogeneousPolynomial, gcd_degree
 
 
 def x(i):
@@ -338,3 +341,68 @@ def test_zero_count_and_genericity_match_bareiss_on_stacked_matrix(cell, type_fi
     assert is_generic_type(ctx, line) is (stacked == 2 * ctx.u)
     if ctx.k < ctx.d:
         assert ctx.u == stacked == 0
+
+
+# ------------------------------------------- the splitting type in closed form
+
+def _closed_form_mismatches(ctx, line, seed):
+    """[(type, closed form)] if the h-sequence's type differs from
+    type_from_gcd at the gcd oracle's d', else []."""
+    st_ = splitting_type(verlinde_pencil(ctx, line))
+    closed = type_from_gcd(ctx, gcd_degree(line.f1, line.f2, trials=3, seed=seed))
+    return [] if st_ == closed else [(st_, closed)]
+
+
+def test_closed_form_is_the_whole_type_on_the_criteria_lines():
+    # every fifth line of the seed-0 criteria suite, random and planted alike
+    mismatches = []
+    for n, d, k, mode, case_seed, _ in suites._line_specs(0)[::5]:
+        ctx = context(n, d, k)
+        line = sample_line(ctx, mode, seed=case_seed)
+        mismatches += _closed_form_mismatches(ctx, line, case_seed)
+    assert mismatches == []
+
+
+@pytest.mark.parametrize("mode", ["random", "jumping:1", "jumping:2", "jumping:3"])
+def test_closed_form_is_the_whole_type_on_planted_lines_at_3_4_10(mode):
+    ctx = context(3, 4, 10)
+    line = sample_line(ctx, mode, seed=f"closed:{mode}")
+    assert _closed_form_mismatches(ctx, line, seed=0) == []
+
+
+def _r(n, a):
+    return comb(a + n, n) if a >= 0 else 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_closed_form_identities(n, d):
+    for k in range(1, 2 * d + 4):
+        ctx = context(n, d, k)
+        for dp in range(d):
+            t = type_from_gcd(ctx, dp)
+            assert (len(t), t.total) == (ctx.rank, ctx.u)
+            assert t.zeros() == ctx.w - 2 * ctx.u + _r(n, k - 2 * d + dp)
+            assert t[0] == max((k - dp) // (d - dp), 0)
+            if d <= k <= 2 * d:  # jumping iff d' >= 2d - k
+                assert (t != generic_type(ctx)) is (dp >= 2 * d - k)
+            elif k > 2 * d and ctx.degree <= ctx.rank:  # no line is generic
+                assert t != generic_type(ctx)
+        # an oracle reading of d or more is read as d - 1
+        assert type_from_gcd(ctx, d + 1) == type_from_gcd(ctx, d - 1)
+    if d > 1:  # exactly two types at k = d + 1
+        ctx = context(n, d, d + 1)
+        assert ([type_from_gcd(ctx, dp) for dp in range(d)]
+                == [generic_type(ctx)] * (d - 1) + [near_generic_type(ctx)])
+    with pytest.raises(ValueError):
+        type_from_gcd(context(n, d, d), -1)
+
+
+def test_criteria_suite_calls_neither_bareiss_nor_a_pool(monkeypatch, spy):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the criteria suite runs in one process")
+
+    monkeypatch.setattr(multiprocessing, "Pool", refuse)
+    bareiss = spy("linalg._bareiss")
+    res = suites.run_criteria_suite(0)
+    assert res.passed and bareiss == []

@@ -267,6 +267,18 @@ def test_a_bad_prime_after_a_good_one_is_skipped(spy):
     assert [args[2] for args in echelons] == list(linalg._FOLDS[:3])
 
 
+def test_each_prime_is_folded_in_once_per_zero_row(spy):
+    # the normalized vectors (-b/a, 1, 0) and (-c/a, 0, 1), entries near
+    # 2**40, lift from three primes; the running CRT residues of each zero
+    # row take one modular kernel vector a prime, not one per agreeing
+    # prime again at every new prime
+    echelons, vectors = spy("linalg._echelon_mod_p"), spy("linalg._left_kernel_mod_p")
+    a, b, c = 2**40 + 15, 3**25, 5**17
+    kernel = ExactMatrix.from_rows([[a], [b], [c]]).left_kernel()
+    assert kernel == [[-b, a, 0], [-c, 0, a]]
+    assert len(echelons) == 3 and len(vectors) <= 2 * 3
+
+
 def _proven_primes(minors, bits):
     """The module docstring's (B + 1) G: B = minors ceil(bits / 29) bad
     primes, and G good ones whose product passes 2 H**2, H = 2**bits."""
