@@ -44,9 +44,9 @@ __all__ = [
 
 DESK_SCALE_N = 60
 # Largest pencil `split` takes, in cells 2*w*u.  (3,4,9) has 24640.  On a
-# 2-vCPU Xeon under Python 3.11, one random line (seed 0) takes about 0.08 s
-# at (3,4,10) (48048 cells), 0.56 s at (3,4,12) (150150) and 3.4 s at
-# (3,4,14) (388960); a planted `jumping:3` line at (3,4,14) takes 24 s.
+# 2-vCPU Xeon under Python 3.11, one random line (seed 0) takes about 0.05 s
+# at (3,4,10) (48048 cells), 0.39 s at (3,4,12) (150150) and 2.4 s at
+# (3,4,14) (388960); a planted `jumping:3` line at (3,4,14) takes 14 s.
 SPLIT_MAX_CELLS = 100_000
 
 FLAG_DIM_MISMATCH = "DIM_MISMATCH"

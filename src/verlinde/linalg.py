@@ -28,15 +28,20 @@ most one run of fewer than G good primes, so ArithmeticError is raised
 after (B + 1) G primes, two at least (``_certified_kernel``).
 
 Packing.  A matrix is packed once, exactly (``_pack``): a row x is one int
-E = sum x_j 2**(96 (w-1-j)), from one struct.pack of signed 32-bit fields
-in 96-bit slots, less 2**32 at its negative slots, marked by N.  If every
+E = sum x_j 2**(b (w-1-j)), from one struct.pack of signed 32-bit fields
+in b-bit slots, less 2**32 at its negative slots, marked by N.  If every
 x is in [-2**29, 2**29), its residues mod p are E + p N, as x mod p = x + p
 for -p < x < 0; another row reduces each entry.  A lifted vector is
 checked over Z by one packed sum (``_annihilates``).
 
 The elimination takes each working row as one int of residues, updated
-by one multiply-add of the pivot row folded under 2**31 (``_fold``): a
-slot carries only after 2**35 updates.  It resumes: rows
+by one multiply-add of the pivot row's tail, folded under 2**31 (``_fold``)
+if that row was updated.  A slot starts below 2**31 (a residue or a folded
+sum) and an update adds (p - f) tail < 2**61, at most one per pivot; a
+packed combination of u <= w rows sums u products below 2**60.  So no
+slot carries if 2**31 + w 2**61 < 2**b, and b is the fewest whole bytes
+with that (``_packing``): 64 bits up to w = 7, 72 up to 2047, 80 beyond,
+one size for a resumed elimination and its base.  It resumes: rows
 stacked below eliminated ones are reduced by their pivot records, then
 among themselves, so a block shared by a sequence of matrices (a pencil's
 B^T) is eliminated once per prime.
@@ -231,13 +236,15 @@ class ExactMatrix:
 
 @functools.cache
 def _packing(width):
-    """The Struct that packs ``width`` signed 32-bit ints into the low bits of
-    96-bit slots, and the masks of every slot's low 30 bits, of its high 66
-    bits and of its lowest bit."""
-    return (struct.Struct(">" + "8xi" * width),
-            int.from_bytes((bytes(8) + b"\x3f\xff\xff\xff") * width, "big"),
-            int.from_bytes((b"\xff" * 8 + b"\xc0\0\0\0") * width, "big"),
-            int.from_bytes((bytes(11) + b"\1") * width, "big"))
+    """For ``width`` columns: the slot size b in bits, the fewest whole bytes
+    with 2**31 + width 2**61 < 2**b (module docstring); the Struct that packs
+    signed 32-bit ints into the low bits of b-bit slots; and the masks of
+    every slot's low 30 bits, of its higher bits and of its lowest bit."""
+    pad = ((2**31 + width * 2**61).bit_length() + 7) // 8 - 4
+    return (8 * pad + 32, struct.Struct(">" + f"{pad}xi" * width),
+            int.from_bytes((bytes(pad) + b"\x3f\xff\xff\xff") * width, "big"),
+            int.from_bytes((b"\xff" * pad + b"\xc0\0\0\0") * width, "big"),
+            int.from_bytes((bytes(pad + 3) + b"\1") * width, "big"))
 
 
 def _primes():
@@ -257,19 +264,21 @@ def _is_prime_fold(c):
 
 
 @functools.cache
-def _fold_rounds(c):
-    """Folds taking any 96-bit slot under 2**31, each taking one below b
-    under 2**30 + c (b >> 30): three for ``_FOLDS`` (96 -> 73, 50, 31 bits)."""
-    bound, rounds = 1 << 96, 0
+def _fold_rounds(c, bits):
+    """Folds taking any slot of ``bits`` bits under 2**31, each taking one
+    below b under 2**30 + c (b >> 30): for ``_FOLDS``, two at 64 and 72
+    bits (72 -> 49, 31 bits), three at 80."""
+    bound, rounds = 1 << bits, 0
     while bound > 1 << 31:
         bound, rounds = (1 << 30) + c * (bound >> 30), rounds + 1
     return rounds
 
 
-def _fold(x, lo, hi, c):
-    """Fold each 96-bit slot of x below 2**31, keeping it mod p = 2**30 - c:
-    2**30 = c (mod p), so a slot lo + 2**30 hi becomes lo + c hi."""
-    for _ in range(_fold_rounds(c)):
+def _fold(x, lo, hi, c, bits):
+    """Fold each ``bits``-bit slot of x below 2**31, keeping it mod p = 2**30 - c
+    (2**30 = c mod p: a slot lo + 2**30 hi becomes lo + c hi); the elimination
+    folds only the tails of updated rows."""
+    for _ in range(_fold_rounds(c, bits)):
         x = (x & lo) + c * ((x & hi) >> 30)
     return x
 
@@ -286,9 +295,9 @@ def _pack_wide(rows, size):
 def _pack(rows):
     """Nonempty integer rows packed once, exactly (see the module docstring):
     (rows, [E], [N], top, {}).  A wide row, with an entry outside
-    [-2**29, 2**29), has N None and E 0, and sets top >= 2**95; top bounds
-    every |x|.  The dict caches ``_annihilates``'s wider packings."""
-    packer, _, high, ones = _packing(len(rows[0]))
+    [-2**29, 2**29), has N None and E 0, and sets top >= 2**(b-1) for b-bit
+    slots; top bounds every |x|.  The dict caches ``_annihilates``'s wider packings."""
+    bits, packer, _, high, ones = _packing(len(rows[0]))
     exact, marks, top, half = [], [], 2**29, ones << 29
     for row in rows:
         try:
@@ -298,7 +307,7 @@ def _pack(rows):
             if (e + half) & high:  # a slot of E + 2**29 outside [0, 2**30)
                 raise struct.error
         except struct.error:
-            e, n, top = 0, None, max(top, 2**95, *map(abs, row))
+            e, n, top = 0, None, max(top, 1 << bits - 1, *map(abs, row))
         exact.append(e)
         marks.append(n)
     return rows, exact, marks, top, {}
@@ -309,7 +318,7 @@ def _pack_mod_p(packed, c):
     in one int: E + p N, as x mod p = x + p for -p < x < 0."""
     rows, exact, marks, _, _ = packed
     p = 2**30 - c
-    packer = _packing(len(rows[0]))[0]
+    packer = _packing(len(rows[0]))[1]
     return [e + p * n if n is not None else
             int.from_bytes(packer.pack(*[x % p for x in row]), "big")
             for row, e, n in zip(rows, exact, marks)]
@@ -321,47 +330,51 @@ def _echelon_mod_p(rest, width, c, base=None):
 
     Returns the pivot rows in pivot order, each row's multipliers by pivot
     number, the rows that reduced to zero, and the pivots' records (slot
-    shift, folded tail, inverse).  Column 0 is a row's highest slot.  An
-    update adds (p - f) times the pivot row's slots below the pivot column,
-    folded under 2**31, and drops the eliminated slots; slots stay
-    nonnegative and grow by under 2**61 an update, and a row takes at most
-    min(rows, cols) updates.  The next pivot column is the highest top slot
-    nonzero mod p, read off bit lengths; tops that are multiples of p are
-    cleared on the way.  A base, the result for rows stacked above these, is
-    resumed and left as it was: these rows, numbered after its own, are
-    reduced by its records in order, clearing only the pivot slot (an
-    earlier column may be nonzero here), then eliminated among themselves.
+    shift, tail, inverse).  Column 0 is a row's highest slot.  An update
+    adds (p - f) times the pivot row's tail, its slots below the pivot
+    column, folded under 2**31 only if that row was updated (else they are
+    under it), and drops the eliminated slot; slots stay below
+    2**31 + width 2**61 (module docstring).  The next pivot column is the
+    highest top slot nonzero mod p, read off bit lengths; tops that are
+    multiples of p are cleared on the way.  A base, the result for rows
+    stacked above these, is resumed and left as it was: these rows,
+    numbered after its own, are reduced by its records in order and freed
+    of its pivot slots by one AND (shifts decrease, so none is read again;
+    an earlier column may be nonzero here), then eliminated among themselves.
     """
     p = 2**30 - c
-    _, lo, hi, _ = _packing(width)
-    slot = (1 << 96) - 1
+    bits, _, lo, hi, _ = _packing(width)
+    slot = (1 << bits) - 1
     pivots, mults, zero_rows, records = base or ([], [], [], [])
     first = len(mults)
     pivots, mults, records = pivots[:], mults + [[] for _ in rest], records[:]
+    grew = [False] * len(rest)
     for shift, tail, inv in records:
         for i, row in enumerate(rest):
-            e = row >> shift & slot
-            f = e * inv % p
+            f = (row >> shift & slot) * inv % p
             mults[first + i].append(f)
             if f:
-                rest[i] = row - (e << shift) + (p - f) * tail
+                rest[i], grew[i] = row + (p - f) * tail, True
+    if records:
+        keep = (1 << bits * width) - 1 - sum(slot << shift for shift, _, _ in records)
+        rest = [row & keep for row in rest]
     rest_idx = list(range(first, first + len(rest)))
-    tops = [(row.bit_length() + 95) // 96 for row in rest]  # top slot, from 1 at the right
+    tops = [(row.bit_length() + bits - 1) // bits for row in rest]  # top slot, from 1 at the right
     while rest:
         t = max(tops)
         if not t:
             break
         at = tops.index(t)
-        shift = 96 * t - 96
+        shift = bits * t - bits
         below = (1 << shift) - 1
         if not (rest[at] >> shift) % p:  # a top slot that is a multiple of p
             rest[at] &= below
-            tops[at] = (rest[at].bit_length() + 95) // 96
+            tops[at] = (rest[at].bit_length() + bits - 1) // bits
             continue
         pivots.append(rest_idx.pop(at))
         del tops[at]
         row = rest.pop(at)
-        tail = _fold(row & below, lo, hi, c)
+        tail = _fold(row & below, lo, hi, c, bits) if grew.pop(at) else row & below
         inv = pow(row >> shift, -1, p)
         records.append((shift, tail, inv))
         for i, n in enumerate(tops):
@@ -370,7 +383,7 @@ def _echelon_mod_p(rest, width, c, base=None):
                 row = rest[i]
                 f = (row >> shift) * inv % p
                 rest[i] = row = (row & below) + (p - f) * tail if f else row & below
-                tops[i] = (row.bit_length() + 95) // 96
+                tops[i], grew[i] = (row.bit_length() + bits - 1) // bits, grew[i] or f
             mults[rest_idx[i]].append(f)
     return pivots, mults, zero_rows + rest_idx, records
 
@@ -433,24 +446,25 @@ def _lift(residues, m):
 
 def _packed_combinations(vecs, packed, width, c):
     """The packed residues mod 2**30 - c of sum r_j row_j for each vector r
-    of residues, one per row, given the rows packed."""
-    _, lo, hi, _ = _packing(width)
-    return [_fold(sum(map(mul, r, packed)), lo, hi, c) for r in vecs]
+    of residues, one per row, given the rows packed (at most width of them)."""
+    bits, _, lo, hi, _ = _packing(width)
+    return [_fold(sum(map(mul, r, packed)), lo, hi, c, bits) for r in vecs]
 
 
 def _annihilates(packed, vec):
-    """Whether vec . rows = 0 over Z, for rows packed by ``_pack``.  In
-    slots of 96 m bits, sum vec_i E_i = sum s_j 2**(96 m (w-1-j)), s_j the
-    column sums, |s_j| <= b = top sum |vec_i|.  For the least m with
-    b < 2**(96 m - 1), it is 0 only when every s_j is: at its lowest slot k
-    with s_j != 0 it is s_j 2**(96 m k) mod 2**(96 m (k+1)), and
-    0 < |s_j| < 2**(96 m).  m = 1 uses E (a wide row makes m > 1 unless
+    """Whether vec . rows = 0 over Z, for rows packed by ``_pack`` in slots
+    of b bits.  In slots of b m bits, sum vec_i E_i = sum s_j 2**(b m (w-1-j)),
+    s_j the column sums, |s_j| <= t = top sum |vec_i|.  For the least m with
+    t < 2**(b m - 1), it is 0 only when every s_j is: at its lowest slot k
+    with s_j != 0 it is s_j 2**(b m k) mod 2**(b m (k+1)), and
+    0 < |s_j| < 2**(b m).  m = 1 uses E (a wide row makes m > 1 unless
     vec = 0); a wider m packs the rows again, once per m."""
     rows, exact, _, top, wider = packed
-    m = (top * sum(map(abs, vec))).bit_length() // 96 + 1
+    bits = _packing(len(rows[0]))[0]
+    m = (top * sum(map(abs, vec))).bit_length() // bits + 1
     if m > 1:
         if m not in wider:
-            wider[m] = _pack_wide(rows, 12 * m)
+            wider[m] = _pack_wide(rows, bits // 8 * m)
         exact = wider[m]
     return not sum(map(mul, vec, exact))
 

@@ -212,14 +212,14 @@ def _criteria_cells():
 
 
 def _line_specs(seed):
-    """Deterministic list of (n, d, k, mode, case_seed, population) specs."""
+    """Deterministic list of (n, d, k, mode, case_seed) specs."""
     specs = []
     for n, d, k, n_random, n_jumping, cap in _criteria_cells():
         for i in range(n_random):
-            specs.append((n, d, k, "random", f"{seed}:crit:{n}:{d}:{k}:r{i}", "grid"))
+            specs.append((n, d, k, "random", f"{seed}:crit:{n}:{d}:{k}:r{i}"))
         for i in range(n_jumping):
             dp = i % (cap + 1)
-            specs.append((n, d, k, f"jumping:{dp}", f"{seed}:crit:{n}:{d}:{k}:j{i}", "grid"))
+            specs.append((n, d, k, f"jumping:{dp}", f"{seed}:crit:{n}:{d}:{k}:j{i}"))
     # extra population at k = d + 1 for the two-type classification
     for n in (2, 3):
         for d in (2, 3, 4):
@@ -229,7 +229,7 @@ def _line_specs(seed):
                     mode = "random"
                 else:
                     mode = f"jumping:{(i // 2) % d}"
-                specs.append((n, d, k, mode, f"{seed}:crit2:{n}:{d}:{k}:{i}", "classify"))
+                specs.append((n, d, k, mode, f"{seed}:crit2:{n}:{d}:{k}:{i}"))
     return specs
 
 
@@ -237,7 +237,7 @@ def _line_case(res, spec):
     """Record every per-line criterion of one line into res.  The expected
     zero count and genericity are ``type_from_gcd``'s at the gcd oracle's
     d'; an oracle overshoot that changes them shows as a failure."""
-    n, d, k, mode, case_seed, _pop = spec
+    n, d, k, mode, case_seed = spec
     ctx = context(n, d, k)
     line = sample_line(ctx, mode, seed=case_seed)
     case = f"({n},{d},{k}):{mode}:{case_seed.rsplit(':', 1)[-1]}"

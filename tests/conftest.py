@@ -46,9 +46,11 @@ def bareiss_left_kernel(rows):
 
 def per_entry_pack_mod_p(rows, c):
     """The packer ``linalg._pack_mod_p`` replaced: each entry reduced by
-    x % p, p = 2**30 - c, into its own 96-bit slot, one int per row."""
+    x % p, p = 2**30 - c, into its own slot of ``linalg._packing``'s size,
+    one int per row."""
     p = 2**30 - c
-    packer = struct.Struct(">" + "8xI" * len(rows[0]))
+    pad = linalg._packing(len(rows[0]))[0] // 8 - 4
+    packer = struct.Struct(">" + f"{pad}xI" * len(rows[0]))
     return [int.from_bytes(packer.pack(*[x % p for x in row]), "big") for row in rows]
 
 

@@ -356,7 +356,7 @@ def _closed_form_mismatches(ctx, line, seed):
 def test_closed_form_is_the_whole_type_on_the_criteria_lines():
     # every fifth line of the seed-0 criteria suite, random and planted alike
     mismatches = []
-    for n, d, k, mode, case_seed, _ in suites._line_specs(0)[::5]:
+    for n, d, k, mode, case_seed in suites._line_specs(0)[::5]:
         ctx = context(n, d, k)
         line = sample_line(ctx, mode, seed=case_seed)
         mismatches += _closed_form_mismatches(ctx, line, case_seed)

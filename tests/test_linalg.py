@@ -360,13 +360,13 @@ _EDGE_ENTRIES = (0, 1, -1, _P - 1, _P, -_P, 3 * _P, 2**40)
 def _echelon_inputs(draw):
     """Nonempty integer row lists: the rank tests' integer matrices, or
     tall, wide, width-0 and width-1 grids of entries at the prime's edges,
-    some rows all zero."""
+    some rows all zero, in slots of 64 bits (widths 1-7) and 72 (8-14)."""
     if draw(st.booleans()):
         m = draw(_integer_matrices())
         if m.rows:
             return m.entries
     rows = draw(st.integers(1, 12))
-    cols = draw(st.sampled_from((0, 1, 2, 3, 5, 9, 14)))
+    cols = draw(st.integers(0, 14))
     grid = draw(st.lists(st.lists(st.sampled_from(_EDGE_ENTRIES), min_size=cols, max_size=cols),
                          min_size=rows, max_size=rows))
     for i in draw(st.lists(st.integers(0, rows - 1), max_size=rows)):
@@ -395,7 +395,8 @@ def test_packed_echelon_edge_shapes(rows):
 @settings(max_examples=300, deadline=None)
 def test_resumed_echelon_gives_the_stacked_kernel_mod_p(rows, data):
     # eliminating rows[:cut] once and resuming it with rows[cut:] finds the
-    # rank mod p of all the rows, and each zero row's vector kills them mod p
+    # reference's pivot rows and zero rows mod p, and each zero row's
+    # vector is the reference's and kills them mod p
     cut = data.draw(st.integers(1, len(rows)))
     width = len(rows[0])
     base = linalg._echelon_mod_p(residues_mod_p(rows[:cut]), width, _C)
@@ -404,10 +405,13 @@ def test_resumed_echelon_gives_the_stacked_kernel_mod_p(rows, data):
                if cut < len(rows) else base)
     assert repr(base) == snapshot
     pivots, mults, zero_rows, _ = resumed
+    ref_pivots, ref_mults, ref_zero_rows = reference_echelon_mod_p(rows)
+    assert sorted(pivots) == sorted(ref_pivots) and zero_rows == ref_zero_rows
     assert sorted(pivots + zero_rows) == list(range(len(rows)))
     assert len(zero_rows) == len(packed_echelon_mod_p(rows)[2])
     for i in zero_rows:
         z = linalg._left_kernel_mod_p(i, pivots, mults, _P)
+        assert z == linalg._left_kernel_mod_p(i, ref_pivots, ref_mults, _P)
         assert len(z) == len(rows) and [j for j in zero_rows if z[j]] == [i] and z[i] == 1
         for c in range(width):
             assert sum(r * row[c] for r, row in zip(z, rows)) % _P == 0
@@ -419,6 +423,19 @@ def test_packed_echelon_on_a_reference_cell_pencil():
     rows = vstack(pencil.A.transpose(), pencil.B.transpose()).entries
     assert (len(rows), len(rows[0])) == (70, 165)
     assert packed_echelon_mod_p(rows) == reference_echelon_mod_p(rows)
+
+
+def test_only_updated_pivot_rows_are_folded(spy):
+    # every row of B^T at (3,4,8) becomes a pivot before any update, so
+    # its elimination folds nothing; [A^T ; B^T]'s updated pivots fold
+    ctx = context(3, 4, 8)
+    pencil = verlinde_pencil(ctx, sample_line(ctx, "random", seed=0))
+    folds, bt = spy("linalg._fold"), pencil.B.transpose().entries
+    assert packed_echelon_mod_p(bt) == reference_echelon_mod_p(bt)
+    assert folds == []
+    rows = vstack(pencil.A.transpose(), pencil.B.transpose()).entries
+    assert packed_echelon_mod_p(rows) == reference_echelon_mod_p(rows)
+    assert 0 < len(folds) < len(rows)
 
 
 # ------------------------------------ the exact packing and its uses
@@ -434,13 +451,14 @@ _PACK_EDGES = _EDGE_ENTRIES + (2**29 - 1, -(2**29 - 1), 2**29, -2**29, 2**31, -2
 def test_pack_is_exact_and_its_residues_match_the_per_entry_packer(rows, c):
     packed = linalg._pack(rows)
     _, exact, marks, top, wider = packed
+    bits = linalg._packing(len(rows[0]))[0]
     for row, e, n in zip(rows, exact, marks):
         assert (n is None) == any(not -2**29 <= x < 2**29 for x in row)  # a wide row
         if n is None:
-            assert e == 0 and top >= 2**95
+            assert e == 0 and top >= 2**(bits - 1)
         else:
-            assert e == sum(x << 96 * (len(row) - 1 - j) for j, x in enumerate(row))
-            assert n == sum(1 << 96 * (len(row) - 1 - j) for j, x in enumerate(row) if x < 0)
+            assert e == sum(x << bits * (len(row) - 1 - j) for j, x in enumerate(row))
+            assert n == sum(1 << bits * (len(row) - 1 - j) for j, x in enumerate(row) if x < 0)
     assert top >= max([abs(x) for row in rows for x in row], default=0) and wider == {}
     assert linalg._pack_mod_p(packed, c) == per_entry_pack_mod_p(rows, c)
 
@@ -471,16 +489,20 @@ def test_annihilates_agrees_with_the_dense_check(m, data):
         assert linalg._annihilates(packed, vec) == dense_annihilates(m.entries, vec)
 
 
+_B = linalg._packing(2)[0]  # the slot size of two columns
+
+
 @pytest.mark.parametrize("rows,vec", [
-    ([[-1, 0], [0, 1]], [1, 2**96]),             # small rows, a vector past the bound
-    ([[-1, 0], [0, 2**48]], [1, 2**48]),         # a wide row
-    ([[-2**28, 0], [0, 2**28]], [2**68, 2**164]),  # slot sums past 2**96
+    ([[-1, 0], [0, 1]], [1, 2**_B]),                            # small rows, a vector past the bound
+    ([[-1, 0], [0, 2**(_B // 2)]], [1, 2**(_B // 2)]),          # a wide row
+    ([[-2**28, 0], [0, 2**28]], [2**(_B - 28), 2**(2 * _B - 28)]),  # slot sums past 2**_B
 ])
 def test_annihilates_rejects_slot_sums_that_cancel_by_a_carry(rows, vec):
-    # the column sums are (-s, 2**96 s), s != 0, so sum vec_i E_i is 0
+    # the column sums are (-s, 2**_B s), s != 0, so in one slot of _B bits
+    # sum vec_i E_i is 0
     sums = [sum(map(mul, vec, col)) for col in zip(*rows)]
-    assert sums[1] == -(sums[0] << 96) != 0
-    assert sum(map(mul, vec, linalg._pack_wide(rows, 12))) == 0
+    assert sums[1] == -(sums[0] << _B) != 0
+    assert sum(map(mul, vec, linalg._pack_wide(rows, _B // 8))) == 0
     assert not linalg._annihilates(linalg._pack(rows), vec)
     assert not dense_annihilates(rows, vec)
 
@@ -497,23 +519,31 @@ def test_splitting_type_is_scale_invariant_past_the_fast_pack(scale):
     assert scaled.A.rank() == p.A.rank()
 
 
+@pytest.mark.parametrize("width,bits", [(1, 64), (7, 64), (8, 72), (2047, 72), (2048, 80)])
+def test_slot_size_is_the_fewest_bytes_past_the_carry_bound(width, bits):
+    # a slot starts under 2**31 and takes at most width updates under 2**61
+    assert linalg._packing(width)[0] == bits
+    assert 2**31 + width * 2**61 < 2**bits
+    assert not 2**31 + width * 2**61 < 2**(bits - 8)
+
+
 def test_fold_keeps_packed_slots_apart():
-    for c in linalg._FOLDS + (297, 10**6 + 3):  # the first primes, then larger folds
-        p = 2**30 - c
-        # 2**30 = c (mod p) is what lets a fold replace a slot's high part
-        assert 2**30 % p == c
-        # folded slots are < 2**31 and multipliers < p, so a slot takes 2**35
-        # updates before it could carry into its neighbour
-        assert 2**31 * p * 2**35 < 2**96
-        assert c >= 2**7 or linalg._fold_rounds(c) == 3
-        width = 7
-        _, lo, hi, _ = linalg._packing(width)
-        for full in (2**96 - 1, 2**95 + 2**66 - 1, 2**31 - 1):
-            packed = int.from_bytes(full.to_bytes(12, "big") * width, "big")
-            folded = linalg._fold(packed, lo, hi, c)
-            for j in range(width):
-                s = folded >> (96 * j) & (2**96 - 1)
-                assert s < 2**31 and s % p == full % p
+    for width in (7, 8, 2048):  # slots of 64, 72 and 80 bits
+        bits, _, lo, hi, _ = linalg._packing(width)
+        for c in linalg._FOLDS + (297, 10**6 + 3):  # the first primes, then larger folds
+            p = 2**30 - c
+            # 2**30 = c (mod p) is what lets a fold replace a slot's high part
+            assert 2**30 % p == c
+            # folded slots are < 2**31 and multipliers < p, so a slot takes
+            # width updates without carrying into its neighbour
+            assert 2**31 + width * (p - 1) * 2**31 < 2**bits
+            assert c >= 2**7 or linalg._fold_rounds(c, bits) == (2 if bits <= 72 else 3)
+            for full in (2**bits - 1, 2**(bits - 1) + 2**(bits - 30) - 1, 2**31 - 1):
+                packed = int.from_bytes(full.to_bytes(bits // 8, "big") * width, "big")
+                folded = linalg._fold(packed, lo, hi, c, bits).to_bytes(width * bits // 8, "big")
+                for j in range(0, len(folded), bits // 8):
+                    s = int.from_bytes(folded[j:j + bits // 8], "big")
+                    assert s < 2**31 and s % p == full % p
 
 
 def test_bad_prime_takes_a_second_prime(spy):
