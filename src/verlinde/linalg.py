@@ -72,9 +72,12 @@ __all__ = ["ExactMatrix", "scalar", "random_unimodular"]
 
 def scalar(x):
     """The normal form of an exact value: an int when it is integral, else a
-    Fraction.  Accepts whatever ``Fraction`` does (ints, Fractions, "3/2")."""
+    Fraction.  Reads what ``Fraction`` does (ints, Fractions, "3/2") but
+    refuses a float (ValueError) rather than read its binary fraction."""
     if type(x) is int:
         return x
+    if isinstance(x, float):
+        raise ValueError(f"inexact scalar {x!r}")
     x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
 

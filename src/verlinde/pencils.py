@@ -65,7 +65,9 @@ class SplittingType:
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        entries = tuple([int(b) for b in entries])
+        entries = tuple(entries)
+        if any(type(b) is not int for b in entries):
+            raise ValueError(f"splitting type entries must be ints, got {entries}")
         if any(b < 0 for b in entries):
             raise ValueError(f"negative entry in splitting type {entries}")
         if any(entries[i] < entries[i + 1] for i in range(len(entries) - 1)):

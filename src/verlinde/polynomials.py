@@ -73,7 +73,10 @@ def basis_index(n, m):
 
 class HomogeneousPolynomial:
     """Homogeneous form over Q, stored as a sparse map from monomials to
-    nonzero coefficients in normal form (int when integral, else Fraction)."""
+    nonzero coefficients in normal form (int when integral, else Fraction).
+    Outside input goes through the checked ``__init__`` (int exponents, no
+    bools; coefficients as ``scalar`` reads them, no floats); the package's
+    own builders hand ``_of_terms`` terms they have already normalized."""
 
     __slots__ = ("num_vars", "degree", "terms")
 
@@ -84,10 +87,9 @@ class HomogeneousPolynomial:
             raise ValueError("degree must be nonnegative")
         clean = {}
         for mono, coeff in (terms or {}).items():
-            # from a list, not a generator: a tuple built from a generator is
-            # allocated at a guessed length and resized, and the freed blocks
-            # pile up on CPython's per-length tuple free lists
-            mono = tuple([int(e) for e in mono])
+            mono = tuple(mono)
+            if any(type(e) is not int for e in mono):
+                raise ValueError(f"exponents of {mono} must be ints")
             if len(mono) != num_vars:
                 raise ValueError(f"monomial {mono} has {len(mono)} exponents, expected {num_vars}")
             if any(e < 0 for e in mono):
@@ -98,6 +100,15 @@ class HomogeneousPolynomial:
         self.num_vars = num_vars
         self.degree = degree
         self.terms = {m: scalar(c) for m, c in clean.items() if c}
+
+    @classmethod
+    def _of_terms(cls, num_vars, degree, terms):
+        """A fresh dict of terms its caller built in normal form (int
+        exponent tuples of length num_vars summing to degree, each
+        coefficient a nonzero int or a non-integral Fraction), taken as it is."""
+        f = object.__new__(cls)
+        f.num_vars, f.degree, f.terms = num_vars, degree, terms
+        return f
 
     @classmethod
     def zero(cls, num_vars, degree=0):
@@ -152,21 +163,19 @@ class HomogeneousPolynomial:
         terms = dict(self.terms)
         for m, c in other.terms.items():
             terms[m] = terms.get(m, 0) + c
-        return HomogeneousPolynomial(self.num_vars, self.degree, terms)
+        return HomogeneousPolynomial._of_terms(self.num_vars, self.degree, _normal(terms))
 
     def __neg__(self):
-        return HomogeneousPolynomial(self.num_vars, self.degree,
-                                     {m: -c for m, c in self.terms.items()})
+        return HomogeneousPolynomial._of_terms(self.num_vars, self.degree,
+                                               {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
         c = scalar(c)
-        if not c:
-            return HomogeneousPolynomial.zero(self.num_vars, self.degree)
-        return HomogeneousPolynomial(self.num_vars, self.degree,
-                                     {m: c * v for m, v in self.terms.items()})
+        terms = _normal({m: c * v for m, v in self.terms.items()}) if c else {}
+        return HomogeneousPolynomial._of_terms(self.num_vars, self.degree, terms)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -180,7 +189,7 @@ class HomogeneousPolynomial:
             for m2, c2 in other.terms.items():
                 m = tuple([a + b for a, b in zip(m1, m2)])
                 terms[m] = terms.get(m, 0) + c1 * c2
-        return HomogeneousPolynomial(self.num_vars, deg, terms)
+        return HomogeneousPolynomial._of_terms(self.num_vars, deg, _normal(terms))
 
     __rmul__ = __mul__
 
@@ -265,6 +274,14 @@ class HomogeneousPolynomial:
         return f"HomogeneousPolynomial({self})"
 
 
+def _normal(terms):
+    """Freshly summed or multiplied terms in normal form: zeros dropped and
+    integral Fractions made ints (all-int terms skip that step)."""
+    if set(map(type, terms.values())) <= {int}:
+        return {m: c for m, c in terms.items() if c}
+    return {m: scalar(c) for m, c in terms.items() if c}
+
+
 @lru_cache(maxsize=None)
 def _mult_targets(n, deg, src_deg):
     """Degree-deg monomial m -> [row of m*theta for theta in monomial_basis(n, src_deg)]."""
@@ -296,7 +313,12 @@ def mult_matrix(f, src_deg):
 
 
 def _cleared(values):
-    """(c, c*values as ints), c the lcm of the values' denominators."""
+    """(c, c*values as ints), c the lcm of the values' denominators.
+
+    When every value is an int that is (1, values), the caller's own list,
+    so the caller must not mutate the one while it uses the other."""
+    if set(map(type, values)) <= {int}:
+        return 1, values
     c = lcm(*[v.denominator for v in values])
     return c, [v.numerator * (c // v.denominator) for v in values]
 
@@ -337,8 +359,9 @@ def restrict_to_line(f, subst):
         raise ValueError(f"substitution must give all {f.num_vars} variables")
     d = f.degree
     den, slots = _restricted_slots(f, pairs)
-    return HomogeneousPolynomial(2, d, {(d - j, j): g if den == 1 else Fraction(g, den)
-                                        for j, g in enumerate(slots) if g})
+    terms = {(d - j, j): g if den == 1 else scalar(Fraction(g, den))
+             for j, g in enumerate(slots) if g}
+    return HomogeneousPolynomial._of_terms(2, d, terms)
 
 
 def binary_coeffs(f):
@@ -502,5 +525,5 @@ def random_form(n, degree, rng, bound=COEFF_BOUND):
             if c:
                 terms[m] = c
         if terms:
-            return HomogeneousPolynomial(n + 1, degree, terms)
+            return HomogeneousPolynomial._of_terms(n + 1, degree, terms)
     raise RuntimeError("failed to sample a nonzero form")

@@ -610,6 +610,8 @@ def test_integer_line_stays_integer(spy):
 def test_scalar_normal_form():
     assert [type(linalg.scalar(x)) for x in (3, Fraction(6, 2), "4/2", True)] == [int] * 4
     assert linalg.scalar("3/6") == Fraction(1, 2)
+    with pytest.raises(ValueError):
+        linalg.scalar(0.1)  # Fraction() would read its binary fraction
     # a matrix takes no scalar but an int, not even an integral Fraction
     with pytest.raises(ValueError):
         ExactMatrix.from_rows([[Fraction(4, 2), 1]])

@@ -142,6 +142,12 @@ def test_splitting_type_validation():
         SplittingType((1, -1))
 
 
+@pytest.mark.parametrize("entries", [[1.7, 0.2], [2.0, 1], [1, True], [Fraction(1), 0], ["1"]])
+def test_splitting_type_takes_only_ints(entries):
+    with pytest.raises(ValueError):
+        SplittingType(entries)
+
+
 def test_dominance():
     t21 = SplittingType((2, 1, 0))
     t111 = SplittingType((1, 1, 1))

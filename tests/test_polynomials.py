@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from verlinde import polynomials
+from verlinde import family, polynomials
 from verlinde.polynomials import (
     COEFF_BOUND,
     DegenerateSubstitutionError,
@@ -283,6 +283,116 @@ def test_gcd_degree_rejects_no_trials(trials):
 def test_homogeneity_enforced():
     with pytest.raises(ValueError):
         HomogeneousPolynomial(3, 2, {(1, 0, 0): 1})
+
+
+@pytest.mark.parametrize("terms", [
+    {(2.5, -0.5, 0): 1},  # int() would read x0^2
+    {(1.0, 1, 0): 1},
+    {(True, 1, 0): 1},
+    {(1, 1, 0): 0.1},  # Fraction() would read its binary fraction
+    {(1, 1, 0): 2.0},
+])
+def test_checked_constructor_refuses_inexact_input(terms):
+    with pytest.raises(ValueError):
+        HomogeneousPolynomial(3, 2, terms)
+
+
+def test_scalings_and_substitutions_refuse_floats():
+    with pytest.raises(ValueError):
+        x(2, 0).scale(0.1)
+    with pytest.raises(ValueError):
+        restrict_to_line(x(2, 0), [(0.1, 0), (0, 1), (0, 0)])
+
+
+def _assert_normal(f):
+    """f's terms are what the checked constructor makes of them, types included."""
+    checked = HomogeneousPolynomial(f.num_vars, f.degree, f.terms)
+    assert ([(m, c, type(c)) for m, c in checked.terms.items()]
+            == [(m, c, type(c)) for m, c in f.terms.items()])
+
+
+_small_rationals = st.integers(-4, 4) | st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+
+
+@st.composite
+def builder_cases(draw):
+    """Forms f, g of one degree and h of another, a scalar and a line, all
+    integral or all with small rational coefficients, so that sums cancel
+    and products come out integral."""
+    n, d = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    coeff = draw(st.sampled_from([st.integers(-4, 4), _small_rationals]))
+
+    def form(degree):
+        basis = monomial_basis(n, degree)
+        terms = draw(st.dictionaries(st.sampled_from(basis), coeff, max_size=len(basis)))
+        return HomogeneousPolynomial(n + 1, degree, terms)
+
+    f, g, h = form(d), form(d), form(draw(st.integers(0, 2)))
+    pairs = draw(st.lists(st.tuples(coeff, coeff), min_size=n + 1, max_size=n + 1))
+    return f, g, h, draw(coeff), pairs
+
+
+@given(builder_cases())
+@settings(max_examples=150, deadline=None)
+def test_trusted_builders_return_normal_forms(case):
+    f, g, h, c, pairs = case
+    for out in (f + g, f - g, f + (-f), -f, f * h, h * g, f.scale(c), f * c,
+                restrict_to_line(f, pairs)):
+        _assert_normal(out)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_random_form_is_normal(seed):
+    rng = random.Random(f"normal:{seed}")
+    _assert_normal(random_form(rng.randint(1, 3), rng.randint(0, 4), rng, bound=rng.randint(1, 9)))
+
+
+def test_trusted_builders_normal_form_examples():
+    half_x0, two_x1 = x(2, 0).scale(Fraction(1, 2)), x(2, 1).scale(2)
+    product = half_x0 * two_x1
+    assert product.terms == {(1, 1, 0): 1} and type(product.terms[(1, 1, 0)]) is int
+    whole = half_x0 + half_x0
+    assert whole.terms == {(1, 0, 0): 1} and type(whole.terms[(1, 0, 0)]) is int
+    assert (half_x0 - half_x0).terms == {}
+    assert ((x(2, 0) + x(2, 1)) * (x(2, 0) - x(2, 1))).terms == {(2, 0, 0): 1, (0, 2, 0): -1}
+    third = parse_form("1/3*x0 + 2/3*x1", 2, 1).scale(Fraction(3, 2))
+    assert third.terms == {(1, 0, 0): Fraction(1, 2), (0, 1, 0): 1}
+    assert type(third.terms[(0, 1, 0)]) is int
+    # x0*x1 along x0 = s/2, x1 = 2t: the restriction s*t, cleared over den = 4
+    line = restrict_to_line(x(2, 0) * x(2, 1), [(Fraction(1, 2), 0), (0, 2), (0, 0)])
+    assert line.terms == {(1, 1): 1} and type(line.terms[(1, 1)]) is int
+    for out in (product, whole, third, line):
+        _assert_normal(out)
+
+
+@pytest.mark.parametrize("values", [[], [0], [3, -7, 0, 2**80], [-1] * 5])
+def test_cleared_int_fast_path_matches_the_general_path(values):
+    c, cleared = polynomials._cleared(values)
+    assert (c, cleared) == polynomials._cleared([Fraction(v) for v in values]) == (1, values)
+    assert all(type(v) is int for v in cleared)
+
+
+def test_cleared_clears_a_mixed_list():
+    c, cleared = polynomials._cleared([3, Fraction(1, 4), Fraction(-5, 6), 0])
+    assert (c, cleared) == (12, [36, 3, -10, 0])
+    assert all(type(v) is int for v in cleared)
+
+
+def test_package_built_forms_skip_the_checked_constructor(spy):
+    ctx = family.context(2, 3, 4)
+    rational = family.LineInSystem(parse_form("1/2*x0^3 + x1^3", 2, 3),
+                                   parse_form("x0*x1*x2 - 2/3*x2^3", 2, 3))
+    checked = spy("polynomials.HomogeneousPolynomial.__init__")
+    lines = [family.sample_line(ctx, mode, seed) for mode in ("random", "jumping:1")
+             for seed in range(3)]
+    for line in lines + [rational]:
+        family.verlinde_pencil(ctx, line)
+        family.predict_by_gcd(ctx, line)
+    assert checked == []
+    parse_form("1/2*x0^2 - x1*x2", 2, 2)
+    assert len(checked) == 1
+    HomogeneousPolynomial.from_json({"n": 2, "degree": 1, "terms": [{"c": "1/2", "e": [1, 0, 0]}]})
+    assert len(checked) == 2
 
 
 def test_json_round_trip_and_rejection():
