@@ -55,13 +55,32 @@ def _load_poly(spec, n, degree, flag):
     return poly
 
 
+def _comb_past(a, b, cap):
+    """C(a, b) (0 unless 0 <= b <= a), or cap + 1 once a partial product
+    C(a - b + i, i), increasing in i, passes cap: a few steps at most."""
+    c, b = int(0 <= b <= a), min(b, a - b)
+    for i in range(1, b + 1):
+        c = c * (a - b + i) // i
+        if c > cap:
+            return cap + 1
+    return c
+
+
+def _check_split_size(n, d, k):
+    """Refuse a split whose two forms (2*C(n+d, n) coefficients) or pencil (2*w*u
+    cells) pass SPLIT_MAX_CELLS, before any form is read or any binomial taken exactly."""
+    cap = SPLIT_MAX_CELLS
+    if 2 * _comb_past(n + d, n, cap) > cap:
+        raise UsageError(f"forms too large: 2*C(n+d, n) > {cap} coefficients")
+    if 2 * _comb_past(k + n, n, cap) * _comb_past(k - d + n, n, cap) > cap:
+        raise UsageError(f"pencil too large: 2*w*u > {cap} cells")
+
+
 def _cmd_split(args):
     if args.trials < 1:
         raise UsageError(f"gcd oracle needs --trials >= 1, got {args.trials}")
+    _check_split_size(args.n, args.d, args.k)
     ctx = context(args.n, args.d, args.k)
-    cells = 2 * ctx.w * ctx.u
-    if cells > SPLIT_MAX_CELLS:
-        raise UsageError(f"pencil too large: 2*w*u = {cells} cells > {SPLIT_MAX_CELLS}")
     if args.f1 is not None or args.f2 is not None:
         if args.f1 is None or args.f2 is None:
             raise UsageError("both --f1 and --f2 are required")

@@ -20,17 +20,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from math import comb, lcm
+from math import comb
 
 from .linalg import ExactMatrix
 from .pencils import Pencil, SplittingType, _section_dims
-from .polynomials import (
-    COEFF_BOUND,
-    HomogeneousPolynomial,
-    gcd_degree,
-    mult_matrix,
-    random_form,
-)
+from .polynomials import HomogeneousPolynomial, _cleared, gcd_degree, mult_matrix, random_form
 
 _LINE_RETRIES = 16  # draws sample_line makes before giving up on a dependent pair
 
@@ -125,18 +119,12 @@ def _check_line(ctx, line):
         raise ValueError(f"line has degree {line.f1.degree}, context degree {ctx.d}")
 
 
-def _integral(f):
-    """c*f for c the lcm of f's coefficient denominators: an integer form."""
-    c = lcm(*[x.denominator for x in f.terms.values()])
-    return f if c == 1 else f.scale(c)
-
-
 def verlinde_pencil(ctx, line):
     """The pencil presenting V_k on the line; empty (u = 0) when k < d.
     Built once per (line, k); callers must not mutate it.
 
     The matrices multiply by the integral multiples c1*f1 and c2*f2 (c_i
-    the lcm of f_i's coefficient denominators), so they hold ints.  The
+    the lcm of f_i's denominators, by ``_cleared``), so they hold ints.  The
     pencil (c1 A, c2 B) is (A, B) after (s, t) -> (c1 s, c2 t), so the
     splitting type, rank [A|B] and injectivity are those of the line."""
     _check_line(ctx, line)  # the memo is keyed by k; this pins n and d
@@ -147,8 +135,8 @@ def verlinde_pencil(ctx, line):
             pencil = Pencil(empty, empty)
         else:
             src = ctx.k - ctx.d
-            pencil = Pencil(mult_matrix(_integral(line.f1), src),
-                            mult_matrix(_integral(line.f2), src))
+            pencil = Pencil(*[mult_matrix(f.scale(_cleared(list(f.terms.values()))[0]), src)
+                              for f in (line.f1, line.f2)])
         line._memo[ctx.k] = pencil
     return pencil
 
@@ -258,7 +246,7 @@ def predict_by_gcd(ctx, line, trials=3, seed=0):
     return GcdPrediction(gcd_degree=dprime, jumping=jumping, predicted_type=predicted)
 
 
-def sample_line(ctx, mode, seed, bound=COEFF_BOUND):
+def sample_line(ctx, mode, seed):
     """Draw a line: mode 'random', or 'jumping:D' for a planted gcd of degree D.
 
     Jumping mode draws h of degree D and g1, g2 of degree d - D and spans
@@ -278,11 +266,10 @@ def sample_line(ctx, mode, seed, bound=COEFF_BOUND):
         rng = random.Random(f"{seed}:line:{mode}:{attempt}")
         try:
             if dprime is None:
-                return LineInSystem(random_form(n, d, rng, bound),
-                                    random_form(n, d, rng, bound))
-            h = random_form(n, dprime, rng, bound)
-            g1 = random_form(n, d - dprime, rng, bound)
-            g2 = random_form(n, d - dprime, rng, bound)
+                return LineInSystem(random_form(n, d, rng), random_form(n, d, rng))
+            h = random_form(n, dprime, rng)
+            g1 = random_form(n, d - dprime, rng)
+            g2 = random_form(n, d - dprime, rng)
             return LineInSystem(h * g1, h * g2)
         except DegenerateLineError:
             continue

@@ -43,11 +43,12 @@ __all__ = [
 ]
 
 DESK_SCALE_N = 60
-# Largest pencil `split` takes, in cells 2*w*u.  (3,4,9) has 24640.  On a
-# 2-vCPU Xeon under Python 3.11, one random line (seed 0) takes about 0.05 s
-# at (3,4,10) (48048 cells), 0.39 s at (3,4,12) (150150) and 2.4 s at
-# (3,4,14) (388960); a planted `jumping:3` line at (3,4,14) takes 14 s.
+# Largest `split`: 2*w*u pencil cells, or 2*C(n+d, n) form coefficients
+# ((3,4,9): 24640 cells).  One random line (seed 0, 2-vCPU Xeon, Python
+# 3.11) takes about 0.05 s at (3,4,10) (48048 cells), 0.39 s at (3,4,12)
+# (150150), 2.4 s at (3,4,14) (388960), a `jumping:3` one there 14 s.
 SPLIT_MAX_CELLS = 100_000
+_POINT_BOUND = 30  # coefficient bound of dim_z_jacobian's random points
 
 FLAG_DIM_MISMATCH = "DIM_MISMATCH"
 FLAG_NEGATIVE = "NEGATIVE_COEFFICIENT"
@@ -80,7 +81,7 @@ def bookkeeping_dim(n, d):
     return 2 * n + comb(n + d - 1, n) - 3
 
 
-def dim_z_jacobian(n, d, trials=3, seed=0, bound=30):
+def dim_z_jacobian(n, d, trials=3, seed=0):
     """Dimension of the jumping locus, from the rank of the differential
     of phi(g1, g2, h) = (h*g1, h*g2), g_i linear and deg h = d-1.
 
@@ -110,16 +111,16 @@ def dim_z_jacobian(n, d, trials=3, seed=0, bound=30):
     ceiling = 2 * (n + 1) + comb(n + d - 1, n) - 5  # cols - 1, less 4
     best = 0
     for trial in range(trials):
-        best = max(best, _dim_at(*_trial_point(n, d, seed, trial, bound)))
+        best = max(best, _dim_at(*_trial_point(n, d, seed, trial)))
         if best >= ceiling:
             break
     return best
 
 
-def _trial_point(n, d, seed, trial, bound):
+def _trial_point(n, d, seed, trial):
     rng = random.Random(f"{seed}:dimz:{n}:{d}:{trial}")
-    return (random_form(n, 1, rng, bound), random_form(n, 1, rng, bound),
-            random_form(n, d - 1, rng, bound))
+    return (random_form(n, 1, rng, _POINT_BOUND), random_form(n, 1, rng, _POINT_BOUND),
+            random_form(n, d - 1, rng, _POINT_BOUND))
 
 
 def _differential(g1, g2, h):

@@ -1,11 +1,11 @@
 """Dense exact linear algebra over the integers.
 
-``ExactMatrix`` holds ints only (a rational problem is made integral where
-its matrix is built); ``scalar`` is the forms' coefficient normal form, an
-``int`` when integral, else a ``Fraction``.  ``ExactMatrix.left_kernel``
-is an integer left kernel basis certified over Z from eliminations modulo
-primes below 2**30 (``_certified_kernel``), and ``ExactMatrix.rank`` the
-number of rows less its size.  Bareiss elimination is only the suites'
+``ExactMatrix`` holds ints only: a rational problem is made integral where
+its matrix is built, and the forms' rational coefficients and their wire
+format belong to ``polynomials``.  ``ExactMatrix.left_kernel`` is an
+integer left kernel basis certified over Z from eliminations modulo primes
+below 2**30 (``_certified_kernel``), and ``ExactMatrix.rank`` the number of
+rows less its size.  Bareiss elimination is only the suites'
 independent rank oracle.
 
 Certification.  Eliminating the rows of M modulo p leaves zero rows Z; each
@@ -52,9 +52,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import re
 import struct
-from fractions import Fraction
 from operator import mul
 
 try:
@@ -67,44 +65,7 @@ except ImportError:  # pure-int fallback: same results, slower on large minors
 # 30-bit CPython digit, and a product of two fits in two.
 _FOLDS = (35, 41, 83, 101, 105, 107)
 
-__all__ = ["ExactMatrix", "scalar", "random_unimodular"]
-
-
-def scalar(x):
-    """The normal form of an exact value: an int when it is integral, else a
-    Fraction.  Reads what ``Fraction`` does (ints, Fractions, "3/2") but
-    refuses a float (ValueError) rather than read its binary fraction."""
-    if type(x) is int:
-        return x
-    if isinstance(x, float):
-        raise ValueError(f"inexact scalar {x!r}")
-    x = Fraction(x)
-    return x.numerator if x.denominator == 1 else x
-
-
-_JSON_SCALAR_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
-
-
-def int_from_json(x):
-    """A JSON integer as an int; ValueError for anything else (a float such
-    as 2.5 or 2.0, a bool, a string)."""
-    if type(x) is not int:
-        raise ValueError(f"expected an integer, got {x!r}")
-    return x
-
-
-def scalar_from_json(x):
-    """An exact scalar from its JSON form: an integer, or a string "p" or
-    "p/q" with q nonzero.  ValueError for anything else; a float is refused
-    rather than read as its binary fraction."""
-    if type(x) is int:
-        return x
-    if isinstance(x, str) and _JSON_SCALAR_RE.fullmatch(x):
-        try:
-            return scalar(x)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {x!r}") from None
-    raise ValueError(f"expected an integer or a \"p/q\" string, got {x!r}")
+__all__ = ["ExactMatrix", "random_unimodular"]
 
 
 class ExactMatrix:
@@ -224,17 +185,6 @@ class ExactMatrix:
             lambda c: _echelon_mod_p(_pack_mod_p(packed, c), self.cols, c),
             functools.partial(_annihilates, packed),
             lambda: (n, _hadamard_bits(n, self.entries)))[0].values())
-
-    def to_json(self):
-        return [[str(x) for x in row] for row in self.entries]
-
-    @classmethod
-    def from_json(cls, rows, cols, grid):
-        """Read ``to_json``'s grid; entries as in ``scalar_from_json``, and
-        the constructor refuses a non-integral one."""
-        if not isinstance(grid, list) or not all(isinstance(row, list) for row in grid):
-            raise ValueError("matrix grid must be a list of lists")
-        return cls(rows, cols, [[scalar_from_json(x) for x in row] for row in grid])
 
 
 @functools.cache

@@ -27,8 +27,7 @@ import random
 from operator import mul
 
 from .linalg import (ExactMatrix, _annihilates, _certified_kernel, _echelon_mod_p,
-                     _hadamard_bits, _pack, _pack_mod_p, _packed_combinations, int_from_json,
-                     random_unimodular)
+                     _hadamard_bits, _pack, _pack_mod_p, _packed_combinations, random_unimodular)
 
 __all__ = [
     "Pencil",
@@ -102,18 +101,6 @@ class SplittingType:
 
     def __repr__(self):
         return f"SplittingType{self.entries}"
-
-    def to_json(self):
-        return {"entries": list(self.entries)}
-
-    @classmethod
-    def from_json(cls, obj):
-        """Read ``to_json``'s object; every entry must be a JSON integer,
-        else ValueError."""
-        try:
-            return cls([int_from_json(b) for b in obj["entries"]])
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed splitting type object: {exc}") from exc
 
 
 def dominates(t1, t2):
@@ -190,20 +177,6 @@ class Pencil:
 
     def __repr__(self):
         return f"Pencil(w={self.w}, u={self.u})"
-
-    def to_json(self):
-        return {"w": self.w, "u": self.u, "A": self.A.to_json(), "B": self.B.to_json()}
-
-    @classmethod
-    def from_json(cls, obj):
-        """Read ``to_json``'s object; ValueError (PencilError for a bad shape)
-        on anything malformed.  ``w`` and ``u`` must be JSON integers."""
-        try:
-            w, u = int_from_json(obj["w"]), int_from_json(obj["u"])
-            grid_a, grid_b = obj["A"], obj["B"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed pencil object: {exc}") from exc
-        return cls(ExactMatrix.from_json(w, u, grid_a), ExactMatrix.from_json(w, u, grid_b))
 
 
 def is_injective(pencil):

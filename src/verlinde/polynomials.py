@@ -1,9 +1,10 @@
 """Homogeneous polynomials over Q with a fixed global monomial order.
 
-Coefficients are exact scalars in the normal form of ``linalg.scalar``
-(int when integral, Fraction otherwise).  The per-line kernels clear
-denominators and run on ints: a line restriction is one packed big-int
-evaluation, and the gcd oracle a primitive remainder sequence over Z.
+Coefficients are exact scalars in the normal form of ``scalar`` (int when
+integral, Fraction otherwise); it and the forms' JSON wire format live here
+alone.  The per-line kernels clear denominators and run on ints: a line
+restriction is one packed big-int evaluation, and the gcd oracle a
+primitive remainder sequence over Z.
 
 The monomial order is graded lexicographic with x0 > x1 > ... > xn,
 descending, and every matrix in the package indexes its rows and columns
@@ -20,7 +21,7 @@ from itertools import accumulate, repeat
 from math import comb, gcd, lcm, prod
 from operator import mul
 
-from .linalg import ExactMatrix, int_from_json, scalar, scalar_from_json
+from .linalg import ExactMatrix
 
 __all__ = [
     "HomogeneousPolynomial",
@@ -32,6 +33,7 @@ __all__ = [
     "gcd_degree",
     "random_form",
     "parse_form",
+    "scalar",
 ]
 
 COEFF_BOUND = 50  # default range for random integer coefficients
@@ -41,6 +43,41 @@ _FORM_RETRIES = 64  # draws random_form makes before giving up on a zero form
 
 class DegenerateSubstitutionError(RuntimeError):
     """Every sampled line substitution killed both forms."""
+
+
+def scalar(x):
+    """The normal form of an exact value: an int when it is integral, else a
+    Fraction.  Reads what ``Fraction`` does (ints, Fractions, "3/2") but
+    refuses a float (ValueError) rather than read its binary fraction."""
+    if type(x) is int:
+        return x
+    if isinstance(x, float):
+        raise ValueError(f"inexact scalar {x!r}")
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+_JSON_SCALAR_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
+def int_from_json(x):
+    """A JSON integer as an int; ValueError for anything else (2.5, 2.0, a bool, a string)."""
+    if type(x) is not int:
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x
+
+
+def scalar_from_json(x):
+    """An exact scalar from its JSON form: an integer, or a string "p" or
+    "p/q" with q nonzero; ValueError for anything else, a float included."""
+    if type(x) is int:
+        return x
+    if isinstance(x, str) and _JSON_SCALAR_RE.fullmatch(x):
+        try:
+            return scalar(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
+    raise ValueError(f"expected an integer or a \"p/q\" string, got {x!r}")
 
 
 @lru_cache(maxsize=None)
@@ -174,6 +211,8 @@ class HomogeneousPolynomial:
 
     def scale(self, c):
         c = scalar(c)
+        if c == 1:
+            return self
         terms = _normal({m: c * v for m, v in self.terms.items()}) if c else {}
         return HomogeneousPolynomial._of_terms(self.num_vars, self.degree, terms)
 

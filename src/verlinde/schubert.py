@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .linalg import int_from_json
-
 __all__ = [
     "GrContext",
     "SchubertClass",
@@ -129,20 +127,6 @@ class SchubertClass:
     def to_json(self):
         return {"N": self.ctx.N,
                 "terms": [{"a": a, "b": b, "c": c} for (a, b), c in self.sorted_terms()]}
-
-    @classmethod
-    def from_json(cls, obj):
-        """Read ``to_json``'s object; ``N`` and each term's a, b and c must
-        be JSON integers, else ValueError.  A repeated index sums its terms."""
-        try:
-            ctx = GrContext(int_from_json(obj["N"]))
-            coeffs = {}
-            for t in obj["terms"]:
-                key = (int_from_json(t["a"]), int_from_json(t["b"]))
-                coeffs[key] = coeffs.get(key, 0) + int_from_json(t["c"])
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed Schubert class object: {exc}") from exc
-        return cls(ctx, coeffs)
 
 
 def sigma(ctx, a, b=0):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -172,6 +173,60 @@ def test_split_reference_cells_fit_the_size_guard():
     for cell in [(3, 3, 7), (3, 4, 8), (3, 4, 9), (2, 4, 9)]:
         ctx = context(*cell)
         assert 2 * ctx.w * ctx.u <= SPLIT_MAX_CELLS
+
+
+def _forbid_split_work(monkeypatch, cli):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work done before the size guard")
+
+    for name in ("context", "sample_line", "_load_poly"):
+        monkeypatch.setattr(cli, name, forbidden)
+
+
+def test_split_prices_the_forms_when_k_is_below_d(monkeypatch, capsys):
+    # u = 0, so 2*w*u = 0; the forms' C(1002, 2) = 501501 coefficients each
+    # were read and split before anything priced them
+    import verlinde.cli as cli
+
+    _forbid_split_work(monkeypatch, cli)
+    assert cli.main(["split", "--n", "2", "--d", "1000", "--k", "1",
+                     "--f1", "x0^1000", "--f2", "x1^1000"]) == 2
+    out = capsys.readouterr()
+    assert "forms too large" in out.err and out.out == ""
+
+
+def test_split_refused_before_any_exact_binomial(monkeypatch, capsys):
+    # context() would compute C(2*10**6, 10**6) exactly, about 38 s
+    import verlinde.cli as cli
+
+    _forbid_split_work(monkeypatch, cli)
+    assert cli.main(["split", "--n", "1000000", "--d", "1", "--k", "1000000",
+                     "--sample", "random"]) == 2
+    assert "too large" in capsys.readouterr().err
+
+
+def test_split_size_guard_prices_exactly_up_to_the_cap():
+    from verlinde.cli import UsageError, _check_split_size, _comb_past
+    from verlinde.jumping import SPLIT_MAX_CELLS
+
+    for a in range(12):
+        for b in range(-1, a + 2):
+            exact = math.comb(a, b) if b >= 0 else 0
+            assert _comb_past(a, b, 100) == (exact if exact <= 100 else 101)
+    assert _comb_past(10**12, 10**11, SPLIT_MAX_CELLS) == SPLIT_MAX_CELLS + 1
+    _check_split_size(2, 314, 1)  # 2 * C(316, 2) = 99540 coefficients
+    with pytest.raises(UsageError, match="forms too large"):
+        _check_split_size(2, 315, 1)  # 2 * C(317, 2) = 100172
+    _check_split_size(3, 4, 9)  # 2*w*u = 24640
+    with pytest.raises(UsageError, match="pencil too large"):
+        _check_split_size(2, 1, 10**9)
+
+
+def test_split_small_cell_below_d_is_admitted():
+    res = run_cli("split", "--n", "2", "--d", "2", "--k", "1", "--f1", "x0^2", "--f2", "x1^2")
+    assert res.returncode == 0, res.stderr
+    out = json.loads(res.stdout)
+    assert out["type"] == [0, 0, 0] and out["p"] == 3 and out["gcd_degree"] == 0
 
 
 # sha256 of stdout, recorded before the per-line memo; any change to these

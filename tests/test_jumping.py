@@ -83,7 +83,7 @@ def test_desk_pairs_are_every_pair_reconcile_accepts():
 def test_factored_rank_equals_pluecker_rows_every_trial(n, d):
     # the trials reconcile runs by default, at jumping-class's default seed
     for trial in range(3):
-        point = _trial_point(n, d, 0, trial, 30)
+        point = _trial_point(n, d, 0, trial)
         assert _dim_at(*point) == pluecker_dim(*point) == bookkeeping_dim(n, d)
 
 
@@ -91,7 +91,7 @@ def test_factored_rank_equals_pluecker_rows_every_trial(n, d):
 @given(pair=st.sampled_from([(n, d) for n, d in DESK_PAIRS if comb(n + d, n) <= 21]),
        seed=st.integers(0, 10**9), trial=st.integers(0, 5))
 def test_factored_rank_equals_pluecker_rows_any_seed(pair, seed, trial):
-    point = _trial_point(*pair, seed, trial, 30)
+    point = _trial_point(*pair, seed, trial)
     assert _dim_at(*point) == pluecker_dim(*point)
 
 
@@ -100,7 +100,7 @@ def _degenerate_point(n, d):
     with g1 | h the kernel of d(phi) holds (dg1, -3*dg1, -k*dg1) for every
     linear dg1: n + 1 directions, so rank d(phi) = cols - n - 1 (g2 = -3*g1
     alone keeps the rank at the ceiling cols - 1)."""
-    g1, _, k = _trial_point(n, d - 1, 0, 0, 30)
+    g1, _, k = _trial_point(n, d - 1, 0, 0)
     return g1, g1.scale(-3), g1 * k
 
 
@@ -123,7 +123,7 @@ def test_scaling_direction_caps_every_trial(n, d):
     # d(phi)(g1, g2, -h) = 0, so rank d(phi) <= cols - 1: the ceiling at
     # which dim_z_jacobian stops, checked at reconcile's default trial
     # points and at the degenerate point, below it
-    points = [_trial_point(n, d, 0, trial, 30) for trial in range(3)]
+    points = [_trial_point(n, d, 0, trial) for trial in range(3)]
     for g1, g2, h in points + [_degenerate_point(n, d)]:
         rows = _differential(g1, g2, h)
         vec = _scaling_vector(g1, g2, h)
@@ -138,7 +138,7 @@ def test_ceiling_certificate_agrees_with_bareiss(n, d, spy):
     kernels = spy("linalg._certified_kernel")
     for seed in range(5):
         for trial in range(3):
-            point = _trial_point(n, d, seed, trial, 30)
+            point = _trial_point(n, d, seed, trial)
             assert _dim_at(*point) == _bareiss_rank(_differential(*point)) - 4
     assert kernels == []
 
@@ -155,7 +155,7 @@ def test_below_the_ceiling_one_exact_rank_runs(n, d, spy):
 def test_bad_prime_reading_below_the_ceiling_ranks_exactly(n, d, monkeypatch, spy):
     monkeypatch.setattr(jumping, "_rank_mod_p", lambda columns: len(columns) - 2)
     ranks = spy("linalg.ExactMatrix.rank")
-    point = _trial_point(n, d, 0, 0, 30)
+    point = _trial_point(n, d, 0, 0)
     assert _dim_at(*point) == _bareiss_rank(_differential(*point)) - 4 == bookkeeping_dim(n, d)
     assert len(ranks) == 1
 
@@ -174,7 +174,7 @@ def test_full_rank_is_ranked_exactly_not_capped(monkeypatch, spy):
 def all_trials_dim(n, d, trials, seed):
     """The reference: dim_z_jacobian's value as the largest _dim_at over
     every trial, with no early stop."""
-    return max(0, *(_dim_at(*_trial_point(n, d, seed, trial, 30)) for trial in range(trials)))
+    return max(0, *(_dim_at(*_trial_point(n, d, seed, trial)) for trial in range(trials)))
 
 
 @pytest.mark.parametrize("n,d", DESK_PAIRS)

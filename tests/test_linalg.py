@@ -18,6 +18,7 @@ from verlinde.polynomials import (
     mult_matrix,
     parse_form,
     restrict_to_line,
+    scalar,
 )
 
 from conftest import (bareiss_left_kernel, dense_annihilates, naive_rank,
@@ -121,12 +122,6 @@ def test_transpose_shapes_and_entries(rows, cols):
     assert t.entries == [[7 * i - j for i in range(rows)] for j in range(cols)]
     assert all(type(row) is list for row in t.entries)
     assert t.transpose() == m
-
-
-def test_json_round_trip():
-    m = ExactMatrix.from_rows([[3, -1], [0, -2**70]])
-    again = ExactMatrix.from_json(2, 2, m.to_json())
-    assert again == m
 
 
 # ------------------------------------------------------- the modular engine
@@ -466,7 +461,7 @@ def test_pack_is_exact_and_its_residues_match_the_per_entry_packer(rows, c):
 def test_pack_mod_p_matches_on_a_pencil_and_a_differential():
     ctx = context(3, 4, 8)
     pencil = verlinde_pencil(ctx, sample_line(ctx, "random", seed=0))
-    columns = list(zip(*_differential(*_trial_point(3, 5, 0, 0, 30))))
+    columns = list(zip(*_differential(*_trial_point(3, 5, 0, 0))))
     for rows in (pencil.A.transpose().entries, pencil.B.transpose().entries, columns):
         packed = linalg._pack(rows)
         assert None not in packed[2]  # the fast path
@@ -608,10 +603,10 @@ def test_integer_line_stays_integer(spy):
 
 
 def test_scalar_normal_form():
-    assert [type(linalg.scalar(x)) for x in (3, Fraction(6, 2), "4/2", True)] == [int] * 4
-    assert linalg.scalar("3/6") == Fraction(1, 2)
+    assert [type(scalar(x)) for x in (3, Fraction(6, 2), "4/2", True)] == [int] * 4
+    assert scalar("3/6") == Fraction(1, 2)
     with pytest.raises(ValueError):
-        linalg.scalar(0.1)  # Fraction() would read its binary fraction
+        scalar(0.1)  # Fraction() would read its binary fraction
     # a matrix takes no scalar but an int, not even an integral Fraction
     with pytest.raises(ValueError):
         ExactMatrix.from_rows([[Fraction(4, 2), 1]])
@@ -634,10 +629,6 @@ def test_scale_and_specialization_refuse_fractions():
     assert pencil.at(2, 1).entries == [[2, 1], [1, 2]]
     with pytest.raises(ValueError):
         pencil.at(Fraction(1, 2), 1)
-    obj = pencil.to_json()
-    obj["A"][0][0] = "1/2"
-    with pytest.raises(ValueError):
-        Pencil.from_json(obj)
 
 
 def test_mult_matrix_refuses_a_rational_form():

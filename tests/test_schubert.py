@@ -105,36 +105,6 @@ def test_context_mismatch_rejected():
         product(sigma(GrContext(5), 1), sigma(GrContext(6), 1))
 
 
-def test_schubert_json_round_trip():
-    ctx = GrContext(7)
-    x = SchubertClass(ctx, {(3, 1): 6, (2, 2): 3})
-    assert SchubertClass.from_json(x.to_json()) == x
-
-
-def test_schubert_from_json_sums_a_repeated_index():
-    terms = [{"a": 1, "b": 0, "c": 2}, {"a": 2, "b": 1, "c": 5}, {"a": 1, "b": 0, "c": -7}]
-    got = SchubertClass.from_json({"N": 5, "terms": terms})
-    assert got == SchubertClass(GrContext(5), {(1, 0): -5, (2, 1): 5})
-
-
-@pytest.mark.parametrize("obj", [
-    {"N": 5, "terms": [{"a": 1, "b": 0, "c": 2.7}]},
-    {"N": 5, "terms": [{"a": True, "b": 0, "c": 1}]},
-    {"N": 5, "terms": [{"a": 1, "b": "0", "c": 1}]},
-    {"N": 5.0, "terms": []},
-    {"N": "5", "terms": []},
-    {"N": 5, "terms": [{"a": 1, "b": 0, "c": 2.7}, {"a": True, "b": "0", "c": 1}]},
-    {"N": 5, "terms": [{"a": 1, "b": 0}]},
-    {"N": 5, "terms": [[1, 0, 1]]},
-    {"N": 5, "terms": 3},
-    {"terms": []},
-    None,
-])
-def test_schubert_from_json_strict_numbers(obj):
-    with pytest.raises(ValueError):
-        SchubertClass.from_json(obj)
-
-
 def test_bidegree_point_class():
     assert bidegree_degree(BidegreeClass(2, 3, {(2, 3): 1})) == 1
     assert bidegree_degree(BidegreeClass(2, 3, {(1, 3): 5})) == 0
