@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .linalg import ExactMatrix, _rank_mod_p
-from .polynomials import mult_matrix, random_form
+from .polynomials import _mult_targets, random_form
 from .schubert import (
     GrContext,
     SchubertClass,
@@ -124,21 +124,26 @@ def _trial_point(n, d, seed, trial):
 
 
 def _differential(g1, g2, h):
-    """The rows of d(phi) = [[M_h, 0, M_g1], [0, M_h, M_g2]], 2N x cols."""
-    mh = mult_matrix(h, 1).entries  # N x (n+1)
-    zero = [0] * (h.n + 1)
-    rows = [r + zero + s for r, s in zip(mh, mult_matrix(g1, h.degree).entries)]
-    return rows + [zero + r + s for r, s in zip(mh, mult_matrix(g2, h.degree).entries)]
+    """The columns of d(phi) = [[M_h, 0, M_g1], [0, M_h, M_g2]], 2N rows each: column
+    j of a block M_f holds f's coefficient c at the row of m*theta_j, for each term c*m."""
+    n, e = h.n, h.degree
+    N, k = comb(n + e + 1, n), 2 * n + 2  # a block row's height; M_g1's first column
+    cols = [[0] * 2 * N for _ in range(k + comb(n + e, n))]
+    for f, src, first, top in ((h, 1, 0, 0), (h, 1, n + 1, N), (g1, e, k, 0), (g2, e, k, N)):
+        for m, c in f.terms.items():
+            for j, i in enumerate(_mult_targets(n, f.degree, src)[m], first):
+                cols[j][top + i] = c
+    return cols
 
 
 def _dim_at(g1, g2, h):
     """rank d(phi) - 4 at (g1, g2, h).  Every minor mod p is the residue of
     the same minor over Z, so rank mod p <= rank over Q <= cols - 1, and a
     rank mod p of cols - 1 is the rank; any other is taken exactly."""
-    rows = _differential(g1, g2, h)
-    rank = _rank_mod_p(list(zip(*rows)))
-    if rank != len(rows[0]) - 1:
-        rank = ExactMatrix.from_rows(rows).rank()
+    cols = _differential(g1, g2, h)
+    rank = _rank_mod_p(cols)
+    if rank != len(cols) - 1:
+        rank = ExactMatrix.from_rows(cols).rank()
     return rank - 4
 
 
@@ -161,12 +166,6 @@ class ClassEval:
         obj["dim_z"] = self.dim_z
         obj["out_of_range"] = [{"a": a, "b": b, "c": c} for a, b, c in self.out_of_range]
         return obj
-
-
-def _index_range(dim_z):
-    """Values of b paired with a = dim_z - b; includes the middle point
-    b = dim_z/2 when dim_z is even."""
-    return range(0, dim_z // 2 + 1)
 
 
 def _shift(ctx, dim_z):
@@ -193,7 +192,7 @@ def _assemble(n, d, dim_z, coefficient):
     shift = _shift(ctx, dim_z)
     terms = {}
     oor = []
-    for b in _index_range(dim_z):
+    for b in range(dim_z // 2 + 1):  # b <= a = dim_z - b, the middle b = a included
         a = dim_z - b
         coeff = coefficient(a, b)
         if coeff == 0:

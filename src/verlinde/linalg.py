@@ -41,10 +41,11 @@ sum) and an update adds (p - f) tail < 2**61, at most one per pivot; a
 packed combination of u <= w rows sums u products below 2**60.  So no
 slot carries if 2**31 + w 2**61 < 2**b, and b is the fewest whole bytes
 with that (``_packing``): 64 bits up to w = 7, 72 up to 2047, 80 beyond,
-one size for a resumed elimination and its base.  It resumes: rows
-stacked below eliminated ones are reduced by their pivot records, then
-among themselves, so a block shared by a sequence of matrices (a pencil's
-B^T) is eliminated once per prime.
+one size for a resumed elimination and its base.  It keeps nonzero
+multipliers only, and resumes: rows stacked below eliminated ones are
+reduced by the pivot records at or below their tops, then among
+themselves, so a block shared by a sequence of matrices (a pencil's B^T)
+is eliminated once per prime.
 """
 
 from __future__ import annotations
@@ -268,7 +269,10 @@ def _pack(rows):
 
 def _pack_mod_p(packed, c):
     """The residues mod p = 2**30 - c of rows packed by ``_pack``, each row's
-    in one int: E + p N, as x mod p = x + p for -p < x < 0."""
+    in one int: E + p N, as x mod p = x + p for -p < x < 0.  A zero entry
+    must stay a zero slot: E + p (all slots 1) is a row of residues below
+    2**31 too, but with no slot empty the elimination would meet every
+    empty column as a top slot p and spend a pass clearing it."""
     rows, exact, marks, _, _ = packed
     p = 2**30 - c
     packer = _packing(len(rows[0]))[1]
@@ -281,17 +285,18 @@ def _echelon_mod_p(rest, width, c, base=None):
     """Gaussian elimination modulo p = 2**30 - c of packed rows
     (``_pack_mod_p``), which it consumes.
 
-    Returns the pivot rows in pivot order, each row's multipliers by pivot
-    number, the rows that reduced to zero, and the pivots' records (slot
-    shift, tail, inverse).  Column 0 is a row's highest slot.  An update
-    adds (p - f) times the pivot row's tail, its slots below the pivot
-    column, folded under 2**31 only if that row was updated (else they are
-    under it), and drops the eliminated slot; slots stay below
-    2**31 + width 2**61 (module docstring).  The next pivot column is the
-    highest top slot nonzero mod p, read off bit lengths; tops that are
-    multiples of p are cleared on the way.  A base, the result for rows
-    stacked above these, is resumed and left as it was: these rows,
-    numbered after its own, are reduced by its records in order and freed
+    Returns the pivot rows in pivot order, each row's nonzero multipliers
+    as (pivot number, f) pairs, the rows that reduced to zero, and the
+    pivots' records (slot shift, tail, inverse).  Column 0 is a row's
+    highest slot.  An update adds (p - f) times the pivot row's tail, its
+    slots below the pivot column, folded under 2**31 only if that row was
+    updated (else they are under it), and drops the eliminated slot; slots
+    stay below 2**31 + width 2**61, so none carries (module docstring).
+    The next pivot column is the highest top slot nonzero mod p, read off
+    bit lengths; tops that are multiples of p are cleared on the way.  A
+    base, the result for rows stacked above these, is resumed and left as
+    it was: these rows, numbered after its own, are reduced by its records
+    in order, skipping those above a row's top (no update raises it), freed
     of its pivot slots by one AND (shifts decrease, so none is read again;
     an earlier column may be nonzero here), then eliminated among themselves.
     """
@@ -302,15 +307,17 @@ def _echelon_mod_p(rest, width, c, base=None):
     first = len(mults)
     pivots, mults, records = pivots[:], mults + [[] for _ in rest], records[:]
     grew = [False] * len(rest)
-    for shift, tail, inv in records:
-        for i, row in enumerate(rest):
-            f = (row >> shift & slot) * inv % p
-            mults[first + i].append(f)
-            if f:
-                rest[i], grew[i] = row + (p - f) * tail, True
     if records:
         keep = (1 << bits * width) - 1 - sum(slot << shift for shift, _, _ in records)
-        rest = [row & keep for row in rest]
+        for i, row in enumerate(rest):
+            top, pairs = row.bit_length(), mults[first + i]
+            for k, (shift, tail, inv) in enumerate(records):
+                if shift < top:
+                    f = (row >> shift & slot) * inv % p
+                    if f:
+                        pairs.append((k, f))
+                        row += (p - f) * tail
+            rest[i], grew[i] = row & keep, bool(pairs)
     rest_idx = list(range(first, first + len(rest)))
     tops = [(row.bit_length() + bits - 1) // bits for row in rest]  # top slot, from 1 at the right
     while rest:
@@ -331,13 +338,13 @@ def _echelon_mod_p(rest, width, c, base=None):
         inv = pow(row >> shift, -1, p)
         records.append((shift, tail, inv))
         for i, n in enumerate(tops):
-            f = 0
             if n == t:
                 row = rest[i]
                 f = (row >> shift) * inv % p
+                if f:
+                    mults[rest_idx[i]].append((len(pivots) - 1, f))
                 rest[i] = row = (row & below) + (p - f) * tail if f else row & below
                 tops[i], grew[i] = (row.bit_length() + bits - 1) // bits, grew[i] or f
-            mults[rest_idx[i]].append(f)
     return pivots, mults, zero_rows + rest_idx, records
 
 
@@ -353,19 +360,21 @@ def _left_kernel_mod_p(i, pivots, mults, p):
     Row i reduced to zero, so it is the sum of its multipliers times the
     reduced pivot rows; pivot row k is its own reduced row plus its
     multipliers times earlier reduced rows.  Solving that unit lower
-    triangular system backwards writes row i over the original pivot rows.
-    (A zero row of a resumed base has no multipliers for later pivots.)
+    triangular system backwards, over the stored (pivot number, f) pairs,
+    writes row i over the original pivot rows.  (A zero row of a resumed
+    base has no multipliers for later pivots.)
     """
-    acc = mults[i] + [0] * (len(pivots) - len(mults[i]))
+    acc = [0] * len(pivots)
+    for k, f in mults[i]:
+        acc[k] = f
     z = [0] * len(mults)
     z[i] = 1
     for k in range(len(pivots) - 1, -1, -1):
         y = acc[k]
         if y:
             z[pivots[k]] = p - y
-            for j, f in enumerate(mults[pivots[k]]):
-                if f:
-                    acc[j] = (acc[j] - y * f) % p
+            for j, f in mults[pivots[k]]:
+                acc[j] = (acc[j] - y * f) % p
     return z
 
 

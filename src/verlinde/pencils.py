@@ -219,13 +219,8 @@ def sylvester_block(pencil, j):
     for block in range(j):
         r0, c0 = block * u, block * w
         for i in range(u):
-            row_a = grid[r0 + i]
-            row_b = grid[r0 + u + i]
-            src_a = at[i]
-            src_b = bt[i]
-            for jj in range(w):
-                row_a[c0 + jj] = src_a[jj]
-                row_b[c0 + jj] = src_b[jj]
+            grid[r0 + i][c0:c0 + w] = at[i]
+            grid[r0 + u + i][c0:c0 + w] = bt[i]
     return ExactMatrix((j + 1) * u, j * w, grid)
 
 

@@ -222,13 +222,14 @@ class HomogeneousPolynomial:
         if not isinstance(other, HomogeneousPolynomial):
             return NotImplemented
         self._check_compatible(other)
-        deg = self.degree + other.degree
+        codes, monomial = _product_codes(self.num_vars, self.degree, other.degree)
+        right = [(codes[m], c) for m, c in other.terms.items()]
         terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple([a + b for a, b in zip(m1, m2)])
-                terms[m] = terms.get(m, 0) + c1 * c2
-        return HomogeneousPolynomial._of_terms(self.num_vars, deg, _normal(terms))
+        for a, c1 in [(codes[m], c) for m, c in self.terms.items()]:
+            for b, c2 in right:
+                terms[a + b] = terms.get(a + b, 0) + c1 * c2
+        return HomogeneousPolynomial._of_terms(self.num_vars, self.degree + other.degree,
+                                               {monomial[k]: c for k, c in _normal(terms).items()})
 
     __rmul__ = __mul__
 
@@ -322,6 +323,16 @@ def _normal(terms):
 
 
 @lru_cache(maxsize=None)
+def _product_codes(num_vars, d1, d2):
+    """{monomial: code} over degrees d1, d2 and d1 + d2, and its inverse: the
+    exponents as digits in base d1 + d2 + 1, so codes add as monomials multiply."""
+    digits = [(d1 + d2 + 1) ** i for i in range(num_vars)]
+    codes = {m: sum(map(mul, m, digits))
+             for e in {d1, d2, d1 + d2} for m in _compositions(num_vars, e)}
+    return codes, {k: m for m, k in codes.items()}
+
+
+@lru_cache(maxsize=None)
 def _mult_targets(n, deg, src_deg):
     """Degree-deg monomial m -> [row of m*theta for theta in monomial_basis(n, src_deg)]."""
     dst_index = basis_index(n, src_deg + deg)
@@ -362,42 +373,37 @@ def _cleared(values):
     return c, [v.numerator * (c // v.denominator) for v in values]
 
 
-def _restricted_slots(f, pairs):
-    """(den, [g_0, ..., g_d]), ints with f(a*s + b*t) = sum_j g_j*s^(d-j)
-    *t^j/den along x_i = a_i*s + b_i*t, pairs the (a_i, b_i) as scalars.
-
-    With c_f, c_s the lcms of the denominators of f and of the pairs and
-    (A, B) = c_s*(a, b), homogeneity gives den = c_f*c_s^d and g(tau) =
-    c_f*f(A + B*tau) = sum_j g_j*tau^j, which one big-int evaluation at
-    tau = 2**S packs in d+1 signed S-bit slots:
-    |g_j| <= sum|c_f*c|*max(|A_i|+|B_i|)^d < 2**(S-2).
-    """
-    d = f.degree
-    c_f, coeffs = _cleared(list(f.terms.values()))
-    c_s, ab = _cleared([v for pair in pairs for v in pair])
-    ab = list(zip(ab[::2], ab[1::2]))
-    S = (sum(map(abs, coeffs)) * max(abs(a) + abs(b) for a, b in ab) ** d).bit_length() + 2
+def _restricted_slots(forms, ab):
+    """[g_0, ..., g_d] for each form f of forms, integral and of one degree
+    d: sum_j g_j*tau^j = f(A + B*tau) along integer pairs ab = [(A_i, B_i)].
+    One table of powers at tau = 2**S serves every form; each f(A + B*2**S)
+    holds g in d+1 S-bit slots, offset by 2**(S-1) into [0, 2**S), as
+    |g_j| <= sum|c|*max(|A_i|+|B_i|)^d < 2**(S-2)."""
+    d = forms[0].degree
+    top = max(sum(map(abs, f.terms.values())) for f in forms)
+    S = (top * max(abs(a) + abs(b) for a, b in ab) ** d).bit_length() + 2
     # powers[i][e] = x_i^e at tau = 2**S
     powers = [list(accumulate(repeat(a + (b << S), d), mul, initial=1)) for a, b in ab]
-    value = sum([c * prod(map(list.__getitem__, powers, m)) for c, m in zip(coeffs, f.terms)])
-    slots = []
-    for _ in range(d + 1):  # slot j holds g_j
-        g = value & ((1 << S) - 1)
-        g -= (g >> (S - 1)) << S
-        slots.append(g)
-        value = (value - g) >> S
-    return c_f * c_s**d, slots
+    half, mask = 1 << S - 1, (1 << S) - 1
+    offset = half * sum(1 << S * j for j in range(d + 1))
+    values = [offset + sum([c * prod(map(list.__getitem__, powers, m)) for m, c in f.terms.items()])
+              for f in forms]
+    return [[(v >> S * j & mask) - half for j in range(d + 1)] for v in values]
 
 
 def restrict_to_line(f, subst):
-    """Restrict f along x_i = a_i*s + b_i*t, given subst as the sequence of
-    (a_i, b_i) pairs: the binary form of ``_restricted_slots``, of degree
-    deg f or zero."""
+    """Restrict f along x_i = a_i*s + b_i*t, given subst as the (a_i, b_i)
+    pairs: by homogeneity, sum_j g_j*s^(d-j)*t^j/(c_f*c_s^d), g the
+    ``_restricted_slots`` of c_f*f along c_s*(a, b), c_f and c_s the lcms
+    of the denominators of f and of the pairs.  Of degree deg f or zero."""
     pairs = [(scalar(a), scalar(b)) for a, b in subst]
     if len(pairs) != f.num_vars:
         raise ValueError(f"substitution must give all {f.num_vars} variables")
     d = f.degree
-    den, slots = _restricted_slots(f, pairs)
+    c_f = _cleared(list(f.terms.values()))[0]
+    c_s, ab = _cleared([v for pair in pairs for v in pair])
+    den = c_f * c_s**d
+    slots = _restricted_slots([f.scale(c_f)], list(zip(ab[::2], ab[1::2])))[0]
     terms = {(d - j, j): g if den == 1 else scalar(Fraction(g, den))
              for j, g in enumerate(slots) if g}
     return HomogeneousPolynomial._of_terms(2, d, terms)
@@ -483,13 +489,13 @@ def gcd_degree(f1, f2, trials=3, seed=0, bound=COEFF_BOUND):
     if trials < 1:
         raise ValueError(f"gcd oracle needs trials >= 1, got {trials}")
     best = f1.degree
+    # made integral once: r_i is den*binary_coeffs(restrict_to_line), of the same gcd degree
+    forms = [f.scale(_cleared(list(f.terms.values()))[0]) for f in (f1, f2)]
     for trial in range(trials):
         for attempt in range(_GCD_RETRIES):
             rng = random.Random(f"{seed}:gcd:{trial}:{attempt}")
-            pairs = [(rng.randint(-bound, bound), rng.randint(-bound, bound))
-                     for _ in range(f1.num_vars)]
-            r1 = _restricted_slots(f1, pairs)[1]  # den*binary_coeffs(restrict_to_line),
-            r2 = _restricted_slots(f2, pairs)[1]  # with the same gcd degree
+            pairs = [(_draw(rng, bound), _draw(rng, bound)) for _ in range(f1.num_vars)]
+            r1, r2 = _restricted_slots(forms, pairs)
             if any(r1) or any(r2):
                 break
         else:
@@ -554,15 +560,21 @@ def parse_form(text, n, degree=None):
     return HomogeneousPolynomial(n + 1, final_degree, terms)
 
 
+def _draw(rng, bound):
+    """rng.randint(-bound, bound) by the getrandbits calls it makes on
+    CPython 3.11, without its randrange and _randbelow frames."""
+    size = 2 * bound + 1
+    r = rng.getrandbits(size.bit_length())
+    while r >= size:
+        r = rng.getrandbits(size.bit_length())
+    return r - bound
+
+
 def random_form(n, degree, rng, bound=COEFF_BOUND):
     """Random nonzero degree-`degree` form with integer coefficients in [-bound, bound]."""
     basis = monomial_basis(n, degree)
     for _ in range(_FORM_RETRIES):
-        terms = {}
-        for m in basis:
-            c = rng.randint(-bound, bound)
-            if c:
-                terms[m] = c
+        terms = {m: c for m in basis if (c := _draw(rng, bound))}
         if terms:
             return HomogeneousPolynomial._of_terms(n + 1, degree, terms)
     raise RuntimeError("failed to sample a nonzero form")

@@ -104,12 +104,29 @@ def _degenerate_point(n, d):
     return g1, g1.scale(-3), g1 * k
 
 
+def _jacobian_rows(*point):
+    """The rows of d(phi): the transpose of the columns ``_differential`` builds."""
+    return [list(row) for row in zip(*_differential(*point))]
+
+
+@pytest.mark.parametrize("n,d", DESK_PAIRS)
+def test_differential_is_the_multiplication_blocks(n, d):
+    # the columns read off the product tables against [[M_h, 0, M_g1], [0, M_h, M_g2]]
+    for point in (_trial_point(n, d, 0, 0), _degenerate_point(n, d)):
+        g1, g2, h = point
+        mh = mult_matrix(h, 1).entries
+        zero = [0] * (n + 1)
+        rows = ([r + zero + s for r, s in zip(mh, mult_matrix(g1, h.degree).entries)]
+                + [zero + r + s for r, s in zip(mh, mult_matrix(g2, h.degree).entries)])
+        assert _jacobian_rows(*point) == rows
+
+
 @pytest.mark.parametrize("n,d", DESK_PAIRS)
 def test_degenerate_point_never_overshoots(n, d):
     # a ^ b = 0 there, where the kernel argument does not apply
     point = _degenerate_point(n, d)
-    cols = len(_differential(*point)[0])
-    assert _dim_at(*point) + 4 == _bareiss_rank(_differential(*point)) == cols - n - 1
+    cols = len(_jacobian_rows(*point)[0])
+    assert _dim_at(*point) + 4 == _bareiss_rank(_jacobian_rows(*point)) == cols - n - 1
     assert _dim_at(*point) < bookkeeping_dim(n, d)
 
 
@@ -125,7 +142,7 @@ def test_scaling_direction_caps_every_trial(n, d):
     # points and at the degenerate point, below it
     points = [_trial_point(n, d, 0, trial) for trial in range(3)]
     for g1, g2, h in points + [_degenerate_point(n, d)]:
-        rows = _differential(g1, g2, h)
+        rows = _jacobian_rows(g1, g2, h)
         vec = _scaling_vector(g1, g2, h)
         assert len(vec) == len(rows[0]) == 2 * (n + 1) + comb(n + d - 1, n)
         assert all(sum(map(mul, row, vec)) == 0 for row in rows)
@@ -139,7 +156,7 @@ def test_ceiling_certificate_agrees_with_bareiss(n, d, spy):
     for seed in range(5):
         for trial in range(3):
             point = _trial_point(n, d, seed, trial)
-            assert _dim_at(*point) == _bareiss_rank(_differential(*point)) - 4
+            assert _dim_at(*point) == _bareiss_rank(_jacobian_rows(*point)) - 4
     assert kernels == []
 
 
@@ -147,7 +164,7 @@ def test_ceiling_certificate_agrees_with_bareiss(n, d, spy):
 def test_below_the_ceiling_one_exact_rank_runs(n, d, spy):
     ranks = spy("linalg.ExactMatrix.rank")
     point = _degenerate_point(n, d)
-    assert _dim_at(*point) == _bareiss_rank(_differential(*point)) - 4 < bookkeeping_dim(n, d)
+    assert _dim_at(*point) == _bareiss_rank(_jacobian_rows(*point)) - 4 < bookkeeping_dim(n, d)
     assert len(ranks) == 1
 
 
@@ -156,7 +173,7 @@ def test_bad_prime_reading_below_the_ceiling_ranks_exactly(n, d, monkeypatch, sp
     monkeypatch.setattr(jumping, "_rank_mod_p", lambda columns: len(columns) - 2)
     ranks = spy("linalg.ExactMatrix.rank")
     point = _trial_point(n, d, 0, 0)
-    assert _dim_at(*point) == _bareiss_rank(_differential(*point)) - 4 == bookkeeping_dim(n, d)
+    assert _dim_at(*point) == _bareiss_rank(_jacobian_rows(*point)) - 4 == bookkeeping_dim(n, d)
     assert len(ranks) == 1
 
 
@@ -164,7 +181,8 @@ def test_full_rank_is_ranked_exactly_not_capped(monkeypatch, spy):
     # a differential without the scaling direction in its kernel has rank
     # cols; the oracle must report that, and so miss the bookkeeping value
     monkeypatch.setattr(jumping, "_differential",
-                        lambda *point: _differential(*point) + [_scaling_vector(*point)])
+                        lambda *point: [col + [v] for col, v in
+                                        zip(_differential(*point), _scaling_vector(*point))])
     ranks = spy("linalg.ExactMatrix.rank")
     for n, d in DESK_PAIRS:
         assert dim_z_jacobian(n, d, trials=1) == bookkeeping_dim(n, d) + 1

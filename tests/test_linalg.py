@@ -308,7 +308,8 @@ def test_a_kernel_that_never_certifies_stops_at_the_proven_primes(monkeypatch, s
 def reference_echelon_mod_p(rows):
     """The list-based elimination the packed-row kernel replaced: one list
     of residues per working row, kept reversed so the current column pops,
-    and every nonzero multiplier rebuilds the row entry by entry."""
+    and every nonzero multiplier rebuilds the row entry by entry and is
+    recorded as a (pivot number, f) pair."""
     p = _P
     rest_idx = list(range(len(rows)))
     rest = [[x % p for x in reversed(row)] for row in rows]
@@ -330,8 +331,8 @@ def reference_echelon_mod_p(rows):
         for slot, row in enumerate(rest):
             e = row.pop()
             f = e * inv % p
-            mults[rest_idx[slot]].append(f)
             if f:
+                mults[rest_idx[slot]].append((len(pivots) - 1, f))
                 rest[slot] = [(x - f * y) % p for x, y in zip(row, tail)]
     return pivots, mults, rest_idx
 
@@ -461,7 +462,7 @@ def test_pack_is_exact_and_its_residues_match_the_per_entry_packer(rows, c):
 def test_pack_mod_p_matches_on_a_pencil_and_a_differential():
     ctx = context(3, 4, 8)
     pencil = verlinde_pencil(ctx, sample_line(ctx, "random", seed=0))
-    columns = list(zip(*_differential(*_trial_point(3, 5, 0, 0))))
+    columns = _differential(*_trial_point(3, 5, 0, 0))
     for rows in (pencil.A.transpose().entries, pencil.B.transpose().entries, columns):
         packed = linalg._pack(rows)
         assert None not in packed[2]  # the fast path

@@ -81,6 +81,34 @@ def test_poly_mul_distributes(f, g, h):
     assert f * (g + h) == f * g + f * h
 
 
+@st.composite
+def _sparse_form_pairs(draw):
+    """Two sparse forms in 1-4 variables of degrees 0-4 each."""
+    nv = draw(st.integers(1, 4))
+
+    def form():
+        d = draw(st.integers(0, 4))
+        monomials = st.sampled_from(polynomials._compositions(nv, d))
+        return HomogeneousPolynomial(nv, d, draw(st.dictionaries(monomials, st.integers(-9, 9),
+                                                                 max_size=6)))
+
+    return form(), form()
+
+
+@given(_sparse_form_pairs())
+@settings(max_examples=200, deadline=None)
+def test_poly_mul_adds_exponents(fg):
+    # the coded product against the exponent-wise sum of every pair of terms
+    f, g = fg
+    terms = {}
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            terms[m] = terms.get(m, 0) + c1 * c2
+    assert (f * g).terms == {m: c for m, c in terms.items() if c}
+    assert (f * g).degree == f.degree + g.degree
+
+
 def test_mult_matrix_shapes_and_columns():
     m = mult_matrix(x(1, 0), 1)  # n = 1, f = x0, source degree 1
     assert (m.rows, m.cols) == (3, 2)
@@ -590,3 +618,13 @@ def test_gcd_stop_keeps_every_trial_minimum(monkeypatch):
             assert len(calls) == (1 if got == 0 else trials)
             seen.add(got > 0)
     assert seen == {False, True}
+
+
+@pytest.mark.parametrize("bound", [0, 9, 30, 50, 1000])
+def test_draw_is_randint(bound):
+    # the same values and the same generator state as randint, draw by draw
+    for seed in range(1000):
+        ours, theirs = random.Random(f"{seed}:draw"), random.Random(f"{seed}:draw")
+        for _ in range(20):
+            assert polynomials._draw(ours, bound) == theirs.randint(-bound, bound)
+        assert ours.getstate() == theirs.getstate()
