@@ -13,12 +13,13 @@ The zero count and the genericity test read the same number, rank [A|B]
 splitting type takes first.  Each line keeps a private memo of its pencil
 per twist k, and the pencil keeps its h-sequence's state, so each h-step
 runs once per line however many criteria ask; B^T is eliminated once per
-call that runs steps.
+prime per call that runs steps.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
 from math import comb
 
@@ -247,7 +248,8 @@ def predict_by_gcd(ctx, line, trials=3, seed=0):
 
 
 def sample_line(ctx, mode, seed):
-    """Draw a line: mode 'random', or 'jumping:D' for a planted gcd of degree D.
+    """Draw a line: mode 'random', or 'jumping:D' for a planted gcd of degree D,
+    D an int as str(D) writes it, as the mode seeds the draw.
 
     Jumping mode draws h of degree D and g1, g2 of degree d - D and spans
     the line by (h*g1, h*g2); sampling is retried until the two forms are
@@ -256,8 +258,8 @@ def sample_line(ctx, mode, seed):
     n, d = ctx.n, ctx.d
     if mode == "random":
         dprime = None
-    elif isinstance(mode, str) and mode.startswith("jumping:"):
-        dprime = int(mode.split(":", 1)[1])
+    elif isinstance(mode, str) and re.fullmatch(r"jumping:(0|-?[1-9][0-9]*)", mode):
+        dprime = int(mode[8:])
     else:
         raise ValueError(f"unknown sampling mode {mode!r}")
     if dprime is not None and not 0 <= dprime <= d - 1:

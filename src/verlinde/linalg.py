@@ -4,8 +4,8 @@
 its matrix is built, and the forms' rational coefficients and their wire
 format belong to ``polynomials``.  ``ExactMatrix.left_kernel`` is an
 integer left kernel basis certified over Z from eliminations modulo primes
-below 2**30 (``_certified_kernel``), and ``ExactMatrix.rank`` the number of
-rows less its size.  Bareiss elimination is only the suites'
+below 2**30 (``KernelStack.kernel``), and ``ExactMatrix.rank`` the number
+of rows less its size.  Bareiss elimination is only the suites'
 independent rank oracle.
 
 Certification.  Eliminating the rows of M modulo p leaves zero rows Z; each
@@ -15,6 +15,8 @@ z is lifted to Q by rational reconstruction and kept if it annihilates M
 over Z; |Z| such vectors are independent, so they are a basis.  Otherwise
 more primes follow, combined by CRT while they have the same Z: a prime
 with more zero rows is skipped, one with fewer or others starts afresh.
+``KernelStack.kernel`` runs this for the matrices [B ; L A] of a stack, B
+eliminated once per prime per stack; a plain matrix is B alone.
 
 Termination.  Let r = rank M and H >= |every minor of M| (Hadamard).  The
 k-th pivot of elimination over Q in this order is D_k / D_(k-1), D_k a
@@ -25,7 +27,7 @@ B = r ceil(log2 H / 29) primes above 2**29 are bad, and once G good primes
 agree, with G 29 >= log2 H**2 + 2, their product passes 2 H**2 and every
 vector lifts and passes its check.  A bad prime that starts afresh ends at
 most one run of fewer than G good primes, so ArithmeticError is raised
-after (B + 1) G primes, two at least (``_certified_kernel``).
+after (B + 1) G primes, two at least.
 
 Packing.  A matrix is packed once, exactly (``_pack``): a row x is one int
 E = sum x_j 2**(b (w-1-j)), from one struct.pack of signed 32-bit fields
@@ -44,8 +46,7 @@ with that (``_packing``): 64 bits up to w = 7, 72 up to 2047, 80 beyond,
 one size for a resumed elimination and its base.  It keeps nonzero
 multipliers only, and resumes: rows stacked below eliminated ones are
 reduced by the pivot records at or below their tops, then among
-themselves, so a block shared by a sequence of matrices (a pencil's B^T)
-is eliminated once per prime.
+themselves: a ``KernelStack``'s new rows, below its rows B.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ except ImportError:  # pure-int fallback: same results, slower on large minors
 # 30-bit CPython digit, and a product of two fits in two.
 _FOLDS = (35, 41, 83, 101, 105, 107)
 
-__all__ = ["ExactMatrix", "random_unimodular"]
+__all__ = ["ExactMatrix", "KernelStack", "random_unimodular"]
 
 
 class ExactMatrix:
@@ -177,15 +178,11 @@ class ExactMatrix:
 
     def left_kernel(self):
         """Integer basis of the left kernel {z : z M = 0}, as row vectors:
-        the normalized vectors of ``_certified_kernel``, scaled to Z."""
+        the normalized vectors of ``KernelStack.kernel``, scaled to Z."""
         if not self.entries:
             return []
-        packed = _pack(self.entries)
         n = min(self.rows, self.cols)
-        return list(_certified_kernel(
-            lambda c: _echelon_mod_p(_pack_mod_p(packed, c), self.cols, c),
-            functools.partial(_annihilates, packed),
-            lambda: (n, _hadamard_bits(n, self.entries)))[0].values())
+        return list(KernelStack([], self.entries).kernel([], 1, 1, n, n)[0].values())
 
 
 @functools.cache
@@ -406,13 +403,6 @@ def _lift(residues, m):
     return [x * (den // d) for x, d in parts]
 
 
-def _packed_combinations(vecs, packed, width, c):
-    """The packed residues mod 2**30 - c of sum r_j row_j for each vector r
-    of residues, one per row, given the rows packed (at most width of them)."""
-    bits, _, lo, hi, _ = _packing(width)
-    return [_fold(sum(map(mul, r, packed)), lo, hi, c, bits) for r in vecs]
-
-
 def _annihilates(packed, vec):
     """Whether vec . rows = 0 over Z, for rows packed by ``_pack`` in slots
     of b bits.  In slots of b m bits, sum vec_i E_i = sum s_j 2**(b m (w-1-j)),
@@ -438,52 +428,87 @@ def _hadamard_bits(n, rows):
     return n * (top.bit_length() + (n.bit_length() + 1) // 2)
 
 
-def _certified_kernel(eliminate, exact, bound, k=1):
-    """A left kernel basis certified over Z (see the module docstring), as
-    {zero row: vector}, and the fold constants of the primes lifted from.
+class KernelStack:
+    """The matrices M = [B ; L A], L = T / den, of fixed integer rows A and
+    B of one width, and their left kernels certified over Z (module
+    docstring).  [A ; B] is packed once, and per prime the stack keeps A's
+    residues and B's echelon, so B is eliminated once per prime per stack:
+    a kernel reduces only its new rows, L A mod p combined from A's
+    residues, by B's pivot records and then among themselves."""
 
-    eliminate(c) is ``_echelon_mod_p`` of the rows modulo 2**30 - c, or
-    None if that prime cannot serve; exact(vec) checks a lifted vector over
-    Z.  Primes come in the order of ``_primes``; lifting starts once k
-    agree.  Each unresolved zero row i keeps crt[i], its vector's residues
-    modulo m, the agreeing primes' product, and each agreeing prime is
-    folded in once by CRT; a prime with other zero rows starts afresh.
-    bound(), asked once a third prime is needed, is (r, bits): every bad
-    prime divides one of r nonzero minors, each below H = 2**bits.
-    ArithmeticError is raised past max(2, (B + 1) G) primes, the module
-    docstring's bound with G >= k."""
-    used, cap = [], 2
-    for tried, c in enumerate(_primes()):
-        if tried == 2:
-            minors, bits = bound()
-            cap = (minors * -(-bits // 29) + 1) * max(k, (2 * bits + 30) // 29)
-        if tried >= cap:
-            break
-        echelon = eliminate(c)
-        if echelon is None:
-            continue
-        pivots, mults, zero_rows, _ = echelon
-        if used and len(zero_rows) > len(zeros):
-            continue
-        if not used or zero_rows != zeros:
-            used, basis, crt, m, zeros = [], {}, {}, 1, zero_rows
-        p = 2**30 - c
-        f = pow(m, -1, p)
-        for i in zero_rows[len(basis):]:  # basis holds a prefix of zero_rows
-            z = _left_kernel_mod_p(i, pivots, mults, p)
-            crt[i] = [a + m * ((b - a) * f % p) for a, b in zip(crt[i], z)] if used else z
-        used.append(c)
-        m *= p
-        if len(used) < k:
-            continue
-        for i in zero_rows[len(basis):]:
-            vec = _lift(crt[i], m)
-            if vec is None or not exact(vec):
+    __slots__ = ("split", "packed", "fields")
+
+    def __init__(self, a_rows, b_rows):
+        self.split = len(a_rows)
+        self.packed = _pack([*a_rows, *b_rows])
+        self.fields = {}  # by fold constant: A's residues and B's echelon
+
+    def kernel(self, T, den, k, minors, size):
+        """A basis of the left kernel of M = [B ; (T / den) A] (T rows of
+        one int per row of A, None for L = I; den >= 1) certified over Z, as
+        {zero row: vector}, and the fold constants of the primes lifted from.
+
+        Each z = (y, c), y on B's rows, is a multiple of the normalized
+        vector.  Primes come in the order of ``_primes``, those dividing den
+        passed over; lifting starts once k agree.  Each unresolved zero row
+        i keeps crt[i], its vector's residues modulo m, the agreeing primes'
+        product, and each agreeing prime is folded in once by CRT; a prime
+        with other zero rows starts afresh.  A lifted z is checked by one
+        packed sum, den z M = (c T, den y) [A ; B] = 0.  Every bad prime
+        divides one of ``minors`` nonzero minors, each below the Hadamard
+        bound of ``size`` rows of A's and B's largest entry: ArithmeticError
+        is raised past the module docstring's number of primes, with
+        G >= k, two at least."""
+        rows, split = self.packed[0], self.split
+        width, y_len = len(rows[0]), len(rows) - split
+        bits, _, lo, hi, _ = _packing(width)
+        cols = None if T is None else list(zip(*T)) or [()] * split
+        used, cap = [], 2
+        for tried, c in enumerate(_primes()):
+            if tried == 2:
+                top = _hadamard_bits(size, rows)
+                cap = (minors * -(-top // 29) + 1) * max(k, (2 * top + 30) // 29)
+            if tried >= cap:
                 break
-            basis[i] = vec
-        else:
-            return basis, used
-    raise ArithmeticError("no kernel certified within the proven number of primes")
+            p = 2**30 - c
+            if not den % p:
+                continue
+            if c not in self.fields:
+                residues = _pack_mod_p(self.packed, c)
+                self.fields[c] = (residues[:split], _echelon_mod_p(residues[split:], width, c))
+            pa, base = self.fields[c]
+            if T is None:
+                new = pa[:]
+            else:
+                inv = pow(den, -1, p)
+                new = [_fold(sum(map(mul, [x * inv % p for x in row], pa)), lo, hi, c, bits)
+                       for row in T]
+            pivots, mults, zero_rows, _ = _echelon_mod_p(new, width, c, base) if new else base
+            if used and len(zero_rows) > len(zeros):
+                continue
+            if not used or zero_rows != zeros:
+                used, basis, crt, m, zeros = [], {}, {}, 1, zero_rows
+            f = pow(m, -1, p)
+            for i in zero_rows[len(basis):]:  # basis holds a prefix of zero_rows
+                z = _left_kernel_mod_p(i, pivots, mults, p)
+                crt[i] = [a + m * ((b - a) * f % p) for a, b in zip(crt[i], z)] if used else z
+            used.append(c)
+            m *= p
+            if len(used) < k:
+                continue
+            for i in zero_rows[len(basis):]:
+                vec = _lift(crt[i], m)
+                if vec is None:
+                    break
+                y, v = vec[:y_len], vec[y_len:]
+                if cols is not None:
+                    v = [sum(map(mul, v, col)) for col in cols]
+                if not _annihilates(self.packed, v + [den * x for x in y]):
+                    break
+                basis[i] = vec
+            else:
+                return basis, used
+        raise ArithmeticError("no kernel certified within the proven number of primes")
 
 
 def _bareiss(rows, n):

@@ -13,8 +13,9 @@ The same sequence decides injectivity: h(u+1) <= u exactly for an
 injective pencil (see ``is_injective``).  Its first step eliminates S_1,
 so rank [A | B] = 2u - h(2) comes from that one shared step.  Each
 pencil keeps only its recursion's state, the h values and the last L, so
-a later call runs the missing steps alone and no step runs twice; B^T is
-eliminated once per call that runs steps.
+a later call runs the missing steps alone and no step runs twice; the
+steps of a call share one ``linalg.KernelStack``, so B^T is eliminated
+once per prime per call.
 This avoids computing any canonical form of the (possibly singular)
 pencil; canonical blocks appear only in the forward direction as a
 seeded test constructor.
@@ -24,10 +25,8 @@ from __future__ import annotations
 
 import math
 import random
-from operator import mul
 
-from .linalg import (ExactMatrix, _annihilates, _certified_kernel, _echelon_mod_p,
-                     _hadamard_bits, _pack, _pack_mod_p, _packed_combinations, random_unimodular)
+from .linalg import ExactMatrix, KernelStack, random_unimodular
 
 __all__ = [
     "Pencil",
@@ -230,43 +229,21 @@ def _section_dims(pencil, t_max):
     pencil keeps (dims, T, den): the values so far and the last step's
     tails L = T / den, normalized, as integer rows over a common
     denominator (T is None for I_u, and empty once h reaches 0).  So no
-    step runs twice.  A call that runs steps packs [A^T ; B^T], eliminates
-    B^T once per prime and starts each step with as many primes as the
-    last one used; it keeps none of that."""
+    step runs twice.  A call that runs steps makes one ``KernelStack`` of
+    A^T and B^T, so B^T is eliminated once per prime per call, and starts
+    each step with as many primes as the last one used; it keeps none of
+    that."""
     u, w = pencil.u, pencil.w
     if pencil._sections is None:
         pencil._sections = ([u], None, 1)
     dims, T, den = pencil._sections
     if not dims[-1] or len(dims) >= t_max:
         return (dims + [0] * t_max)[:t_max]
-    at_bt = list(zip(*pencil.A.entries)) + list(zip(*pencil.B.entries))
-    packed, fields, k = _pack(at_bt), {}, 1  # fields by prime: A^T's residues, B^T's echelon
-
-    # eliminate and kills read the step's T, den and cols, bound below
-    def eliminate(c):  # M mod p = 2**30 - c, fed L = T den^-1 mod p; None if p divides den
-        if c not in fields:
-            residues = _pack_mod_p(packed, c)
-            fields[c] = (residues[:u], _echelon_mod_p(residues[u:], w, c))
-        pa, base = fields[c]
-        if T is None:
-            return _echelon_mod_p(pa[:], w, c, base)
-        p = 2**30 - c
-        if not den % p:
-            return None
-        inv = pow(den, -1, p)
-        fed = [[x * inv % p for x in row] for row in T]
-        return _echelon_mod_p(_packed_combinations(fed, pa, w, c), w, c, base)
-
-    def kills(z):  # z = (y, c) kills M when A v + B y = 0, v = c L = c T / den
-        y, v = z[:u], z[u:]
-        if cols is not None:
-            v = [sum(map(mul, v, col)) for col in cols]
-        return _annihilates(packed, v + [den * x for x in y])
-
+    stack, k = KernelStack(list(zip(*pencil.A.entries)), list(zip(*pencil.B.entries))), 1
     while dims[-1] and len(dims) < t_max:
-        t, cols = len(dims), T and list(zip(*T))
-        kernel, used = _certified_kernel(eliminate, kills, lambda: (  # S_t's minors: M's pivots, D
-            min(u + dims[-1], w) + 1, _hadamard_bits(min((t + 1) * u, t * w), at_bt)), k)
+        t = len(dims)
+        kernel, used = stack.kernel(T, den, k, min(u + dims[-1], w) + 1,  # S_t's minors: M's pivots, D
+                                    min((t + 1) * u, t * w))
         dims, k = dims + [len(kernel)], len(used)
         den = math.lcm(*[z[i] for i, z in kernel.items()])  # z / z[i] is normalized
         T = [z[:u] if z[i] == den else [x * (den // z[i]) for x in z[:u]]
@@ -295,16 +272,11 @@ def twisted_section_dims(pencil, t_max):
     parts are the next L.  The start is h(1) = u with L = I_u, since S_0
     is empty.  (Counting ranks, rank S_t = rank S_(t-1) + rank M.)
 
-    Every M starts with the rows B^T, so their elimination modulo a prime
-    runs once per call, and a step only reduces its new rows, L A^T mod p
-    made from the packed rows of A^T, by B^T's pivot records and then
-    among themselves.  ``linalg._certified_kernel`` certifies the kernel
-    vectors z = (y, c), each 1 at its own zero row and 0 at the others:
-    lifted, z is checked through z M = (c L) A^T + y B^T, L = T / den, as
-    one packed sum (``linalg._annihilates``): (c T, den y) [A^T ; B^T] = 0,
-    with [A^T ; B^T] packed once per call.  L is the y parts each divided
-    by its entry at its zero row, and a step is fed the residues of those
-    normalized vectors, not of lifted ones.
+    Every M starts with the rows B^T, so a call's steps share one
+    ``linalg.KernelStack`` of A^T and B^T, which eliminates and certifies
+    (see there).  Its vectors z = (y, c) are normalized up to scale, and
+    the next L = T / den is their y parts each divided by its entry at its
+    zero row: a step is fed normalized vectors, not lifted ones.
 
     Normalization.  If K is normalized, the identity on a set Z of rows of
     S_(t-1) (K = I_u is), then c K is c on Z: (y, c) are the entries of

@@ -122,6 +122,13 @@ def test_split_rational_form_matches_integer_multiple():
         assert (out["p"], out["generic"]) == (want["p"], want["generic"])
 
 
+@pytest.mark.parametrize("mode", ["jumping:1_0", "jumping:+1", "jumping:01", "jumping:", "jumping:x"])
+def test_split_unknown_sample_mode_is_usage_error(mode):
+    res = run_cli("split", "--n", "2", "--d", "2", "--k", "3", "--sample", mode)
+    assert res.returncode == 2 and res.stdout == ""
+    assert "unknown sampling mode" in res.stderr and "Traceback" not in res.stderr
+
+
 def test_split_degenerate_line_rejected():
     res = run_cli("split", "--n", "2", "--d", "2", "--k", "3",
                   "--f1", "x0*x1", "--f2", "2*x0*x1")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from verlinde import family, linalg, pencils, suites
+from verlinde import family, linalg, suites
 from verlinde.family import (
     DegenerateLineError,
     GenericTypeUndefinedError,
@@ -215,6 +215,25 @@ def test_sample_line_modes():
         sample_line(ctx, "bogus", seed=0)
 
 
+@pytest.mark.parametrize("mode", ["jumping:1_0", "jumping:+10", "jumping: 10", "jumping:10\n",
+                                  "jumping:\uff11\uff10", "jumping:010", "jumping:-0", "jumping:",
+                                  "jumping:x", "jumping:-", "jumping:--1", "jumping", None, 10])
+def test_sample_line_refuses_other_spellings(mode):
+    # int() read the first six as 10 and -0 as 0, valid at d = 12, yet the
+    # mode seeds the draw, so each drew another line than str(D) does
+    with pytest.raises(ValueError, match="unknown sampling mode"):
+        sample_line(context(2, 12, 13), mode, seed=0)
+
+
+def test_sample_line_degree_is_written_as_str_writes_it():
+    ctx = context(2, 12, 13)
+    line = sample_line(ctx, "jumping:10", seed=0)
+    assert gcd_degree(line.f1, line.f2, trials=2, seed=0) >= 10
+    for mode in ("jumping:-1", "jumping:12", "jumping:-12"):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 11\]"):
+            sample_line(ctx, mode, seed=0)
+
+
 def test_genericity_range_table():
     rows = genericity_range_table(2, 2, 8)
     assert [r.degree_le_rank for r in rows[:5]] == [True] * 5  # k = 1..5
@@ -264,8 +283,7 @@ def test_line_memo_eliminates_each_h_step_once(monkeypatch, mode, type_first):
     monkeypatch.setattr(family, "mult_matrix", counting_mult)
     monkeypatch.setattr(ExactMatrix, "rank", counting_rank)
     monkeypatch.setattr(ExactMatrix, "left_kernel", counting_kernel)
-    for owner in (linalg, pencils):  # B^T's elimination, then the h-steps resuming it
-        monkeypatch.setattr(owner, "_echelon_mod_p", counting_echelon)
+    monkeypatch.setattr(linalg, "_echelon_mod_p", counting_echelon)  # B^T's, then the h-steps'
     if type_first:
         st_ = splitting_type(verlinde_pencil(ctx, line))
     zeros = zero_count(ctx, line)

@@ -152,7 +152,7 @@ def test_scaling_direction_caps_every_trial(n, d):
 @pytest.mark.parametrize("n,d", DESK_PAIRS)
 def test_ceiling_certificate_agrees_with_bareiss(n, d, spy):
     # a rank mod p of cols - 1 is the rank over Q: no kernel is certified
-    kernels = spy("linalg._certified_kernel")
+    kernels = spy("linalg.KernelStack.kernel")
     for seed in range(5):
         for trial in range(3):
             point = _trial_point(n, d, seed, trial)

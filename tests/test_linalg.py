@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from verlinde import linalg, pencils
+from verlinde import linalg
 from verlinde.family import context, is_generic_type, sample_line, verlinde_pencil, zero_count
 from verlinde.jumping import _differential, _trial_point, dim_z_jacobian
 from verlinde.linalg import ExactMatrix, random_unimodular
@@ -293,9 +293,8 @@ def test_a_kernel_that_never_certifies_stops_at_the_proven_primes(monkeypatch, s
     assert len(echelons) == _proven_primes(2, bits) == 3  # one elimination a prime
     # the first h-step of O(2): S_1 = M = [B^T ; A^T] is 4 x 3 with entries
     # 0 and 1, 3 pivot minors and D = 1; B^T's elimination and the resumed
-    # one a prime
+    # one a prime, under the same failing check (one loop serves both)
     echelons.clear()
-    monkeypatch.setattr(pencils, "_annihilates", lambda packed, vec: False)
     p = kronecker_pencil((2,), 3, 2)
     with pytest.raises(ArithmeticError):
         splitting_type(p)
@@ -513,6 +512,46 @@ def test_splitting_type_is_scale_invariant_past_the_fast_pack(scale):
     assert (None in linalg._pack(scaled.A.transpose().entries)[2]) == (scale > 1)
     assert splitting_type(scaled) == splitting_type(p)
     assert scaled.A.rank() == p.A.rank()
+
+
+_P0 = 2**30 - linalg._FOLDS[0]
+
+
+@st.composite
+def _kernel_stacks(draw):
+    """(A, B, T, den) for ``KernelStack``: entries small, to make rows
+    dependent, or up to 2**40, so rows pack wide; T None (L = I) or any
+    rows as long as A; den any, or a multiple of the first prime."""
+    entry = st.one_of(st.integers(-2, 2), st.integers(-2**40, 2**40))
+    width, na = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    nb = draw(st.integers(0 if na else 1, 4))
+    a, b = (draw(st.lists(st.lists(entry, min_size=width, max_size=width), min_size=n, max_size=n))
+            for n in (na, nb))
+    if draw(st.booleans()):
+        return a, b, None, 1
+    t = draw(st.lists(st.lists(entry, min_size=na, max_size=na), max_size=4))
+    den = draw(st.one_of(st.integers(1, 2**40), st.integers(1, 2**10).map(lambda x: x * _P0)))
+    return a, b, t, den
+
+
+@given(_kernel_stacks())
+@settings(max_examples=300, deadline=None)
+def test_kernel_stack_matches_bareiss_for_any_feed(stack):
+    # M = [B ; (T / den) A]: den M = [den B ; T A] has the same left kernel
+    a, b, t, den = stack
+    width = len((a or b)[0])
+    ta = a if t is None else [[sum(x * row[j] for x, row in zip(r, a)) for j in range(width)]
+                              for r in t]
+    rows = [[den * x for x in row] for row in b] + ta
+    n = len(rows)
+    # a generous cap: the test checks the basis, not the proven bound
+    kernel, used = linalg.KernelStack(a, b).kernel(t, den, 1, n + 1, 2 * n + 8)
+    assert len(kernel) == n - linalg._bareiss_rank(rows)
+    for i, vec in kernel.items():
+        y, c = vec[:len(b)], vec[len(b):]
+        assert len(c) == len(ta) and vec[i] and not any(vec[j] for j in kernel if j != i)
+        assert dense_annihilates(rows, y + c)  # den y B + c T A = 0
+    assert linalg._FOLDS[0] not in used or den % _P0
 
 
 @pytest.mark.parametrize("width,bits", [(1, 64), (7, 64), (8, 72), (2047, 72), (2048, 80)])

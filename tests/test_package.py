@@ -30,3 +30,14 @@ def test_package_imports_only_listed_names():
         unlisted += [f"{node.module}.{alias.name}" for alias in node.names
                      if alias.name not in module.__all__]
     assert unlisted == []
+
+
+PACKED_KERNEL = ("_pack", "_pack_mod_p", "_echelon_mod_p", "_annihilates", "_hadamard_bits")
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "linalg"] + ["__init__"])
+def test_only_linalg_holds_the_packed_kernel(name):
+    # the packed rows and their certified-kernel loop are linalg's own:
+    # other modules reach them through ExactMatrix and KernelStack
+    module = importlib.import_module("verlinde" if name == "__init__" else f"verlinde.{name}")
+    assert [attr for attr in PACKED_KERNEL if hasattr(module, attr)] == []

@@ -1,4 +1,3 @@
-import functools
 import random
 from fractions import Fraction
 
@@ -463,11 +462,8 @@ def fold_primes_only(monkeypatch):
 
 
 def _certified_kernel_of(rows, k):
-    packed, n = linalg._pack(rows), min(len(rows), len(rows[0]))
-    return linalg._certified_kernel(
-        lambda c: linalg._echelon_mod_p(linalg._pack_mod_p(packed, c), len(rows[0]), c),
-        functools.partial(linalg._annihilates, packed),
-        lambda: (n, linalg._hadamard_bits(n, rows)), k)
+    n = min(len(rows), len(rows[0]))
+    return linalg.KernelStack([], rows).kernel([], 1, k, n, n)
 
 
 def _normalized_on(kernel, zero_rows):
