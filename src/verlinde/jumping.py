@@ -45,8 +45,8 @@ __all__ = [
 DESK_SCALE_N = 60
 # Largest `split`: 2*w*u pencil cells, or 2*C(n+d, n) form coefficients
 # ((3,4,9): 24640 cells).  One random line (seed 0, 2-vCPU Xeon, Python
-# 3.11) takes about 0.05 s at (3,4,10) (48048 cells), 0.39 s at (3,4,12)
-# (150150), 2.4 s at (3,4,14) (388960), a `jumping:3` one there 14 s.
+# 3.11) takes about 0.04 s at (3,4,10) (48048 cells), 0.33 s at (3,4,12)
+# (150150), 1.4 s at (3,4,14) (388960), a `jumping:3` one there 6 s.
 SPLIT_MAX_CELLS = 100_000
 _POINT_BOUND = 30  # coefficient bound of dim_z_jacobian's random points
 
@@ -139,8 +139,10 @@ def _differential(g1, g2, h):
 def _dim_at(g1, g2, h):
     """rank d(phi) - 4 at (g1, g2, h).  Every minor mod p is the residue of
     the same minor over Z, so rank mod p <= rank over Q <= cols - 1, and a
-    rank mod p of cols - 1 is the rank; any other is taken exactly."""
-    cols = _differential(g1, g2, h)
+    rank mod p of cols - 1 is the rank; any other is taken exactly.  Rank
+    ignores column order: the g-columns go first, to win the pivot ties."""
+    cols, k = _differential(g1, g2, h), 2 * h.n + 2
+    cols = cols[k:] + cols[k // 2:k] + cols[:k // 2]
     rank = _rank_mod_p(cols)
     if rank != len(cols) - 1:
         rank = ExactMatrix.from_rows(cols).rank()

@@ -33,8 +33,9 @@ Packing.  A matrix is packed once, exactly (``_pack``): a row x is one int
 E = sum x_j 2**(b (w-1-j)), from one struct.pack of signed 32-bit fields
 in b-bit slots, less 2**32 at its negative slots, marked by N.  If every
 x is in [-2**29, 2**29), its residues mod p are E + p N, as x mod p = x + p
-for -p < x < 0; another row reduces each entry.  A lifted vector is
-checked over Z by one packed sum (``_annihilates``).
+for -p < x < 0, a zero entry a zero slot; another row reduces each entry.
+A lifted vector is checked over Z by one packed sum (``_annihilates``).  A
+rank alone (``_rank_mod_p``) certifies no kernel and packs no E.
 
 The elimination takes each working row as one int of residues, updated
 by one multiply-add of the pivot row's tail, folded under 2**31 (``_fold``)
@@ -43,10 +44,11 @@ sum) and an update adds (p - f) tail < 2**61, at most one per pivot; a
 packed combination of u <= w rows sums u products below 2**60.  So no
 slot carries if 2**31 + w 2**61 < 2**b, and b is the fewest whole bytes
 with that (``_packing``): 64 bits up to w = 7, 72 up to 2047, 80 beyond,
-one size for a resumed elimination and its base.  It keeps nonzero
-multipliers only, and resumes: rows stacked below eliminated ones are
-reduced by the pivot records at or below their tops, then among
-themselves: a ``KernelStack``'s new rows, below its rows B.
+one size for a resumed elimination and its base.  A row dead in its top
+two slots is reduced exactly (``_residues``) and cleared above its highest
+nonzero residue at once.  It keeps nonzero multipliers only, and resumes:
+rows stacked below eliminated ones are reduced by the pivot records at or
+below their tops, then among themselves: a ``KernelStack``'s new rows.
 """
 
 from __future__ import annotations
@@ -89,9 +91,7 @@ class ExactMatrix:
                 bad = next(x for x in row if type(x) is not int)
                 raise ValueError(f"matrix entries must be ints, got {bad!r}")
             data.append(list(row))
-        self.rows = rows
-        self.cols = cols
-        self.entries = data
+        self.rows, self.cols, self.entries = rows, cols, data
 
     @classmethod
     def _of_grid(cls, rows, cols, entries):
@@ -234,6 +234,18 @@ def _fold(x, lo, hi, c, bits):
     return x
 
 
+def _residues(x, width, c):
+    """Every slot s of a packed row x reduced mod p = 2**30 - c: folded under
+    2**31, then less p where s + c >= 2**30, in (2**31 - 1) // p passes."""
+    (bits, _, lo, hi, ones), p = _packing(width), 2**30 - c
+    for _ in range(_fold_rounds(c, bits)):
+        x = (x & lo) + c * ((x & hi) >> 30)
+    for _ in range((2**31 - 1) // p):
+        s = (x + c * ones) >> 30
+        x -= p * ((s | s >> 1) & ones)
+    return x
+
+
 def _pack_wide(rows, size):
     """Each row as sum x_j 2**(8 size (w-1-j)), every |x| < 2**(8 size - 1):
     each x + 2**(8 size - 1) in an unsigned field of size bytes, less those."""
@@ -266,10 +278,7 @@ def _pack(rows):
 
 def _pack_mod_p(packed, c):
     """The residues mod p = 2**30 - c of rows packed by ``_pack``, each row's
-    in one int: E + p N, as x mod p = x + p for -p < x < 0.  A zero entry
-    must stay a zero slot: E + p (all slots 1) is a row of residues below
-    2**31 too, but with no slot empty the elimination would meet every
-    empty column as a top slot p and spend a pass clearing it."""
+    in one int: E + p N (module docstring)."""
     rows, exact, marks, _, _ = packed
     p = 2**30 - c
     packer = _packing(len(rows[0]))[1]
@@ -290,12 +299,15 @@ def _echelon_mod_p(rest, width, c, base=None):
     updated (else they are under it), and drops the eliminated slot; slots
     stay below 2**31 + width 2**61, so none carries (module docstring).
     The next pivot column is the highest top slot nonzero mod p, read off
-    bit lengths; tops that are multiples of p are cleared on the way.  A
-    base, the result for rows stacked above these, is resumed and left as
-    it was: these rows, numbered after its own, are reduced by its records
-    in order, skipping those above a row's top (no update raises it), freed
-    of its pivot slots by one AND (shifts decrease, so none is read again;
-    an earlier column may be nonzero here), then eliminated among themselves.
+    bit lengths; a top that is a multiple of p is cleared, and if the next
+    is too, every slot above the row's highest nonzero residue (``_residues``)
+    by one AND: the slots one clear a turn would reach, so the output is the
+    same.  A base, the result for rows stacked above these, is resumed and
+    left as it was: these rows, numbered after its own, are reduced by its
+    records in order, skipping those above a row's top (no update raises
+    it), freed of its pivot slots by one AND (shifts decrease, so none is
+    read again; an earlier column may be nonzero here), then eliminated
+    among themselves.
     """
     p = 2**30 - c
     bits, _, lo, hi, _ = _packing(width)
@@ -325,8 +337,12 @@ def _echelon_mod_p(rest, width, c, base=None):
         shift = bits * t - bits
         below = (1 << shift) - 1
         if not (rest[at] >> shift) % p:  # a top slot that is a multiple of p
-            rest[at] &= below
-            tops[at] = (rest[at].bit_length() + bits - 1) // bits
+            row = rest[at] & below
+            n = (row.bit_length() + bits - 1) // bits
+            if n and not (row >> bits * n - bits) % p:  # and the next: clear all dead slots
+                n = (_residues(row, width, c).bit_length() + bits - 1) // bits
+                row &= (1 << bits * n) - 1
+            rest[at], tops[at] = row, n
             continue
         pivots.append(rest_idx.pop(at))
         del tops[at]
@@ -346,8 +362,21 @@ def _echelon_mod_p(rest, width, c, base=None):
 
 
 def _rank_mod_p(rows):
-    """Rank of integer rows modulo the first prime: at most that over Q."""
-    return len(_echelon_mod_p(_pack_mod_p(_pack(rows), _FOLDS[0]), len(rows[0]), _FOLDS[0])[0])
+    """Rank of integer rows modulo the first prime p, at most that over Q,
+    from residues packed in one pass: R = raw - (2**32 - p) N = E + p N, raw
+    the struct-packed fields; a row past [-2**29, 2**29) reduces each entry."""
+    c, width, p = _FOLDS[0], len(rows[0]), 2**30 - _FOLDS[0]
+    _, packer, _, _, ones = _packing(width)
+    half, wide, lift, residues = ones << 29, 3 * ones << 30, 2**32 - p, []
+    for row in rows:
+        try:
+            raw = int.from_bytes(packer.pack(*row), "big")
+            if (raw + half) & wide:  # bit 30 or 31 set: an entry past 2**29
+                raise struct.error
+            residues.append(raw - lift * (raw >> 31 & ones))
+        except struct.error:
+            residues.append(int.from_bytes(packer.pack(*[x % p for x in row]), "big"))
+    return len(_echelon_mod_p(residues, width, c)[0])
 
 
 def _left_kernel_mod_p(i, pivots, mults, p):
@@ -520,15 +549,11 @@ def _bareiss(rows, n):
     by minimal bit length to slow coefficient growth; every division is
     exact, since every entry stays a minor of the input.
     """
-    m = len(rows)
-    width = len(rows[0]) if rows else 0
-    prev = 1
-    r = 0
+    m, width, prev, r = len(rows), len(rows[0]) if rows else 0, 1, 0
     for c in range(n):
         if r == m:
             break
-        piv = -1
-        best = -1
+        piv = best = -1
         for i in range(r, m):
             e = rows[i][c]
             if e:

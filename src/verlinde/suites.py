@@ -74,8 +74,6 @@ class SuiteResult:
 
 def run_algebra_suite(seed=0):
     res = SuiteResult("algebra", seed)
-    t0 = time.time()
-
     for n in (1, 2, 3):
         for m in range(0, 9):
             res.record("basis_count", f"basis({n},{m})",
@@ -135,7 +133,6 @@ def run_algebra_suite(seed=0):
         res.record("kernel", f"kervec#{i}", True, ok)
         res.cases += 1
 
-    res.wall_time_s = time.time() - t0
     return res
 
 
@@ -153,8 +150,6 @@ def _random_type(rng, w, u):
 
 def run_pencil_suite(seed=0):
     res = SuiteResult("pencil", seed)
-    t0 = time.time()
-
     for i in range(200):
         rng = random.Random(f"{seed}:pencil:rt:{i}")
         w = rng.randint(2, 9)
@@ -184,7 +179,6 @@ def run_pencil_suite(seed=0):
         res.record("h_convex", f"hc#{i}", True, convex)
         res.cases += 1
 
-    res.wall_time_s = time.time() - t0
     return res
 
 
@@ -264,8 +258,6 @@ def _line_case(res, spec):
 
 def run_criteria_suite(seed=0):
     res = SuiteResult("criteria", seed)
-    t0 = time.time()
-
     # rank/degree formulas against enumeration, plus the one-way implication
     for n in (2, 3):
         for d in (2, 3, 4):
@@ -308,7 +300,6 @@ def run_criteria_suite(seed=0):
                    False, is_generic_type(ctx, line))
         res.cases += 1
 
-    res.wall_time_s = time.time() - t0
     return res
 
 
@@ -316,8 +307,6 @@ def run_criteria_suite(seed=0):
 
 def run_schubert_suite(seed=0):
     res = SuiteResult("schubert", seed)
-    t0 = time.time()
-
     for N in range(2, 11):
         ctx = GrContext(N)
         top = ctx.max_index
@@ -362,7 +351,6 @@ def run_schubert_suite(seed=0):
                            comb(a + 1, n) * comb(b + 1, n), jp._pair_degree(n, M, a, b))
                 res.cases += 1
 
-    res.wall_time_s = time.time() - t0
     return res
 
 
@@ -370,8 +358,6 @@ def run_schubert_suite(seed=0):
 
 def run_jumping_suite(seed=0):
     res = SuiteResult("jumping", seed)
-    t0 = time.time()
-
     for n, d in JUMPING_PAIRS + [EVEN_CASE_PAIR]:
         reports = [jp.reconcile(n, d, trials=2, seed=f"{seed}:{s}") for s in range(3)]
         rep = reports[0]
@@ -407,7 +393,6 @@ def run_jumping_suite(seed=0):
     res.record("concrete_22", "(2,2)formula", expected, rep22.class_formula_at_oracle.cls)
     res.cases += 1
 
-    res.wall_time_s = time.time() - t0
     return res
 
 
@@ -421,10 +406,14 @@ SUITES = {
 
 
 def run_suite(name, seed=0):
+    """The suite's result, with its wall time."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
-    return SUITES[name](seed)
+    t0 = time.time()
+    res = SUITES[name](seed)
+    res.wall_time_s = time.time() - t0
+    return res
 
 
 def run_all(seed=0):
-    return [SUITES[name](seed) for name in ("algebra", "pencil", "criteria", "schubert", "jumping")]
+    return [run_suite(name, seed) for name in ("algebra", "pencil", "criteria", "schubert", "jumping")]

@@ -261,6 +261,24 @@ GOLDEN = {
         "d43bda4c4b9f7e64296a2fe455747e8a08e930bded18482e1ba70e52e4d9b59c",
     ("jumping-class", "--n", "2", "--d", "9", "--seed", "0"):
         "f5988b557f5cb0e6d0931839692209328e87757c5aabc401ea675c505a7c90c6",
+    # the other desk-scale pairs, recorded before the Jacobian's columns
+    # were ranked from one-pass residues, g-columns first
+    ("jumping-class", "--n", "2", "--d", "3", "--seed", "0"):
+        "a0d6e6532d92d2d0328ce269d8e1102be8a1c0748d489c16e0d1706f68374e20",
+    ("jumping-class", "--n", "2", "--d", "4", "--seed", "0"):
+        "bdb9443d713457a5d87925f614e910333573d78f23284125f7c523c99ae2b3ae",
+    ("jumping-class", "--n", "2", "--d", "5", "--seed", "0"):
+        "1f307ec68523ffd74850ab447a30c641aabcb5264b685787fe39d391c3bd0e70",
+    ("jumping-class", "--n", "2", "--d", "6", "--seed", "0"):
+        "c3fae8a9cc1ba7ae805e74d58b065c8a83222d500f45d49249aafa917bfecbaf",
+    ("jumping-class", "--n", "2", "--d", "7", "--seed", "0"):
+        "a5a967526536a2cd633a74bd00de255372da942624ab51f8a2c736560ed8ab20",
+    ("jumping-class", "--n", "2", "--d", "8", "--seed", "0"):
+        "6f5f58e55c3468002430e3cfb01410b3e0af4e317e0a985a8652b057083b58cf",
+    ("jumping-class", "--n", "3", "--d", "2", "--seed", "0"):
+        "35cd8acf7ef4af249675623ece9735116f8d61b055fae2ba51158eae8cacbf87",
+    ("jumping-class", "--n", "3", "--d", "4", "--seed", "0"):
+        "894296db5988d42bf95f3d94cfec6d7cb884837c1b4f5d83932b7a11018767bb",
 }
 
 

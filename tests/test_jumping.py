@@ -189,6 +189,18 @@ def test_full_rank_is_ranked_exactly_not_capped(monkeypatch, spy):
     assert len(ranks) == len(DESK_PAIRS)
 
 
+def test_jacobian_is_ranked_from_residues_g_columns_first(spy):
+    # a rank certifies no kernel: no exact packing runs, and the columns
+    # reach the rank [M_g1; M_g2] first, then [0; M_h], then [M_h; 0]
+    packs, residues, ranks = spy("linalg._pack"), spy("linalg._pack_mod_p"), spy(
+        "linalg._rank_mod_p")
+    for n, d in DESK_PAIRS:
+        dim_z_jacobian(n, d, trials=1)
+        cols, k = _differential(*_trial_point(n, d, 0, 0)), 2 * n + 2
+        assert ranks[-1] == (cols[k:] + cols[k // 2:k] + cols[:k // 2],)
+    assert len(ranks) == len(DESK_PAIRS) and packs == [] and residues == []
+
+
 def all_trials_dim(n, d, trials, seed):
     """The reference: dim_z_jacobian's value as the largest _dim_at over
     every trial, with no early stop."""

@@ -433,6 +433,115 @@ def test_only_updated_pivot_rows_are_folded(spy):
     assert 0 < len(folds) < len(rows)
 
 
+# ------------------------------------------- dead rows cleared in one step
+
+def reference_records(rows, cut):
+    """The reference elimination of rows[:cut], resumed with rows[cut:] as
+    the packed kernel resumes a base: each later row reduced by the earlier
+    pivots in order, then those rows eliminated among themselves, column by
+    column, the first row nonzero there pivoting.  Returns the pivots,
+    multipliers and zero rows, and each pivot's record (column, residues
+    of its row right of that column, inverse)."""
+    p, width = _P, len(rows[0])
+    pivots, mults, zero_rows, records = [], [[] for _ in rows], [], []
+    for part in (range(cut), range(cut, len(rows))):
+        rest = []
+        for i in part:
+            row = [x % p for x in rows[i]]
+            for k, (col, tail, inv) in enumerate(records):
+                f = row[col] * inv % p
+                if f:
+                    mults[i].append((k, f))
+                    row[col:] = [0] + [(x - f * y) % p for x, y in zip(row[col + 1:], tail)]
+            rest.append((i, row))
+        for col in range(width):
+            at = next((j for j, (_, row) in enumerate(rest) if row[col]), None)
+            if at is None:
+                continue
+            i, prow = rest.pop(at)
+            pivots.append(i)
+            tail, inv = prow[col + 1:], pow(prow[col], -1, p)
+            records.append((col, tail, inv))
+            for r, row in rest:
+                f = row[col] * inv % p
+                if f:
+                    mults[r].append((len(pivots) - 1, f))
+                    row[col:] = [0] + [(x - f * y) % p for x, y in zip(row[col + 1:], tail)]
+        zero_rows += [i for i, _ in rest]
+    return pivots, mults, zero_rows, records
+
+
+def packed_records(rows, cut):
+    """``_echelon_mod_p`` of rows[:cut], resumed with rows[cut:], in the
+    reference's terms: each record's slot shift as a column, and its tail's
+    slots reduced mod p."""
+    width = len(rows[0])
+    bits = linalg._packing(width)[0]
+    base = linalg._echelon_mod_p(residues_mod_p(rows[:cut]), width, _C)
+    pivots, mults, zero_rows, records = (
+        linalg._echelon_mod_p(residues_mod_p(rows[cut:]), width, _C, base)
+        if cut < len(rows) else base)
+    columns = []
+    for shift, tail, inv in records:
+        col = width - 1 - shift // bits
+        columns.append((col, [(tail >> bits * (width - 1 - j) & (1 << bits) - 1) % _P
+                              for j in range(col + 1, width)], inv))
+    return pivots, mults, zero_rows, columns
+
+
+@st.composite
+def _stacks_with_dead_rows(draw):
+    """An elimination input with rows planted among its rows that are
+    integer combinations of them, so that they die with their slots
+    multiples of p, and a cut for resuming."""
+    rows = draw(_echelon_inputs())
+    width = len(rows[0])
+    for _ in range(draw(st.integers(1, 4))):
+        coeffs = draw(st.lists(st.sampled_from((0, 1, -1, 2, -3, _P - 1, 2**20)),
+                               min_size=len(rows), max_size=len(rows)))
+        dead = [sum(a * row[j] for a, row in zip(coeffs, rows)) for j in range(width)]
+        rows.insert(draw(st.integers(0, len(rows))), dead)
+    return rows, draw(st.integers(1, len(rows)))
+
+
+@given(_stacks_with_dead_rows())
+@settings(max_examples=400, deadline=None)
+def test_dead_rows_leave_the_whole_records_as_the_reference(stack):
+    rows, cut = stack
+    assert packed_records(rows, len(rows)) == reference_records(rows, len(rows))
+    assert packed_records(rows, cut) == reference_records(rows, cut)
+
+
+def test_a_dead_row_is_cleared_in_one_step(spy):
+    # the third row is 5 r1 + 3 r2: after both updates its slots are
+    # nonzero multiples of p, and one exact reduction clears all four
+    r1, r2 = [1, 2, 3, 4, 5, 6], [0, 1, 7, 2, 9, 4]
+    rows = [r1, r2, [5 * a + 3 * b for a, b in zip(r1, r2)]]
+    reductions = spy("linalg._residues")
+    records = packed_records(rows, 3)
+    assert records == reference_records(rows, 3)
+    assert records[2] == [2] and len(reductions) == 1
+
+
+# p just above 2**31 / 3, and the last prime ``_primes`` reaches, just above
+# 2**29: slots below 2**31 take two and three subtractions of p there
+_WIDE_FOLDS = (next(c for c in range(2**30 - 2**31 // 3 - 1, 0, -2) if linalg._is_prime_fold(c)),
+               next(c for c in range(2**29 - 1, 0, -2) if linalg._is_prime_fold(c)))
+
+
+@given(st.sampled_from((1, 7, 8, 2048)), st.sampled_from(linalg._FOLDS + _WIDE_FOLDS), st.data())
+@settings(max_examples=300, deadline=None)
+def test_residues_reduce_every_slot_exactly(width, c, data):
+    # slots of every size a packed row holds, in slots of 64, 72 and 80 bits;
+    # near the top, the folds can leave a slot at 2p or more when p is near 2**29
+    bits, p = linalg._packing(width)[0], 2**30 - c
+    value = st.one_of(st.integers(0, 2**bits - 1), st.integers(2**(bits - 2), 2**bits - 1),
+                      st.sampled_from((p, 2 * p, 3 * p - 1, 2**31 - 1, 2**31, 2**bits - 1)))
+    slots = data.draw(st.dictionaries(st.integers(0, width - 1), value, max_size=6))
+    x = sum(v << bits * j for j, v in slots.items())
+    assert linalg._residues(x, width, c) == sum(v % p << bits * j for j, v in slots.items())
+
+
 # ------------------------------------ the exact packing and its uses
 
 _PACK_EDGES = _EDGE_ENTRIES + (2**29 - 1, -(2**29 - 1), 2**29, -2**29, 2**31, -2**31, -2**40)
@@ -467,6 +576,26 @@ def test_pack_mod_p_matches_on_a_pencil_and_a_differential():
         assert None not in packed[2]  # the fast path
         for c in linalg._FOLDS[:2]:
             assert linalg._pack_mod_p(packed, c) == per_entry_pack_mod_p(rows, c)
+
+
+_RANK_EDGES = _PACK_EDGES + (-2**29 - 1, 2**31 - 1, -2**31 - 1, -_P - 1, -3 * _P)
+
+
+@given(st.integers(1, 12).flatmap(lambda cols: st.lists(
+           st.one_of(st.just([0] * cols),
+                     st.lists(st.one_of(st.sampled_from(_RANK_EDGES), st.integers(-2**29, 2**29)),
+                              min_size=cols, max_size=cols)), min_size=1, max_size=10)))
+@settings(max_examples=300, deadline=None)
+def test_rank_mod_p_packs_in_one_pass_what_the_two_packers_give(rows):
+    # its residues are the per-entry packer's, entries at the [-2**29, 2**29)
+    # edges, past 2**31 and below -p included, and so is its rank
+    width, fed, echelon = len(rows[0]), [], linalg._echelon_mod_p
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_echelon_mod_p", lambda rest, *args: fed.append(rest[:]) or echelon(
+            rest, *args))
+        rank = linalg._rank_mod_p(rows)
+    assert fed == [per_entry_pack_mod_p(rows, _C)]
+    assert rank == len(echelon(linalg._pack_mod_p(linalg._pack(rows), _C), width, _C)[0])
 
 
 @given(_integer_matrices(), st.data())

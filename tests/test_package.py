@@ -32,7 +32,8 @@ def test_package_imports_only_listed_names():
     assert unlisted == []
 
 
-PACKED_KERNEL = ("_pack", "_pack_mod_p", "_echelon_mod_p", "_annihilates", "_hadamard_bits")
+PACKED_KERNEL = ("_pack", "_pack_mod_p", "_echelon_mod_p", "_residues", "_annihilates",
+                 "_hadamard_bits")
 
 
 @pytest.mark.parametrize("name", [m for m in MODULES if m != "linalg"] + ["__init__"])
