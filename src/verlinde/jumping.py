@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass, field
 from math import comb
 
-from .linalg import ExactMatrix, _rank_mod_p
+from .linalg import ExactMatrix, _dense, _rank_mod_p
 from .polynomials import _mult_targets, random_form
 from .schubert import (
     GrContext,
@@ -124,16 +124,15 @@ def _trial_point(n, d, seed, trial):
 
 
 def _differential(g1, g2, h):
-    """The columns of d(phi) = [[M_h, 0, M_g1], [0, M_h, M_g2]], 2N rows each: column
-    j of a block M_f holds f's coefficient c at the row of m*theta_j, for each term c*m."""
+    """d(phi) = [[M_g1, 0, M_h], [M_g2, M_h, 0]], 2N rows, as ``_rank_mod_p``'s
+    (count, 2N, terms) for its columns, g-columns first: column j of a block
+    M_f holds f's coefficient c at the row of m*theta_j, for each term c*m."""
     n, e = h.n, h.degree
-    N, k = comb(n + e + 1, n), 2 * n + 2  # a block row's height; M_g1's first column
-    cols = [[0] * 2 * N for _ in range(k + comb(n + e, n))]
-    for f, src, first, top in ((h, 1, 0, 0), (h, 1, n + 1, N), (g1, e, k, 0), (g2, e, k, N)):
-        for m, c in f.terms.items():
-            for j, i in enumerate(_mult_targets(n, f.degree, src)[m], first):
-                cols[j][top + i] = c
-    return cols
+    N, k = comb(n + e + 1, n), comb(n + e, n)  # a block row's height; the g-columns
+    terms = [(c, first, top, _mult_targets(n, f.degree, src)[m])
+             for f, src, first, top in ((g1, e, 0, 0), (g2, e, 0, N), (h, 1, k, N),
+                                        (h, 1, k + n + 1, 0)) for m, c in f.terms.items()]
+    return k + 2 * n + 2, 2 * N, terms
 
 
 def _dim_at(g1, g2, h):
@@ -141,11 +140,10 @@ def _dim_at(g1, g2, h):
     the same minor over Z, so rank mod p <= rank over Q <= cols - 1, and a
     rank mod p of cols - 1 is the rank; any other is taken exactly.  Rank
     ignores column order: the g-columns go first, to win the pivot ties."""
-    cols, k = _differential(g1, g2, h), 2 * h.n + 2
-    cols = cols[k:] + cols[k // 2:k] + cols[:k // 2]
-    rank = _rank_mod_p(cols)
-    if rank != len(cols) - 1:
-        rank = ExactMatrix.from_rows(cols).rank()
+    jacobian = _differential(g1, g2, h)
+    rank = _rank_mod_p(*jacobian)
+    if rank != jacobian[0] - 1:
+        rank = ExactMatrix.from_rows(_dense(*jacobian)).rank()
     return rank - 4
 
 
@@ -204,7 +202,7 @@ def _assemble(n, d, dim_z, coefficient):
             oor.append((a2, b2, coeff))
         else:
             terms[(a2, b2)] = terms.get((a2, b2), 0) + coeff
-    return ClassEval(cls=SchubertClass(ctx, terms), dim_z=dim_z, out_of_range=oor)
+    return ClassEval(cls=SchubertClass._of(ctx, terms), dim_z=dim_z, out_of_range=oor)
 
 
 def class_from_formula(n, d, dim_z):
@@ -326,11 +324,8 @@ def reconcile(n, d, trials=3, seed=0):
         cp = ev_pushpull.cls.coefficient(a, b)
         table.append({"a": a, "b": b, "theorem": ct, "pushpull": cp, "equal": ct == cp})
 
-    middles = []
-    for dim_z in (dim_stated, dim_oracle):
-        rec = _middle_record(n, ev_stated.cls.ctx, dim_z)
-        if rec is not None:
-            middles.append(rec)
+    middles = [rec for dim_z in (dim_stated, dim_oracle)
+               if (rec := _middle_record(n, ev_stated.cls.ctx, dim_z)) is not None]
 
     flags = set()
     if dim_stated != dim_oracle:

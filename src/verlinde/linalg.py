@@ -35,7 +35,10 @@ in b-bit slots, less 2**32 at its negative slots, marked by N.  If every
 x is in [-2**29, 2**29), its residues mod p are E + p N, as x mod p = x + p
 for -p < x < 0, a zero entry a zero slot; another row reduces each entry.
 A lifted vector is checked over Z by one packed sum (``_annihilates``).  A
-rank alone (``_rank_mod_p``) certifies no kernel and packs no E.
+rank alone (``_rank_mod_p``) certifies no kernel and packs no E: it takes
+the matrix as its nonzero terms, encodes each x mod p (exact for any int)
+once as the bytes of one slot, and reads each row from one join of those
+and a shared zero slot, so a mostly zero matrix costs its nonzeros.
 
 The elimination takes each working row as one int of residues, updated
 by one multiply-add of the pivot row's tail, folded under 2**31 (``_fold``)
@@ -361,22 +364,26 @@ def _echelon_mod_p(rest, width, c, base=None):
     return pivots, mults, zero_rows + rest_idx, records
 
 
-def _rank_mod_p(rows):
-    """Rank of integer rows modulo the first prime p, at most that over Q,
-    from residues packed in one pass: R = raw - (2**32 - p) N = E + p N, raw
-    the struct-packed fields; a row past [-2**29, 2**29) reduces each entry."""
-    c, width, p = _FOLDS[0], len(rows[0]), 2**30 - _FOLDS[0]
-    _, packer, _, _, ones = _packing(width)
-    half, wide, lift, residues = ones << 29, 3 * ones << 30, 2**32 - p, []
-    for row in rows:
-        try:
-            raw = int.from_bytes(packer.pack(*row), "big")
-            if (raw + half) & wide:  # bit 30 or 31 set: an entry past 2**29
-                raise struct.error
-            residues.append(raw - lift * (raw >> 31 & ones))
-        except struct.error:
-            residues.append(int.from_bytes(packer.pack(*[x % p for x in row]), "big"))
-    return len(_echelon_mod_p(residues, width, c)[0])
+def _dense(count, width, terms, zero=0):
+    """``count`` rows of ``width`` cells from nonzero terms (x, row, column,
+    slots): x at (row + j, column + slots[j]) for each j, no cell twice,
+    and zero elsewhere."""
+    rows = [[zero] * width for _ in range(count)]
+    for x, row, column, slots in terms:
+        for i, j in enumerate(slots, row):
+            rows[i][column + j] = x
+    return rows
+
+
+def _rank_mod_p(count, width, terms):
+    """Rank modulo the first prime p, at most that over Q, of the int rows
+    of ``_dense``'s terms: each x is reduced and encoded once, as one slot's
+    bytes, and each row read from one join of its slots (module docstring)."""
+    c, size = _FOLDS[0], _packing(width)[0] // 8
+    p = 2**30 - c
+    grid = _dense(count, width, [((x % p).to_bytes(size, "big"), row, column, slots)
+                                 for x, row, column, slots in terms], bytes(size))
+    return len(_echelon_mod_p([int.from_bytes(b"".join(r), "big") for r in grid], width, c)[0])
 
 
 def _left_kernel_mod_p(i, pivots, mults, p):
@@ -450,10 +457,9 @@ def _annihilates(packed, vec):
     return not sum(map(mul, vec, exact))
 
 
-def _hadamard_bits(n, rows):
-    """An int at least log2 of (top sqrt(n))**n, top the largest |entry| of rows:
-    the Hadamard bound on the minors of an n-row or n-column matrix of such entries."""
-    top = max(map(abs, itertools.chain.from_iterable(rows)), default=0)
+def _hadamard_bits(n, top):
+    """An int at least log2 of (top sqrt(n))**n: the Hadamard bound on the
+    minors of an n-row or n-column matrix of entries at most top in size."""
     return n * (top.bit_length() + (n.bit_length() + 1) // 2)
 
 
@@ -465,12 +471,13 @@ class KernelStack:
     a kernel reduces only its new rows, L A mod p combined from A's
     residues, by B's pivot records and then among themselves."""
 
-    __slots__ = ("split", "packed", "fields")
+    __slots__ = ("split", "packed", "fields", "top")
 
     def __init__(self, a_rows, b_rows):
         self.split = len(a_rows)
         self.packed = _pack([*a_rows, *b_rows])
         self.fields = {}  # by fold constant: A's residues and B's echelon
+        self.top = None  # the largest |entry|, scanned at a kernel's third prime
 
     def kernel(self, T, den, k, minors, size):
         """A basis of the left kernel of M = [B ; (T / den) A] (T rows of
@@ -479,15 +486,16 @@ class KernelStack:
 
         Each z = (y, c), y on B's rows, is a multiple of the normalized
         vector.  Primes come in the order of ``_primes``, those dividing den
-        passed over; lifting starts once k agree.  Each unresolved zero row
-        i keeps crt[i], its vector's residues modulo m, the agreeing primes'
-        product, and each agreeing prime is folded in once by CRT; a prime
-        with other zero rows starts afresh.  A lifted z is checked by one
+        passed over; lifting starts once k agree, and a prime with no zero
+        row returns the empty basis (rank mod p <= rank over Q).  Each
+        unresolved zero row i keeps crt[i], its vector's residues modulo m,
+        the agreeing primes' product, and each agreeing prime is folded in
+        once by CRT; a prime with other zero rows starts afresh.  A lifted z is checked by one
         packed sum, den z M = (c T, den y) [A ; B] = 0.  Every bad prime
         divides one of ``minors`` nonzero minors, each below the Hadamard
-        bound of ``size`` rows of A's and B's largest entry: ArithmeticError
-        is raised past the module docstring's number of primes, with
-        G >= k, two at least."""
+        bound of ``size`` rows of A's and B's largest entry, scanned once a
+        stack, at a third prime: ArithmeticError is raised past the module
+        docstring's number of primes, with G >= k, two at least."""
         rows, split = self.packed[0], self.split
         width, y_len = len(rows[0]), len(rows) - split
         bits, _, lo, hi, _ = _packing(width)
@@ -495,7 +503,9 @@ class KernelStack:
         used, cap = [], 2
         for tried, c in enumerate(_primes()):
             if tried == 2:
-                top = _hadamard_bits(size, rows)
+                if self.top is None:
+                    self.top = max(map(abs, itertools.chain.from_iterable(rows)), default=0)
+                top = _hadamard_bits(size, self.top)
                 cap = (minors * -(-top // 29) + 1) * max(k, (2 * top + 30) // 29)
             if tried >= cap:
                 break
@@ -523,7 +533,7 @@ class KernelStack:
                 crt[i] = [a + m * ((b - a) * f % p) for a, b in zip(crt[i], z)] if used else z
             used.append(c)
             m *= p
-            if len(used) < k:
+            if len(used) < k and zero_rows:  # no zero row: rank = rows over Q
                 continue
             for i in zero_rows[len(basis):]:
                 vec = _lift(crt[i], m)

@@ -3,6 +3,13 @@ basis, plus the truncated bidegree ring of a product of projective spaces.
 
 Products are computed by Giambelli reduction to special classes followed
 by repeated Pieri multiplication; integer coefficients only.
+
+A caller's coefficients go through the checked constructors, which refuse
+an index out of range and take each coefficient by int().  Classes the
+package builds (``pieri``, sums, negation, scalar and bidegree products,
+``hyperplane_power``, ``pushforward_factor2``, ``jumping``'s assembly) come
+from valid classes or ranged indices, so they go through ``_of``, which
+only drops zeros: every Pieri step would otherwise pay checks that cannot fail.
 """
 
 from __future__ import annotations
@@ -51,16 +58,18 @@ class SchubertClass:
     __slots__ = ("ctx", "coeffs")
 
     def __init__(self, ctx, coeffs=None):
-        clean = {}
-        top = ctx.max_index
-        for (a, b), c in (coeffs or {}).items():
-            if not (top >= a >= b >= 0):
+        coeffs = coeffs or {}
+        for a, b in coeffs:
+            if not (ctx.max_index >= a >= b >= 0):
                 raise ValueError(f"invalid Schubert index ({a},{b}) for N={ctx.N}")
-            c = int(c)
-            if c:
-                clean[(a, b)] = clean.get((a, b), 0) + c
-        self.ctx = ctx
-        self.coeffs = {k: v for k, v in clean.items() if v}
+        self.ctx, self.coeffs = ctx, {k: v for k, c in coeffs.items() if (v := int(c))}
+
+    @classmethod
+    def _of(cls, ctx, coeffs):
+        """The class of int coefficients at valid indices, zeros dropped."""
+        x = object.__new__(cls)
+        x.ctx, x.coeffs = ctx, {k: v for k, v in coeffs.items() if v}
+        return x
 
     @classmethod
     def zero(cls, ctx):
@@ -87,10 +96,10 @@ class SchubertClass:
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
             out[k] = out.get(k, 0) + v
-        return SchubertClass(self.ctx, out)
+        return SchubertClass._of(self.ctx, out)
 
     def __neg__(self):
-        return SchubertClass(self.ctx, {k: -v for k, v in self.coeffs.items()})
+        return SchubertClass._of(self.ctx, {k: -v for k, v in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -98,7 +107,7 @@ class SchubertClass:
     def __rmul__(self, scalar):
         if not isinstance(scalar, int):
             return NotImplemented
-        return SchubertClass(self.ctx, {k: scalar * v for k, v in self.coeffs.items()})
+        return SchubertClass._of(self.ctx, {k: scalar * v for k, v in self.coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -116,13 +125,8 @@ class SchubertClass:
         return hash((self.ctx, frozenset(self.coeffs.items())))
 
     def __repr__(self):
-        if self.is_zero:
-            return "0"
-        parts = []
-        for (a, b), c in self.sorted_terms():
-            sym = f"s({a},{b})"
-            parts.append(sym if c == 1 else f"{c}*{sym}")
-        return " + ".join(parts).replace("+ -", "- ")
+        parts = [f"s({a},{b})" if c == 1 else f"{c}*s({a},{b})" for (a, b), c in self.sorted_terms()]
+        return " + ".join(parts).replace("+ -", "- ") or "0"
 
     def to_json(self):
         return {"N": self.ctx.N,
@@ -152,7 +156,7 @@ def pieri(c, x):
             if a2 < a or a2 < b2 or a2 > top:
                 continue
             out[(a2, b2)] = out.get((a2, b2), 0) + v
-    return SchubertClass(ctx, out)
+    return SchubertClass._of(ctx, out)
 
 
 def _giambelli_apply(a, b, x):
@@ -195,16 +199,18 @@ class BidegreeClass:
     def __init__(self, r, s, coeffs=None):
         if r < 0 or s < 0:
             raise ValueError("factor dimensions must be nonnegative")
-        clean = {}
-        for (i, j), c in (coeffs or {}).items():
+        coeffs = coeffs or {}
+        for i, j in coeffs:
             if not (0 <= i <= r and 0 <= j <= s):
                 raise ValueError(f"exponent ({i},{j}) outside P^{r} x P^{s}")
-            c = int(c)
-            if c:
-                clean[(i, j)] = clean.get((i, j), 0) + c
-        self.r = r
-        self.s = s
-        self.coeffs = {k: v for k, v in clean.items() if v}
+        self.r, self.s, self.coeffs = r, s, {k: v for k, c in coeffs.items() if (v := int(c))}
+
+    @classmethod
+    def _of(cls, r, s, coeffs):
+        """The class of int coefficients at valid exponents, zeros dropped."""
+        x = object.__new__(cls)
+        x.r, x.s, x.coeffs = r, s, {k: v for k, v in coeffs.items() if v}
+        return x
 
     def _require_same(self, other):
         if (self.r, self.s) != (other.r, other.s):
@@ -219,8 +225,8 @@ class BidegreeClass:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return BidegreeClass(self.r, self.s,
-                                 {k: other * v for k, v in self.coeffs.items()})
+            return BidegreeClass._of(self.r, self.s,
+                                     {k: other * v for k, v in self.coeffs.items()})
         self._require_same(other)
         out = {}
         for (i1, j1), c1 in self.coeffs.items():
@@ -228,7 +234,7 @@ class BidegreeClass:
                 i, j = i1 + i2, j1 + j2
                 if i <= self.r and j <= self.s:  # truncation
                     out[(i, j)] = out.get((i, j), 0) + c1 * c2
-        return BidegreeClass(self.r, self.s, out)
+        return BidegreeClass._of(self.r, self.s, out)
 
     __rmul__ = __mul__
 
@@ -245,14 +251,10 @@ class BidegreeClass:
 
 def hyperplane_power(r, s, m):
     """(alpha + beta)^m on P^r x P^s, truncated."""
-    if m < 0:
-        raise ValueError("exponent must be nonnegative")
-    coeffs = {}
-    for i in range(m + 1):
-        j = m - i
-        if i <= r and j <= s:
-            coeffs[(i, j)] = comb(m, i)
-    return BidegreeClass(r, s, coeffs)
+    if m < 0 or r < 0 or s < 0:
+        raise ValueError("exponent and factor dimensions must be nonnegative")
+    return BidegreeClass._of(r, s, {(i, m - i): comb(m, i)  # the kept i: m - i <= s, i <= r
+                                    for i in range(max(0, m - s), min(r, m) + 1)})
 
 
 def bidegree_product(x, y):
@@ -267,5 +269,5 @@ def bidegree_degree(x):
 def pushforward_factor2(x):
     """Integrate out the first factor: keep the alpha^r part, as a class
     pulled back from the second factor (alpha-degree zero)."""
-    return BidegreeClass(x.r, x.s,
-                         {(0, j): c for (i, j), c in x.coeffs.items() if i == x.r})
+    return BidegreeClass._of(x.r, x.s,
+                             {(0, j): c for (i, j), c in x.coeffs.items() if i == x.r})

@@ -252,6 +252,11 @@ GOLDEN = {
         "0d2b0c501e73efa5d371f12512a089b2b745ff696e64f7edee71a5e974a05e19",
     ("split", "--n", "3", "--d", "4", "--k", "9", "--sample", "jumping:2", "--seed", "0"):
         "a807499e59b65288f5dbc006730732188bb0747c9b7f8956515a2a1e4cf6f128",
+    # seven h-steps of three primes each, the last one empty: recorded before
+    # an empty kernel returned at its first prime and the Hadamard cap's
+    # largest entry was scanned once a stack
+    ("split", "--n", "3", "--d", "3", "--k", "9", "--sample", "jumping:2", "--seed", "0"):
+        "24c8f4411a57749c5cbe80d2281946f8946ce9b799f37bc27c6e8c33b9aab99e",
     ("jumping-class", "--n", "2", "--d", "2", "--seed", "0"):
         "934313197d42635050e4b11fefff0dc00056a2cdd1e45b038f61933d5a5432dc",
     ("jumping-class", "--n", "3", "--d", "3", "--seed", "0"):

@@ -19,7 +19,7 @@ from verlinde.jumping import (
     dim_z_jacobian,
     reconcile,
 )
-from verlinde.linalg import ExactMatrix, _bareiss_rank
+from verlinde.linalg import ExactMatrix, _bareiss_rank, _dense
 from verlinde.polynomials import mult_matrix
 from verlinde.schubert import GrContext, SchubertClass
 
@@ -105,19 +105,21 @@ def _degenerate_point(n, d):
 
 
 def _jacobian_rows(*point):
-    """The rows of d(phi): the transpose of the columns ``_differential`` builds."""
-    return [list(row) for row in zip(*_differential(*point))]
+    """The rows of d(phi): the transpose of the columns ``_differential``'s
+    terms give, densified."""
+    return [list(row) for row in zip(*_dense(*_differential(*point)))]
 
 
 @pytest.mark.parametrize("n,d", DESK_PAIRS)
 def test_differential_is_the_multiplication_blocks(n, d):
-    # the columns read off the product tables against [[M_h, 0, M_g1], [0, M_h, M_g2]]
+    # the columns read off the product tables against [[M_g1, 0, M_h], [M_g2, M_h, 0]]:
+    # the g-columns first, then [0; M_h], then [M_h; 0]
     for point in (_trial_point(n, d, 0, 0), _degenerate_point(n, d)):
         g1, g2, h = point
         mh = mult_matrix(h, 1).entries
         zero = [0] * (n + 1)
-        rows = ([r + zero + s for r, s in zip(mh, mult_matrix(g1, h.degree).entries)]
-                + [zero + r + s for r, s in zip(mh, mult_matrix(g2, h.degree).entries)])
+        rows = ([s + zero + r for r, s in zip(mh, mult_matrix(g1, h.degree).entries)]
+                + [s + r + zero for r, s in zip(mh, mult_matrix(g2, h.degree).entries)])
         assert _jacobian_rows(*point) == rows
 
 
@@ -131,8 +133,9 @@ def test_degenerate_point_never_overshoots(n, d):
 
 
 def _scaling_vector(g1, g2, h):
-    """(g1, g2, -h), in the differential's column order."""
-    return g1.coeff_vector() + g2.coeff_vector() + (-h).coeff_vector()
+    """(g1, g2, -h), in the differential's column order: -h on the
+    g-columns, g2 on [0; M_h], g1 on [M_h; 0]."""
+    return (-h).coeff_vector() + g2.coeff_vector() + g1.coeff_vector()
 
 
 @pytest.mark.parametrize("n,d", DESK_PAIRS)
@@ -170,7 +173,7 @@ def test_below_the_ceiling_one_exact_rank_runs(n, d, spy):
 
 @pytest.mark.parametrize("n,d", DESK_PAIRS)
 def test_bad_prime_reading_below_the_ceiling_ranks_exactly(n, d, monkeypatch, spy):
-    monkeypatch.setattr(jumping, "_rank_mod_p", lambda columns: len(columns) - 2)
+    monkeypatch.setattr(jumping, "_rank_mod_p", lambda count, width, terms: count - 2)
     ranks = spy("linalg.ExactMatrix.rank")
     point = _trial_point(n, d, 0, 0)
     assert _dim_at(*point) == _bareiss_rank(_jacobian_rows(*point)) - 4 == bookkeeping_dim(n, d)
@@ -179,10 +182,14 @@ def test_bad_prime_reading_below_the_ceiling_ranks_exactly(n, d, monkeypatch, sp
 
 def test_full_rank_is_ranked_exactly_not_capped(monkeypatch, spy):
     # a differential without the scaling direction in its kernel has rank
-    # cols; the oracle must report that, and so miss the bookkeeping value
-    monkeypatch.setattr(jumping, "_differential",
-                        lambda *point: [col + [v] for col, v in
-                                        zip(_differential(*point), _scaling_vector(*point))])
+    # cols; the oracle must report that, and so miss the bookkeeping value:
+    # each column gains the scaling vector's entry in one new last row
+    def widened(*point):
+        count, width, terms = _differential(*point)
+        return count, width + 1, terms + [(v, j, width, [0])
+                                          for j, v in enumerate(_scaling_vector(*point))]
+
+    monkeypatch.setattr(jumping, "_differential", widened)
     ranks = spy("linalg.ExactMatrix.rank")
     for n, d in DESK_PAIRS:
         assert dim_z_jacobian(n, d, trials=1) == bookkeeping_dim(n, d) + 1
@@ -192,12 +199,12 @@ def test_full_rank_is_ranked_exactly_not_capped(monkeypatch, spy):
 def test_jacobian_is_ranked_from_residues_g_columns_first(spy):
     # a rank certifies no kernel: no exact packing runs, and the columns
     # reach the rank [M_g1; M_g2] first, then [0; M_h], then [M_h; 0]
+    # (``_differential``'s order, pinned against the product tables above)
     packs, residues, ranks = spy("linalg._pack"), spy("linalg._pack_mod_p"), spy(
         "linalg._rank_mod_p")
     for n, d in DESK_PAIRS:
         dim_z_jacobian(n, d, trials=1)
-        cols, k = _differential(*_trial_point(n, d, 0, 0)), 2 * n + 2
-        assert ranks[-1] == (cols[k:] + cols[k // 2:k] + cols[:k // 2],)
+        assert ranks[-1] == _differential(*_trial_point(n, d, 0, 0))
     assert len(ranks) == len(DESK_PAIRS) and packs == [] and residues == []
 
 

@@ -285,8 +285,8 @@ def test_a_kernel_that_never_certifies_stops_at_the_proven_primes(monkeypatch, s
     # primes the proof allows, sized from the input, not after every prime
     echelons = spy("linalg._echelon_mod_p")
     m = ExactMatrix.from_rows([[1, 2], [2, 4], [3, 5]])
-    bits = linalg._hadamard_bits(2, m.entries)
-    assert 2**bits >= (5 * math.sqrt(2))**2  # the Hadamard bound, 5 the largest entry
+    bits = linalg._hadamard_bits(2, 5)  # 5 the largest entry
+    assert 2**bits >= (5 * math.sqrt(2))**2  # the Hadamard bound
     monkeypatch.setattr(linalg, "_annihilates", lambda packed, vec: False)
     with pytest.raises(ArithmeticError):
         m.left_kernel()
@@ -298,8 +298,45 @@ def test_a_kernel_that_never_certifies_stops_at_the_proven_primes(monkeypatch, s
     p = kronecker_pencil((2,), 3, 2)
     with pytest.raises(ArithmeticError):
         splitting_type(p)
-    bits = linalg._hadamard_bits(3, p.A.entries + p.B.entries)
+    bits = linalg._hadamard_bits(3, max(abs(x) for row in p.A.entries + p.B.entries for x in row))
     assert len(echelons) == 2 * _proven_primes(4, bits) == 10
+
+
+def test_an_empty_kernel_returns_at_its_first_prime(spy):
+    # no zero row modulo a prime proves rank = rows over Q: the empty basis
+    # is returned there, whatever k asks for
+    echelons = spy("linalg._echelon_mod_p")
+    stack = linalg.KernelStack([[1, 2, 3], [0, 1, 4]], [[5, 6, 0]])
+    assert stack.kernel(None, 1, 4, 4, 3) == ({}, [linalg._FOLDS[0]])
+    assert primes_used(echelons) == 1
+
+
+def test_a_line_s_last_empty_step_runs_one_prime(monkeypatch):
+    # the (3,3,9) jumping:2 line's h-steps use three primes each, and its
+    # last, empty one stops at the first (it used to run all three)
+    calls, kernel = [], linalg.KernelStack.kernel
+
+    def recording(stack, *args):
+        calls.append((args[2], kernel(stack, *args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(linalg.KernelStack, "kernel", recording)
+    ctx = context(3, 3, 9)
+    splitting_type(verlinde_pencil(ctx, sample_line(ctx, "jumping:2", seed=0)))
+    *steps, (k, (basis, used)) = calls
+    assert [len(u) for _, (_, u) in steps] == [3] * len(steps) and k == 3
+    assert basis == {} and used == [linalg._FOLDS[0]]
+
+
+def test_the_largest_entry_is_scanned_once_a_stack_and_only_at_a_third_prime(monkeypatch):
+    a, b, c = 2**40 + 15, 3**25, 5**17
+    stack = linalg.KernelStack([], [[a], [b], [c]])
+    assert stack.kernel([], 1, 1, 1, 1)[1] == list(linalg._FOLDS[:3])  # three primes
+    assert stack.top == a
+    monkeypatch.setattr(linalg, "itertools", None)  # a second scan would raise
+    assert stack.kernel([], 1, 1, 1, 1)[0] == {1: [-b, a, 0], 2: [-c, 0, a]}
+    plain = linalg.KernelStack([], [[1, 2], [2, 4], [3, 5]])
+    assert plain.kernel([], 1, 1, 2, 2)[1] == [linalg._FOLDS[0]] and plain.top is None
 
 
 # ------------------------------------------ the packed-row modular kernel
@@ -570,7 +607,7 @@ def test_pack_is_exact_and_its_residues_match_the_per_entry_packer(rows, c):
 def test_pack_mod_p_matches_on_a_pencil_and_a_differential():
     ctx = context(3, 4, 8)
     pencil = verlinde_pencil(ctx, sample_line(ctx, "random", seed=0))
-    columns = _differential(*_trial_point(3, 5, 0, 0))
+    columns = linalg._dense(*_differential(*_trial_point(3, 5, 0, 0)))
     for rows in (pencil.A.transpose().entries, pencil.B.transpose().entries, columns):
         packed = linalg._pack(rows)
         assert None not in packed[2]  # the fast path
@@ -581,21 +618,63 @@ def test_pack_mod_p_matches_on_a_pencil_and_a_differential():
 _RANK_EDGES = _PACK_EDGES + (-2**29 - 1, 2**31 - 1, -2**31 - 1, -_P - 1, -3 * _P)
 
 
-@given(st.integers(1, 12).flatmap(lambda cols: st.lists(
-           st.one_of(st.just([0] * cols),
-                     st.lists(st.one_of(st.sampled_from(_RANK_EDGES), st.integers(-2**29, 2**29)),
-                              min_size=cols, max_size=cols)), min_size=1, max_size=10)))
+def _terms_of(rows):
+    """``_rank_mod_p``'s terms for int rows: each nonzero cell joins the
+    chain of its value that ended in the row above, if one did, else starts
+    a chain; a chain is one term over consecutive rows, as a coefficient of
+    ``_differential`` spans the rows of its product table."""
+    chains, ended = [], {}  # ended: value -> the chain whose last cell is in the row above
+    for i, row in enumerate(rows):
+        ending = {}
+        for j, x in enumerate(row):
+            if x:
+                chain = ended.pop(x, None) or []
+                if not chain:
+                    chains.append((x, i, chain))
+                chain.append(j)
+                ending.setdefault(x, chain)
+        ended = ending
+    return [(x, i, min(cols), [j - min(cols) for j in cols]) for x, i, cols in chains]
+
+
+@st.composite
+def _rank_rows(draw):
+    """Rows for ``_rank_mod_p``: entries at the [-2**29, 2**29) edges, past
+    2**31 and below -p, all-zero rows, and rows that repeat the row above
+    rotated, so that a value's cells chain over several rows."""
+    cols = draw(st.integers(1, 12))
+    entry = st.one_of(st.sampled_from(_RANK_EDGES), st.integers(-2**29, 2**29))
+    rows = draw(st.lists(st.one_of(st.just([0] * cols), st.lists(entry, min_size=cols,
+                                                                 max_size=cols)),
+                         min_size=1, max_size=10))
+    for i in range(1, len(rows)):
+        if draw(st.booleans()):
+            shift = draw(st.integers(0, cols - 1))
+            rows[i] = rows[i - 1][shift:] + rows[i - 1][:shift]
+    return rows
+
+
+@given(_rank_rows())
 @settings(max_examples=300, deadline=None)
 def test_rank_mod_p_packs_in_one_pass_what_the_two_packers_give(rows):
-    # its residues are the per-entry packer's, entries at the [-2**29, 2**29)
-    # edges, past 2**31 and below -p included, and so is its rank
+    # from its terms it feeds the elimination the per-entry packer's
+    # residues, and its rank is theirs and that of _pack_mod_p's
     width, fed, echelon = len(rows[0]), [], linalg._echelon_mod_p
+    terms = _terms_of(rows)
+    assert linalg._dense(len(rows), width, terms) == rows
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "_echelon_mod_p", lambda rest, *args: fed.append(rest[:]) or echelon(
             rest, *args))
-        rank = linalg._rank_mod_p(rows)
+        rank = linalg._rank_mod_p(len(rows), width, terms)
     assert fed == [per_entry_pack_mod_p(rows, _C)]
+    assert rank == len(echelon(per_entry_pack_mod_p(rows, _C), width, _C)[0])
     assert rank == len(echelon(linalg._pack_mod_p(linalg._pack(rows), _C), width, _C)[0])
+
+
+def test_terms_of_chains_repeated_values_over_rows():
+    # the test-side term builder makes terms of several slots
+    terms = _terms_of([[0, 7, 7], [7, 0, 0], [0, 0, 7]])
+    assert sorted(terms) == [(7, 0, 0, [1, 0, 2]), (7, 0, 2, [0])]
 
 
 @given(_integer_matrices(), st.data())
@@ -768,7 +847,7 @@ def test_integer_line_stays_integer(spy):
     # the Jacobian's columns as _dim_at packs them, with no constructor check
     packed = spy("linalg._rank_mod_p")
     dim_z_jacobian(2, 3, trials=1)
-    assert packed and all(_all_int(columns) for columns, in packed)
+    assert packed and all(type(x) is int for _, _, terms in packed for x, *_ in terms)
 
 
 def test_scalar_normal_form():

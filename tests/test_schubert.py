@@ -1,6 +1,9 @@
 import random
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from verlinde.schubert import (
     BidegreeClass,
@@ -134,3 +137,68 @@ def test_pushpull_degrees_match_binomials(n, M):
         lam = pushforward_factor2(hyperplane_power(n, M, a + 1))
         via = bidegree_degree(lam * hyperplane_power(n, M, b + 1))
         assert via == comb(a + 1, n) * comb(b + 1, n)
+
+
+# ------------------------------------------- the trusted constructors
+
+@st.composite
+def _schubert_maps(draw):
+    """(ctx, coeffs): valid indices of Gr(2, N), coefficients zero among others."""
+    ctx = GrContext(draw(st.integers(2, 8)))
+    pairs = [(a, b) for a in range(ctx.max_index + 1) for b in range(a + 1)]
+    return ctx, draw(st.dictionaries(st.sampled_from(pairs), st.sampled_from([0, 0, 1, -1])
+                                     | st.integers(-2**70, 2**70), max_size=len(pairs)))
+
+
+@given(_schubert_maps())
+@settings(max_examples=200, deadline=None)
+def test_schubert_of_is_the_checked_constructor_on_valid_maps(case):
+    ctx, coeffs = case
+    trusted, checked = SchubertClass._of(ctx, coeffs), SchubertClass(ctx, coeffs)
+    assert trusted == checked and trusted.coeffs == checked.coeffs
+    assert 0 not in trusted.coeffs.values() and trusted.ctx is ctx
+
+
+@st.composite
+def _bidegree_maps(draw):
+    """(r, s, coeffs): exponents within P^r x P^s, coefficients zero among others."""
+    r, s = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    keys = st.tuples(st.integers(0, r), st.integers(0, s))
+    return r, s, draw(st.dictionaries(keys, st.sampled_from([0, 0, 1, -1])
+                                      | st.integers(-2**70, 2**70), max_size=25))
+
+
+@given(_bidegree_maps())
+@settings(max_examples=200, deadline=None)
+def test_bidegree_of_is_the_checked_constructor_on_valid_maps(case):
+    r, s, coeffs = case
+    trusted, checked = BidegreeClass._of(r, s, coeffs), BidegreeClass(r, s, coeffs)
+    assert trusted == checked and trusted.coeffs == checked.coeffs
+    assert 0 not in trusted.coeffs.values()
+
+
+def full_loop_hyperplane_power(r, s, m):
+    """The loop ``hyperplane_power`` replaced: every i in 0..m, the pairs
+    (i, m - i) outside P^r x P^s skipped, through the checked constructor."""
+    coeffs = {}
+    for i in range(m + 1):
+        j = m - i
+        if i <= r and j <= s:
+            coeffs[(i, j)] = comb(m, i)
+    return BidegreeClass(r, s, coeffs)
+
+
+def test_hyperplane_power_loops_over_its_kept_exponents_only():
+    # m up to r + s + 2: the top class at r + s, and empty ones past it
+    empty = 0
+    for r in range(5):
+        for s in range(5):
+            for m in range(r + s + 3):
+                x = hyperplane_power(r, s, m)
+                assert x == full_loop_hyperplane_power(r, s, m) and (x.r, x.s) == (r, s)
+                empty += not x.coeffs
+    assert empty == 2 * 25
+    with pytest.raises(ValueError):
+        hyperplane_power(2, 2, -1)
+    with pytest.raises(ValueError):
+        hyperplane_power(-1, 2, 1)
