@@ -8,12 +8,7 @@ Usage: python scripts/splitting_survey.py [--n 2] [--d 2] [--lines 20] [--seed S
 import argparse
 from collections import Counter
 
-from verlinde.family import (
-    context,
-    genericity_range_table,
-    sample_line,
-    verlinde_pencil,
-)
+from verlinde.family import context, sample_line, verlinde_pencil
 from verlinde.pencils import splitting_type
 
 
@@ -27,10 +22,11 @@ def main():
 
     n, d = args.n, args.d
     print(f"genericity table for n={n}, d={d}:")
-    for row in genericity_range_table(n, d, 2 * d + 2):
-        marker = "ok " if row.degree_le_rank else "no "
-        print(f"  k={row.k:2d}  degree={row.degree:4d}  rank={row.rank:4d}  "
-              f"degree<=rank: {marker} k<=2d: {row.k_le_2d}")
+    for k in range(1, 2 * d + 3):
+        ctx = context(n, d, k)
+        marker = "ok " if ctx.degree <= ctx.rank else "no "
+        print(f"  k={k:2d}  degree={ctx.degree:4d}  rank={ctx.rank:4d}  "
+              f"degree<=rank: {marker} k<=2d: {k <= 2 * d}")
 
     for k in range(d, 2 * d + 2):
         ctx = context(n, d, k)

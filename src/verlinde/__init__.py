@@ -3,12 +3,10 @@ systems, and the Chow class of their jumping-line locus."""
 
 from .family import (
     GcdPrediction,
-    GenericityRow,
     LineInSystem,
     VerlindeContext,
     context,
     generic_type,
-    genericity_range_table,
     is_generic_type,
     near_generic_type,
     predict_by_gcd,

@@ -44,8 +44,6 @@ __all__ = [
     "GcdPrediction",
     "predict_by_gcd",
     "sample_line",
-    "genericity_range_table",
-    "GenericityRow",
 ]
 
 
@@ -277,32 +275,3 @@ def sample_line(ctx, mode, seed):
             continue
     raise RuntimeError(f"failed to sample an independent line after {_LINE_RETRIES} tries")
 
-
-@dataclass(frozen=True)
-class GenericityRow:
-    k: int
-    degree: int
-    rank: int
-    degree_le_rank: bool
-    k_le_2d: bool
-
-
-def genericity_range_table(n, d, k_max):
-    """Table of (k, degree, rank) with the two genericity predicates.
-
-    On every row, k <= 2d must imply degree <= rank; the converse can
-    fail (the degree can stay below the rank slightly past k = 2d).
-    """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    rows = []
-    for k in range(1, k_max + 1):
-        ctx = context(n, d, k)
-        rows.append(GenericityRow(
-            k=k,
-            degree=ctx.degree,
-            rank=ctx.rank,
-            degree_le_rank=ctx.degree <= ctx.rank,
-            k_le_2d=k <= 2 * d,
-        ))
-    return rows

@@ -39,15 +39,9 @@ __all__ = [
     "class_from_pushpull",
     "reconcile",
     "DESK_SCALE_N",
-    "SPLIT_MAX_CELLS",
 ]
 
 DESK_SCALE_N = 60
-# Largest `split`: 2*w*u pencil cells, or 2*C(n+d, n) form coefficients
-# ((3,4,9): 24640 cells).  One random line (seed 0, 2-vCPU Xeon, Python
-# 3.11) takes about 0.04 s at (3,4,10) (48048 cells), 0.33 s at (3,4,12)
-# (150150), 1.4 s at (3,4,14) (388960), a `jumping:3` one there 6 s.
-SPLIT_MAX_CELLS = 100_000
 _POINT_BOUND = 30  # coefficient bound of dim_z_jacobian's random points
 
 FLAG_DIM_MISMATCH = "DIM_MISMATCH"

@@ -168,11 +168,6 @@ class ExactMatrix:
                for row in self.entries]
         return ExactMatrix(self.rows, other.cols, out)
 
-    def apply_to_vector(self, vec):
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        return [sum(a * b for a, b in zip(row, vec)) for row in self.entries]
-
     def rank(self):
         """Exact rank: rows less the size of the certified left kernel, with
         the matrix oriented so the short side is the rows."""
@@ -241,8 +236,7 @@ def _residues(x, width, c):
     """Every slot s of a packed row x reduced mod p = 2**30 - c: folded under
     2**31, then less p where s + c >= 2**30, in (2**31 - 1) // p passes."""
     (bits, _, lo, hi, ones), p = _packing(width), 2**30 - c
-    for _ in range(_fold_rounds(c, bits)):
-        x = (x & lo) + c * ((x & hi) >> 30)
+    x = _fold(x, lo, hi, c, bits)
     for _ in range((2**31 - 1) // p):
         s = (x + c * ones) >> 30
         x -= p * ((s | s >> 1) & ones)

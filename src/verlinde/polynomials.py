@@ -36,7 +36,7 @@ __all__ = [
     "scalar",
 ]
 
-COEFF_BOUND = 50  # default range for random integer coefficients
+COEFF_BOUND = 50  # range of random integer coefficients and of gcd_degree's substitutions
 _GCD_RETRIES = 16  # substitutions a gcd trial draws before giving up on a degenerate one
 _FORM_RETRIES = 64  # draws random_form makes before giving up on a zero form
 
@@ -124,15 +124,7 @@ class HomogeneousPolynomial:
             raise ValueError("degree must be nonnegative")
         clean = {}
         for mono, coeff in (terms or {}).items():
-            mono = tuple(mono)
-            if any(type(e) is not int for e in mono):
-                raise ValueError(f"exponents of {mono} must be ints")
-            if len(mono) != num_vars:
-                raise ValueError(f"monomial {mono} has {len(mono)} exponents, expected {num_vars}")
-            if any(e < 0 for e in mono):
-                raise ValueError(f"negative exponent in {mono}")
-            if sum(mono) != degree:
-                raise ValueError(f"monomial {mono} has degree {sum(mono)}, expected {degree}")
+            mono = _exponents(mono, num_vars, degree)
             clean[mono] = clean.get(mono, 0) + scalar(coeff)
         self.num_vars = num_vars
         self.degree = degree
@@ -275,19 +267,11 @@ class HomogeneousPolynomial:
         for pos, term in enumerate(raw_terms):
             try:
                 coeff = scalar_from_json(term["c"])
-                raw_exps = term["e"]
-                if not isinstance(raw_exps, list):
+                if not isinstance(term["e"], list):
                     raise ValueError("exponents must be a list")
-                exps = tuple([int_from_json(e) for e in raw_exps])
+                exps = _exponents(term["e"], n + 1, degree)
             except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"term {pos}: unreadable ({exc})") from exc
-            if len(exps) != n + 1:
-                raise ValueError(f"term {pos}: expected {n + 1} exponents, got {len(exps)}")
-            if any(e < 0 for e in exps):
-                raise ValueError(f"term {pos}: negative exponent in {list(exps)}")
-            if sum(exps) != degree:
-                raise ValueError(
-                    f"term {pos}: exponents {list(exps)} sum to {sum(exps)}, expected degree {degree}")
+                raise ValueError(f"term {pos}: {exc}") from exc
             terms[exps] = terms.get(exps, 0) + coeff
         return cls(n + 1, degree, terms)
 
@@ -312,6 +296,21 @@ class HomogeneousPolynomial:
 
     def __repr__(self):
         return f"HomogeneousPolynomial({self})"
+
+
+def _exponents(mono, num_vars, degree):
+    """mono as a tuple of num_vars int exponents (no bools), none negative,
+    summing to degree; ValueError naming the first of these it breaks."""
+    mono = tuple(mono)
+    if any(type(e) is not int for e in mono):
+        raise ValueError(f"exponents {list(mono)} must be ints")
+    if len(mono) != num_vars:
+        raise ValueError(f"expected {num_vars} exponents, got {len(mono)}")
+    if any(e < 0 for e in mono):
+        raise ValueError(f"negative exponent in {list(mono)}")
+    if sum(mono) != degree:
+        raise ValueError(f"exponents {list(mono)} sum to {sum(mono)}, expected degree {degree}")
+    return mono
 
 
 def _normal(terms):
@@ -409,13 +408,6 @@ def restrict_to_line(f, subst):
     return HomogeneousPolynomial._of_terms(2, d, terms)
 
 
-def binary_coeffs(f):
-    """Dense (s, t) coefficient list of a binary form, s-power descending."""
-    if f.num_vars != 2:
-        raise ValueError("not a binary form")
-    return [f.terms.get((f.degree - j, j), 0) for j in range(f.degree + 1)]
-
-
 def _univariate_gcd_degree(a, b):
     """deg gcd of integer polynomials (dense, descending, leading term
     nonzero) by the primitive pseudo-remainder sequence.  The pseudo-
@@ -457,7 +449,7 @@ def _binary_gcd_degree(c1, c2):
     return min(s1, s2) + min(t1, t2) + _univariate_gcd_degree(core1, core2)
 
 
-def gcd_degree(f1, f2, trials=3, seed=0, bound=COEFF_BOUND):
+def gcd_degree(f1, f2, trials=3, seed=0):
     """Monte Carlo degree of gcd(f1, f2) via random line restrictions.
 
     Each trial restricts both forms to a random rational line and takes the
@@ -489,12 +481,13 @@ def gcd_degree(f1, f2, trials=3, seed=0, bound=COEFF_BOUND):
     if trials < 1:
         raise ValueError(f"gcd oracle needs trials >= 1, got {trials}")
     best = f1.degree
-    # made integral once: r_i is den*binary_coeffs(restrict_to_line), of the same gcd degree
+    # made integral once: r_i is den times restrict_to_line's (s, t) coefficients, same gcd degree
     forms = [f.scale(_cleared(list(f.terms.values()))[0]) for f in (f1, f2)]
     for trial in range(trials):
         for attempt in range(_GCD_RETRIES):
             rng = random.Random(f"{seed}:gcd:{trial}:{attempt}")
-            pairs = [(_draw(rng, bound), _draw(rng, bound)) for _ in range(f1.num_vars)]
+            pairs = [(_draw(rng, COEFF_BOUND), _draw(rng, COEFF_BOUND))
+                     for _ in range(f1.num_vars)]
             r1, r2 = _restricted_slots(forms, pairs)
             if any(r1) or any(r2):
                 break
@@ -522,7 +515,6 @@ def parse_form(text, n, degree=None):
     if not s:
         raise ValueError("empty polynomial")
     terms = {}
-    seen_degrees = set()
     for chunk in re.split(r"(?=[+-])", s):
         if not chunk:
             continue
@@ -547,17 +539,11 @@ def parse_form(text, n, degree=None):
             if idx > n:
                 raise ValueError(f"variable x{idx} out of range in term {chunk!r} (n = {n})")
             exps[idx] += int(m.group(2) or 1)
-        term_degree = sum(exps)
-        if degree is not None and term_degree != degree:
-            raise ValueError(
-                f"term {chunk!r} has degree {term_degree}, expected {degree}")
-        seen_degrees.add(term_degree)
-        if len(seen_degrees) > 1:
-            raise ValueError(f"term {chunk!r} breaks homogeneity: degrees {sorted(seen_degrees)}")
+        if degree is None:
+            degree = sum(exps)  # the first term's; the constructor refuses the rest
         key = tuple(exps)
         terms[key] = terms.get(key, 0) + coeff
-    final_degree = degree if degree is not None else seen_degrees.pop()
-    return HomogeneousPolynomial(n + 1, final_degree, terms)
+    return HomogeneousPolynomial(n + 1, degree, terms)
 
 
 def _draw(rng, bound):

@@ -5,11 +5,13 @@ Products are computed by Giambelli reduction to special classes followed
 by repeated Pieri multiplication; integer coefficients only.
 
 A caller's coefficients go through the checked constructors, which refuse
-an index out of range and take each coefficient by int().  Classes the
-package builds (``pieri``, sums, negation, scalar and bidegree products,
-``hyperplane_power``, ``pushforward_factor2``, ``jumping``'s assembly) come
-from valid classes or ranged indices, so they go through ``_of``, which
-only drops zeros: every Pieri step would otherwise pay checks that cannot fail.
+an index out of range and, as ``ExactMatrix`` does, a coefficient that is
+not an int (a float, a str, a bool, a Fraction, even an integral one).
+Classes the package builds (``pieri``, sums, negation, scalar and
+bidegree products, ``hyperplane_power``, ``pushforward_factor2``,
+``jumping``'s assembly) come from valid classes or ranged indices, so they
+go through ``_of``, which only drops zeros: every Pieri step would
+otherwise pay checks that cannot fail.
 """
 
 from __future__ import annotations
@@ -59,10 +61,12 @@ class SchubertClass:
 
     def __init__(self, ctx, coeffs=None):
         coeffs = coeffs or {}
-        for a, b in coeffs:
+        for (a, b), c in coeffs.items():
             if not (ctx.max_index >= a >= b >= 0):
                 raise ValueError(f"invalid Schubert index ({a},{b}) for N={ctx.N}")
-        self.ctx, self.coeffs = ctx, {k: v for k, c in coeffs.items() if (v := int(c))}
+            if type(c) is not int:
+                raise ValueError(f"Schubert coefficients must be ints, got {c!r}")
+        self.ctx, self.coeffs = ctx, {k: c for k, c in coeffs.items() if c}
 
     @classmethod
     def _of(cls, ctx, coeffs):
@@ -108,13 +112,6 @@ class SchubertClass:
         if not isinstance(scalar, int):
             return NotImplemented
         return SchubertClass._of(self.ctx, {k: scalar * v for k, v in self.coeffs.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return other * self
-        if isinstance(other, SchubertClass):
-            return product(self, other)
-        return NotImplemented
 
     def __eq__(self, other):
         if not isinstance(other, SchubertClass):
@@ -200,10 +197,12 @@ class BidegreeClass:
         if r < 0 or s < 0:
             raise ValueError("factor dimensions must be nonnegative")
         coeffs = coeffs or {}
-        for i, j in coeffs:
+        for (i, j), c in coeffs.items():
             if not (0 <= i <= r and 0 <= j <= s):
                 raise ValueError(f"exponent ({i},{j}) outside P^{r} x P^{s}")
-        self.r, self.s, self.coeffs = r, s, {k: v for k, c in coeffs.items() if (v := int(c))}
+            if type(c) is not int:
+                raise ValueError(f"bidegree coefficients must be ints, got {c!r}")
+        self.r, self.s, self.coeffs = r, s, {k: c for k, c in coeffs.items() if c}
 
     @classmethod
     def _of(cls, r, s, coeffs):

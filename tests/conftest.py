@@ -60,6 +60,11 @@ def dense_annihilates(rows, vec):
     return not any(sum(map(mul, vec, col)) for col in zip(*rows))
 
 
+def binary_coeffs(f):
+    """A binary form's dense (s, t) coefficient list, s-power descending."""
+    return [f.terms.get((f.degree - j, j), 0) for j in range(f.degree + 1)]
+
+
 def primes_used(echelons):
     """How many primes the recorded ``_echelon_mod_p`` calls eliminated by."""
     return len({args[2] for args in echelons})

@@ -174,8 +174,8 @@ def test_split_oversized_pencil_refused_before_any_matrix(monkeypatch, capsys):
 
 
 def test_split_reference_cells_fit_the_size_guard():
+    from verlinde.cli import SPLIT_MAX_CELLS
     from verlinde.family import context
-    from verlinde.jumping import SPLIT_MAX_CELLS
 
     for cell in [(3, 3, 7), (3, 4, 8), (3, 4, 9), (2, 4, 9)]:
         ctx = context(*cell)
@@ -213,8 +213,7 @@ def test_split_refused_before_any_exact_binomial(monkeypatch, capsys):
 
 
 def test_split_size_guard_prices_exactly_up_to_the_cap():
-    from verlinde.cli import UsageError, _check_split_size, _comb_past
-    from verlinde.jumping import SPLIT_MAX_CELLS
+    from verlinde.cli import SPLIT_MAX_CELLS, UsageError, _check_split_size, _comb_past
 
     for a in range(12):
         for b in range(-1, a + 2):

@@ -13,7 +13,6 @@ from verlinde.family import (
     LineInSystem,
     context,
     generic_type,
-    genericity_range_table,
     is_generic_type,
     near_generic_type,
     predict_by_gcd,
@@ -53,6 +52,12 @@ def test_context_validation():
         context(2, 0, 3)
     with pytest.raises(ValueError):
         context(2, 2, 0)
+
+
+@pytest.mark.parametrize("cell", [(2, 2, 1), (2, 2, 2), (3, 4, 3), (3, 4, 4)])
+def test_near_generic_type_needs_u_at_least_2(cell):
+    with pytest.raises(GenericTypeUndefinedError, match="no near-generic type for u = [01],"):
+        near_generic_type(context(*cell))
 
 
 def test_line_independence_check():
@@ -234,13 +239,14 @@ def test_sample_line_degree_is_written_as_str_writes_it():
             sample_line(ctx, mode, seed=0)
 
 
+# the table scripts/splitting_survey.py prints: degree <= rank wherever k <= 2d
 def test_genericity_range_table():
-    rows = genericity_range_table(2, 2, 8)
-    assert [r.degree_le_rank for r in rows[:5]] == [True] * 5  # k = 1..5
-    assert rows[4].k_le_2d is False  # k = 5 > 2d yet degree <= rank
-    assert all(r.degree_le_rank for r in rows if r.k_le_2d)
-    rows33 = genericity_range_table(3, 3, 12)
-    assert all(r.degree_le_rank for r in rows33 if r.k_le_2d)
+    ctxs = [context(2, 2, k) for k in range(1, 9)]
+    assert [c.degree <= c.rank for c in ctxs[:5]] == [True] * 5  # k = 1..5
+    assert ctxs[4].k > 2 * 2  # k = 5 > 2d yet degree <= rank
+    assert all(c.degree <= c.rank for c in ctxs if c.k <= 2 * 2)
+    ctxs33 = [context(3, 3, k) for k in range(1, 13)]
+    assert all(c.degree <= c.rank for c in ctxs33 if c.k <= 2 * 3)
 
 
 # ---------------------------------------------------------- per-line memo

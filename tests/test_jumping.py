@@ -35,8 +35,7 @@ def pluecker_dim(g1, g2, h):
     mg1 = mult_matrix(g1, h.degree)  # N x D
     mg2 = mult_matrix(g2, h.degree)
     n, N, D = h.n, mh.rows, mg1.cols
-    a = mh.apply_to_vector(g1.coeff_vector())
-    b = mh.apply_to_vector(g2.coeff_vector())
+    a, b = ([sum(map(mul, row, g.coeff_vector())) for row in mh.entries] for g in (g1, g2))
     rows = []
     for i in range(N):
         for j in range(i + 1, N):

@@ -31,6 +31,15 @@ def l_block(b):
     return kronecker_pencil(SplittingType((b,)), b + 1, b)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda p: twisted_section_dims(p, 0), "t_max must be >= 1"),
+    (lambda p: sylvester_block(p, -1), "block index must be nonnegative"),
+])
+def test_out_of_range_twists_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(l_block(1))
+
+
 def test_l1_block():
     p = l_block(1)
     assert p.A.entries == [[1], [0]]

@@ -19,11 +19,10 @@ from verlinde.polynomials import (
     mult_matrix,
     parse_form,
     random_form,
-    binary_coeffs,
     restrict_to_line,
 )
 
-from conftest import naive_rank
+from conftest import binary_coeffs, naive_rank
 
 
 def x(n, i):
@@ -308,6 +307,18 @@ def test_gcd_degree_rejects_no_trials(trials):
         gcd_degree(x(2, 0), x(2, 1), trials=trials)
 
 
+@pytest.mark.parametrize("args,message", [
+    ((0, 0, {}), "at least one variable"),
+    ((2, -1, {}), "nonnegative"),
+    ((3, 2, {(1, 1): 1}), "expected 3 exponents, got 2"),
+    ((3, 2, {(3, -1, 0): 1}), "negative exponent"),
+    ((3, 2, {(1, 0, 0): 1}), "sum to 1, expected degree 2"),
+])
+def test_checked_constructor_refuses_malformed_shapes(args, message):
+    with pytest.raises(ValueError, match=message):
+        HomogeneousPolynomial(*args)
+
+
 def test_homogeneity_enforced():
     with pytest.raises(ValueError):
         HomogeneousPolynomial(3, 2, {(1, 0, 0): 1})
@@ -517,12 +528,13 @@ def test_from_json_coefficient_forms():
     assert f.terms == {(1, 0): 3, (0, 1): Fraction(-7, 4)}
 
 
-def test_degenerate_substitution_error():
+def test_degenerate_substitution_error(monkeypatch):
     # forms in the ideal of every sampled line cannot occur for nonzero
     # input, but the retry bound must exist; exercise the internal helper
     f = x(2, 0)
+    monkeypatch.setattr(polynomials, "COEFF_BOUND", 0)  # all-zero substitutions
     with pytest.raises(DegenerateSubstitutionError):
-        gcd_degree(f, f, trials=1, seed=0, bound=0)  # all-zero substitutions
+        gcd_degree(f, f, trials=1, seed=0)
 
 
 def _rational_text(f, rng):

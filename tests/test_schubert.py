@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -93,6 +94,16 @@ def test_product_associative_commutative(seed):
     assert product(x, y) == product(y, x)
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: GrContext(1), "need N >= 2"),
+    (lambda: giambelli(GrContext(5), 4, 0), r"invalid index \(4,0\)"),
+    (lambda: giambelli(GrContext(5), 1, 2), r"invalid index \(1,2\)"),
+])
+def test_constructors_refuse_out_of_range_input(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_schubert_index_validation():
     ctx = GrContext(5)
     with pytest.raises(ValueError):
@@ -101,6 +112,14 @@ def test_schubert_index_validation():
         SchubertClass(ctx, {(1, 2): 1})
     with pytest.raises(ValueError):
         pieri(4, sigma(ctx, 1))
+
+
+@pytest.mark.parametrize("coeff", [2.7, 2.0, "3", True, Fraction(7, 2), Fraction(4, 1), None])
+def test_classes_refuse_coefficients_that_are_not_ints(coeff):
+    with pytest.raises(ValueError, match="coefficients must be ints"):
+        SchubertClass(GrContext(4), {(1, 0): 1, (2, 1): coeff})
+    with pytest.raises(ValueError, match="coefficients must be ints"):
+        BidegreeClass(1, 1, {(0, 1): 1, (1, 0): coeff})
 
 
 def test_context_mismatch_rejected():
