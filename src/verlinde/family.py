@@ -25,7 +25,7 @@ from math import comb
 
 from .linalg import ExactMatrix
 from .pencils import Pencil, SplittingType, _section_dims
-from .polynomials import HomogeneousPolynomial, _cleared, gcd_degree, mult_matrix, random_form
+from .polynomials import HomogeneousPolynomial, _integral, gcd_degree, mult_matrix, random_form
 
 _LINE_RETRIES = 16  # draws sample_line makes before giving up on a dependent pair
 
@@ -123,8 +123,8 @@ def verlinde_pencil(ctx, line):
     Built once per (line, k); callers must not mutate it.
 
     The matrices multiply by the integral multiples c1*f1 and c2*f2 (c_i
-    the lcm of f_i's denominators, by ``_cleared``), so they hold ints.  The
-    pencil (c1 A, c2 B) is (A, B) after (s, t) -> (c1 s, c2 t), so the
+    the lcm of f_i's denominators, by ``_integral``), so they hold ints.
+    The pencil (c1 A, c2 B) is (A, B) after (s, t) -> (c1 s, c2 t), so the
     splitting type, rank [A|B] and injectivity are those of the line."""
     _check_line(ctx, line)  # the memo is keyed by k; this pins n and d
     pencil = line._memo.get(ctx.k)
@@ -134,8 +134,8 @@ def verlinde_pencil(ctx, line):
             pencil = Pencil(empty, empty)
         else:
             src = ctx.k - ctx.d
-            pencil = Pencil(*[mult_matrix(f.scale(_cleared(list(f.terms.values()))[0]), src)
-                              for f in (line.f1, line.f2)])
+            pencil = Pencil(mult_matrix(_integral(line.f1), src),
+                            mult_matrix(_integral(line.f2), src))
         line._memo[ctx.k] = pencil
     return pencil
 

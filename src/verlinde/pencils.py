@@ -57,12 +57,13 @@ class CokernelError(PencilError):
     nonnegative splitting entries (torsion or negative twists)."""
 
 
-class SplittingType:
-    """Non-increasing tuple of nonnegative integers b_1 >= ... >= b_r."""
+class SplittingType(tuple):
+    """Non-increasing tuple of nonnegative integers b_1 >= ... >= b_r;
+    equal to, and hashed as, the plain tuple of its entries."""
 
-    __slots__ = ("entries",)
+    __slots__ = ()
 
-    def __init__(self, entries):
+    def __new__(cls, entries):
         entries = tuple(entries)
         if any(type(b) is not int for b in entries):
             raise ValueError(f"splitting type entries must be ints, got {entries}")
@@ -70,33 +71,18 @@ class SplittingType:
             raise ValueError(f"negative entry in splitting type {entries}")
         if any(entries[i] < entries[i + 1] for i in range(len(entries) - 1)):
             raise ValueError(f"splitting type {entries} is not non-increasing")
-        self.entries = entries
+        return super().__new__(cls, entries)
 
-    def __len__(self):
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
+    @property
+    def entries(self):
+        return tuple(self)
 
     @property
     def total(self):
-        return sum(self.entries)
+        return sum(self)
 
     def zeros(self):
-        return self.entries.count(0)
-
-    def __eq__(self, other):
-        if isinstance(other, SplittingType):
-            return self.entries == other.entries
-        if isinstance(other, tuple):
-            return self.entries == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.entries)
+        return self.count(0)
 
     def __repr__(self):
         return f"SplittingType{self.entries}"
@@ -335,26 +321,21 @@ def splitting_type(pencil):
     return SplittingType(entries + [0] * (w - u - counts[0]))
 
 
-def kronecker_pencil(st, w, u, seed=None):
+def kronecker_pencil(st, seed=None):
     """Build a pencil with prescribed splitting type from canonical blocks.
 
-    For each entry b >= 1 a (b+1) x b block (A = identity over a zero
-    row, B = zero row over identity, cokernel O(b)) is placed on the
-    diagonal; zero entries contribute zero rows.  With a seed, the result
-    is conjugated by random unimodular row and column transformations.
+    The frame is the type's: u = st.total and w = u + len(st).  For each
+    entry b a (b+1) x b block (A = identity over a zero row, B = zero row
+    over identity, cokernel O(b)) is placed on the diagonal, so a zero
+    entry contributes a zero row.  With a seed, the result is conjugated
+    by random unimodular row and column transformations.
     """
-    if not isinstance(st, SplittingType):
-        st = SplittingType(st)
-    if len(st) != w - u:
-        raise PencilError(f"type length {len(st)} != w - u = {w - u}")
-    if st.total != u:
-        raise PencilError(f"type sum {st.total} != u = {u}")
+    st = SplittingType(st)
+    u, w = st.total, st.total + len(st)
     a_rows = [[0] * u for _ in range(w)]
     b_rows = [[0] * u for _ in range(w)]
     r0 = c0 = 0
-    for b in st.entries:
-        if b == 0:
-            continue
+    for b in st:
         for i in range(b):
             a_rows[r0 + i][c0 + i] = 1
             b_rows[r0 + 1 + i][c0 + i] = 1

@@ -111,9 +111,9 @@ def basis_index(n, m):
 class HomogeneousPolynomial:
     """Homogeneous form over Q, stored as a sparse map from monomials to
     nonzero coefficients in normal form (int when integral, else Fraction).
-    Outside input goes through the checked ``__init__`` (int exponents, no
-    bools; coefficients as ``scalar`` reads them, no floats); the package's
-    own builders hand ``_of_terms`` terms they have already normalized."""
+    Outside input is checked, by ``__init__`` (int exponents, no bools;
+    coefficients as ``scalar`` reads them, no floats) or term by term in
+    ``from_json``; the package's own builders hand ``_of_terms`` their terms."""
 
     __slots__ = ("num_vars", "degree", "terms")
 
@@ -214,14 +214,17 @@ class HomogeneousPolynomial:
         if not isinstance(other, HomogeneousPolynomial):
             return NotImplemented
         self._check_compatible(other)
-        codes, monomial = _product_codes(self.num_vars, self.degree, other.degree)
-        right = [(codes[m], c) for m, c in other.terms.items()]
+        n, d1, d2 = self.n, self.degree, other.degree
+        targets = _mult_targets(n, d1, d2)
+        right = [(j, c) for j, m in enumerate(_compositions(n + 1, d2)) if (c := other.terms.get(m))]
         terms = {}
-        for a, c1 in [(codes[m], c) for m, c in self.terms.items()]:
-            for b, c2 in right:
-                terms[a + b] = terms.get(a + b, 0) + c1 * c2
-        return HomogeneousPolynomial._of_terms(self.num_vars, self.degree + other.degree,
-                                               {monomial[k]: c for k, c in _normal(terms).items()})
+        for m, c1 in self.terms.items():
+            row = targets[m]
+            for j, c2 in right:
+                terms[row[j]] = terms.get(row[j], 0) + c1 * c2
+        monomial = _compositions(n + 1, d1 + d2)
+        return HomogeneousPolynomial._of_terms(self.num_vars, d1 + d2,
+                                               {monomial[i]: c for i, c in _normal(terms).items()})
 
     __rmul__ = __mul__
 
@@ -273,7 +276,7 @@ class HomogeneousPolynomial:
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"term {pos}: {exc}") from exc
             terms[exps] = terms.get(exps, 0) + coeff
-        return cls(n + 1, degree, terms)
+        return cls._of_terms(n + 1, degree, _normal(terms))
 
     def __str__(self):
         if self.is_zero:
@@ -322,21 +325,12 @@ def _normal(terms):
 
 
 @lru_cache(maxsize=None)
-def _product_codes(num_vars, d1, d2):
-    """{monomial: code} over degrees d1, d2 and d1 + d2, and its inverse: the
-    exponents as digits in base d1 + d2 + 1, so codes add as monomials multiply."""
-    digits = [(d1 + d2 + 1) ** i for i in range(num_vars)]
-    codes = {m: sum(map(mul, m, digits))
-             for e in {d1, d2, d1 + d2} for m in _compositions(num_vars, e)}
-    return codes, {k: m for m, k in codes.items()}
-
-
-@lru_cache(maxsize=None)
 def _mult_targets(n, deg, src_deg):
-    """Degree-deg monomial m -> [row of m*theta for theta in monomial_basis(n, src_deg)]."""
-    dst_index = basis_index(n, src_deg + deg)
+    """Degree-deg monomial m -> [position of m*theta in monomial_basis(n, src_deg + deg),
+    for theta in monomial_basis(n, src_deg)]; n = 0 too, for forms in one variable."""
+    dst_index = {m: i for i, m in enumerate(_compositions(n + 1, src_deg + deg))}
     return {m: [dst_index[tuple([a + b for a, b in zip(m, theta)])]
-                for theta in monomial_basis(n, src_deg)] for m in monomial_basis(n, deg)}
+                for theta in _compositions(n + 1, src_deg)] for m in _compositions(n + 1, deg)}
 
 
 def mult_matrix(f, src_deg):
@@ -370,6 +364,11 @@ def _cleared(values):
         return 1, values
     c = lcm(*[v.denominator for v in values])
     return c, [v.numerator * (c // v.denominator) for v in values]
+
+
+def _integral(f):
+    """c*f, c the lcm of the denominators of f's coefficients (f itself when integral)."""
+    return f.scale(_cleared(list(f.terms.values()))[0])
 
 
 def _restricted_slots(forms, ab):
@@ -482,7 +481,7 @@ def gcd_degree(f1, f2, trials=3, seed=0):
         raise ValueError(f"gcd oracle needs trials >= 1, got {trials}")
     best = f1.degree
     # made integral once: r_i is den times restrict_to_line's (s, t) coefficients, same gcd degree
-    forms = [f.scale(_cleared(list(f.terms.values()))[0]) for f in (f1, f2)]
+    forms = [_integral(f1), _integral(f2)]
     for trial in range(trials):
         for attempt in range(_GCD_RETRIES):
             rng = random.Random(f"{seed}:gcd:{trial}:{attempt}")

@@ -6,6 +6,7 @@ PASS/FAIL line (visible with `pytest -s` or on failure).
 """
 
 import hashlib
+import re
 
 import pytest
 
@@ -118,11 +119,15 @@ def test_supporting_algebra_suite(algebra):
 
 def test_verify_all_stdout_bytes_are_pinned(algebra, pencil, criteria, schubert, jumping,
                                             monkeypatch, capsys):
-    # the CLI writes the document, run_all sets the suite order, and the
-    # suites hand back this module's results instead of running again
+    # the CLI writes the document in SUITES' order, and the suites hand
+    # back this module's results instead of running again
     for name, result in [("algebra", algebra), ("pencil", pencil), ("criteria", criteria),
                          ("schubert", schubert), ("jumping", jumping)]:
         monkeypatch.setitem(suites.SUITES, name, lambda seed, result=result: result)
     assert cli.main(["verify", "--suite", "all", "--seed", str(ACCEPTANCE_SEED)]) == 0
-    stdout = capsys.readouterr().out
-    assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == VERIFY_ALL_SEED0
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == VERIFY_ALL_SEED0
+    # one timed summary line a suite, in the same order, on stderr only
+    lines = captured.err.splitlines()
+    assert [line.split("]")[0][1:] for line in lines] == list(suites.SUITES)
+    assert all(re.fullmatch(r"\[\w+\] cases=\d+ ok \(\d+\.\ds\)", line) for line in lines)

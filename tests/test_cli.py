@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -338,7 +339,8 @@ def test_verify_algebra_deterministic_and_passing():
     assert out["passed"] is True
     assert out["suites"][0]["failures"] == []
     assert "wall" not in a.stdout  # timing stays on stderr
-    assert "(" in a.stderr  # human summary present
+    # the CLI's own summary line, timed around the suite
+    assert re.fullmatch(r"\[algebra\] cases=117 ok \(\d+\.\ds\)\n", a.stderr)
 
 
 def test_verify_exit_one_on_failure(monkeypatch, capsys):
@@ -350,7 +352,9 @@ def test_verify_exit_one_on_failure(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_suite", lambda name, seed: failing)
     rc = cli.main(["verify", "--suite", "algebra", "--seed", "0"])
     assert rc == 1
-    out = json.loads(capsys.readouterr().out)
+    captured = capsys.readouterr()
+    assert re.fullmatch(r"\[algebra\] cases=0 1 FAILURES \(\d+\.\ds\)\n", captured.err)
+    out = json.loads(captured.out)
     assert out["passed"] is False
     assert out["suites"][0]["failures"]
 

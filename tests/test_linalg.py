@@ -307,7 +307,7 @@ def test_a_kernel_that_never_certifies_stops_at_the_proven_primes(monkeypatch, s
     # 0 and 1, 3 pivot minors and D = 1; B^T's elimination and the resumed
     # one a prime, under the same failing check (one loop serves both)
     echelons.clear()
-    p = kronecker_pencil((2,), 3, 2)
+    p = kronecker_pencil((2,))
     with pytest.raises(ArithmeticError):
         splitting_type(p)
     bits = linalg._hadamard_bits(3, max(abs(x) for row in p.A.entries + p.B.entries for x in row))

@@ -28,7 +28,7 @@ from conftest import bareiss_left_kernel, primes_used
 
 def l_block(b):
     """The (b+1) x b canonical block with cokernel O(b)."""
-    return kronecker_pencil(SplittingType((b,)), b + 1, b)
+    return kronecker_pencil(SplittingType((b,)))
 
 
 @pytest.mark.parametrize("call,message", [
@@ -73,7 +73,7 @@ def test_square_pencil_torsion_cokernel_rejected():
 
 def test_block_sum_21_0():
     st_ = SplittingType((2, 1, 0))
-    p = kronecker_pencil(st_, 6, 3)
+    p = kronecker_pencil(st_)
     assert splitting_type(p) == st_
     rng = random.Random("mix")
     conj = p.conjugate(random_unimodular(6, rng), random_unimodular(3, rng))
@@ -83,21 +83,14 @@ def test_block_sum_21_0():
 
 def test_kronecker_example_from_seed():
     st_ = SplittingType((2, 1, 0, 0))
-    p = kronecker_pencil(st_, 7, 3, seed=7)
+    p = kronecker_pencil(st_, seed=7)
     assert splitting_type(p) == st_
 
 
 def test_kronecker_zero_columns():
-    p = kronecker_pencil(SplittingType((0, 0)), 2, 0)
+    p = kronecker_pencil(SplittingType((0, 0)))
     assert p.u == 0 and p.w == 2
     assert splitting_type(p) == (0, 0)
-
-
-def test_kronecker_validates_frame():
-    with pytest.raises(PencilError):
-        kronecker_pencil(SplittingType((2, 1)), 6, 3)  # length != w - u
-    with pytest.raises(PencilError):
-        kronecker_pencil(SplittingType((1, 1, 0)), 6, 3)  # sum != u
 
 
 def test_sylvester_block_shape():
@@ -122,8 +115,10 @@ def test_round_trip_and_invariances(seed):
     w = rng.randint(2, 8)
     u = rng.randint(0, w - 1)
     st_ = _random_type(rng, w, u)
-    p = kronecker_pencil(st_, w, u, seed=seed)
-    assert splitting_type(p) == st_
+    p = kronecker_pencil(st_, seed=seed)
+    for q in (p, kronecker_pencil(st_), kronecker_pencil(tuple(st_), seed=seed)):
+        assert (q.w, q.u) == (len(st_) + st_.total, st_.total) == (w, u)  # the type's frame
+        assert splitting_type(q) == st_
     assert splitting_type(p.swap()) == st_
     a, b, c, d = 1, rng.randint(-3, 3), rng.randint(-3, 3), 1
     if a * d - b * c == 0:
@@ -136,10 +131,21 @@ def test_h_sequence_convex(seed):
     rng = random.Random(f"hconv:{seed}")
     w = rng.randint(3, 8)
     u = rng.randint(1, w - 1)
-    p = kronecker_pencil(_random_type(rng, w, u), w, u, seed=seed)
+    p = kronecker_pencil(_random_type(rng, w, u), seed=seed)
     h = twisted_section_dims(p, u + 1)
     diffs = [h[t] - h[t + 1] for t in range(len(h) - 1)]
     assert all(diffs[t] >= diffs[t + 1] for t in range(len(diffs) - 1))
+
+
+def test_splitting_type_is_its_tuple():
+    t = SplittingType([2, 1, 1, 0])
+    assert isinstance(t, tuple) and type(t.entries) is tuple
+    assert t == (2, 1, 1, 0) == tuple(t) == t.entries and t != [2, 1, 1, 0]
+    assert hash(t) == hash(tuple(t)) and {t: 1}[(2, 1, 1, 0)] == 1
+    assert repr(t) == "SplittingType(2, 1, 1, 0)" and repr(SplittingType((3,))) == "SplittingType(3,)"
+    assert (len(t), t[0], t[-2:], list(t)) == (4, 2, (1, 0), [2, 1, 1, 0])
+    assert (t.total, t.zeros()) == (4, 1)
+    assert SplittingType(()) == () and SplittingType(()).total == 0
 
 
 def test_splitting_type_validation():
@@ -214,7 +220,7 @@ def _assert_recursion_matches(p, engine=False):
 def test_recursion_matches_sylvester_ranks_on_kronecker_pencils(w, data):
     u = data.draw(st.integers(0, w - 1))
     rng = random.Random(data.draw(st.integers(0, 10**6)))
-    p = kronecker_pencil(_random_type(rng, w, u), w, u, seed=rng.randrange(10**6))
+    p = kronecker_pencil(_random_type(rng, w, u), seed=rng.randrange(10**6))
     _assert_recursion_matches(p)
 
 
@@ -244,7 +250,7 @@ def test_unliftable_kernel_takes_a_second_prime(spy):
     right = [[int(i == j) for j in range(3)] for i in range(3)]
     right[0][1] = big
     st_ = SplittingType((2, 1, 0))
-    p = kronecker_pencil(st_, 6, 3).conjugate(ExactMatrix.from_rows(left),
+    p = kronecker_pencil(st_).conjugate(ExactMatrix.from_rows(left),
                                               ExactMatrix.from_rows(right))
     assert splitting_type(p) == st_
     assert primes_used(echelons) >= 2 and bareiss == []
@@ -319,7 +325,7 @@ def test_b_losing_rank_mod_p_takes_a_second_prime(spy, seed):
     w = rng.randint(3, 7)
     u = rng.randint(1, w - 1)
     st_ = _random_type(rng, w, u)
-    p = kronecker_pencil(st_, w, u, seed=seed)
+    p = kronecker_pencil(st_, seed=seed)
     scaled = [[prime if i == j == u - 1 else int(i == j) for j in range(u)]
               for i in range(u)]
     for q in (p.coordinate_change(1, 0, 0, prime),
@@ -352,7 +358,7 @@ def test_splitting_type_builds_no_sylvester_block(monkeypatch):
 
     monkeypatch.setattr(pencils, "sylvester_block", refuse)
     st_ = SplittingType((2, 1, 0, 0))
-    assert splitting_type(kronecker_pencil(st_, 7, 3, seed=7)) == st_
+    assert splitting_type(kronecker_pencil(st_, seed=7)) == st_
     ctx = context(2, 3, 4)
     splitting_type(verlinde_pencil(ctx, sample_line(ctx, "jumping:1", seed=3)))
 
@@ -422,7 +428,7 @@ def _pencil_of_kind(kind, rng):
         w1 = rng.randint(1, 4)
         u1 = rng.randint(0, w1 - 1)
         m = rng.randint(1, 3)
-        k = kronecker_pencil(_random_type(rng, w1, u1), w1, u1)
+        k = kronecker_pencil(_random_type(rng, w1, u1))
         p = Pencil(_diag(k.A, _grid(rng, m, m)), _diag(k.B, _grid(rng, m, m)))
     return p.conjugate(random_unimodular(p.w, rng), random_unimodular(p.u, rng))
 
@@ -540,7 +546,7 @@ def _kronecker_pencils(draw):
     w = draw(st.integers(1, 7))
     u = draw(st.integers(0, w - 1))
     rng = random.Random(draw(st.integers(0, 10**6)))
-    return kronecker_pencil(_random_type(rng, w, u), w, u, seed=rng.randrange(10**6))
+    return kronecker_pencil(_random_type(rng, w, u), seed=rng.randrange(10**6))
 
 
 def _dims_or_error(p, t):
@@ -578,7 +584,7 @@ def test_cached_first_step_still_refuses_a_non_injective_pencil(kind, seed):
 
 
 def test_derived_pencils_start_with_no_sequence():
-    p = kronecker_pencil(SplittingType((2, 1, 0)), 6, 3, seed=5)
+    p = kronecker_pencil(SplittingType((2, 1, 0)), seed=5)
     fresh = Pencil(p.A, p.B)
     assert splitting_type(p) == (2, 1, 0)
     assert p._sections is not None and fresh._sections is None
