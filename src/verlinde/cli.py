@@ -2,8 +2,8 @@
 
 All machine output is UTF-8 JSON on stdout; progress and timing go to
 stderr.  Exit codes: 0 success, 1 verification failure, 2 usage or
-input error.  Identical command plus seed reproduces identical stdout
-bytes.
+input error (any ValueError: ``main`` prints it to stderr).  Identical
+command plus seed reproduces identical stdout bytes.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import time
 from .family import (
     GenericTypeUndefinedError,
     LineInSystem,
+    _planted_degree,
     context,
     generic_type,
     is_generic_type,
@@ -25,17 +26,13 @@ from .family import (
 from .jumping import reconcile
 from .pencils import dominance, splitting_type
 from .polynomials import HomogeneousPolynomial, gcd_degree, parse_form
-from .suites import SUITES, run_suite
+from .suites import SUITES
 
 # Largest `split`: 2*w*u pencil cells, or 2*C(n+d, n) form coefficients
 # ((3,4,9): 24640 cells).  One random line (seed 0, 2-vCPU Xeon, Python
 # 3.11) takes about 0.04 s at (3,4,10) (48048 cells), 0.33 s at (3,4,12)
 # (150150), 1.4 s at (3,4,14) (388960), a `jumping:3` one there 6 s.
 SPLIT_MAX_CELLS = 100_000
-
-
-class UsageError(Exception):
-    pass
 
 
 def _emit(obj):
@@ -52,10 +49,10 @@ def _load_poly(spec, n, degree, flag):
             poly = HomogeneousPolynomial.from_json(json.loads(spec))
         else:
             poly = parse_form(spec, n, degree)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        raise UsageError(f"{flag}: {exc}") from exc
+    except (OSError, RecursionError, ValueError) as exc:
+        raise ValueError(f"{flag}: {exc}") from exc
     if poly.n != n or poly.degree != degree:
-        raise UsageError(
+        raise ValueError(
             f"{flag}: polynomial has n={poly.n}, degree={poly.degree}; "
             f"expected n={n}, degree={degree}")
     return poly
@@ -72,30 +69,34 @@ def _comb_past(a, b, cap):
     return c
 
 
-def _check_split_size(n, d, k):
-    """Refuse a split whose two forms (2*C(n+d, n) coefficients) or pencil (2*w*u
-    cells) pass SPLIT_MAX_CELLS, before any form is read or any binomial taken exactly."""
+def _check_split_size(n, d, k, sample=None):
+    """Refuse a split whose forms, pencil or planted product table (a `jumping:D` sample's h*g)
+    passes SPLIT_MAX_CELLS, before any form is read or any binomial taken exactly."""
     cap = SPLIT_MAX_CELLS
     if 2 * _comb_past(n + d, n, cap) > cap:
-        raise UsageError(f"forms too large: 2*C(n+d, n) > {cap} coefficients")
+        raise ValueError(f"forms too large: 2*C(n+d, n) > {cap} coefficients")
     if 2 * _comb_past(k + n, n, cap) * _comb_past(k - d + n, n, cap) > cap:
-        raise UsageError(f"pencil too large: 2*w*u > {cap} cells")
+        raise ValueError(f"pencil too large: 2*w*u > {cap} cells")
+    D = None if sample is None else _planted_degree(sample, d)
+    if D is not None and _comb_past(D + n, n, cap) * _comb_past(d - D + n, n, cap) > cap:
+        raise ValueError(f"planted product too large: C(D+n, n)*C(d-D+n, n) > {cap} positions")
 
 
 def _cmd_split(args):
     if args.trials < 1:
-        raise UsageError(f"gcd oracle needs --trials >= 1, got {args.trials}")
-    _check_split_size(args.n, args.d, args.k)
+        raise ValueError(f"gcd oracle needs --trials >= 1, got {args.trials}")
+    given = args.f1 is not None or args.f2 is not None
+    _check_split_size(args.n, args.d, args.k, None if given else args.sample)
     ctx = context(args.n, args.d, args.k)
-    if args.f1 is not None or args.f2 is not None:
+    if given:
         if args.f1 is None or args.f2 is None:
-            raise UsageError("both --f1 and --f2 are required")
+            raise ValueError("both --f1 and --f2 are required")
         line = LineInSystem(_load_poly(args.f1, args.n, args.d, "--f1"),
                             _load_poly(args.f2, args.n, args.d, "--f2"))
     elif args.sample is not None:
         line = sample_line(ctx, args.sample, seed=args.seed)
     else:
-        raise UsageError("provide --f1/--f2 or --sample")
+        raise ValueError("provide --f1/--f2 or --sample")
     st = splitting_type(verlinde_pencil(ctx, line))
     try:
         generic = is_generic_type(ctx, line)
@@ -119,11 +120,7 @@ def _cmd_split(args):
 
 
 def _cmd_jumping_class(args):
-    try:
-        report = reconcile(args.n, args.d, trials=args.trials, seed=args.seed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    _emit(report.to_json())
+    _emit(reconcile(args.n, args.d, trials=args.trials, seed=args.seed).to_json())
     return 0
 
 
@@ -131,7 +128,7 @@ def _cmd_verify(args):
     results = []
     for name in SUITES if args.suite == "all" else [args.suite]:
         t0 = time.perf_counter()
-        res = run_suite(name, args.seed)
+        res = SUITES[name](args.seed)
         status = "ok" if res.passed else f"{len(res.failures)} FAILURES"
         print(f"[{res.suite}] cases={res.cases} {status} ({time.perf_counter() - t0:.1f}s)",
               file=sys.stderr)
@@ -184,7 +181,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -107,9 +107,6 @@ class LineInSystem:
         if all(y * a[i] == x * b[i] for x, y in zip(a, b)):
             raise DegenerateLineError("f1 and f2 are linearly dependent")
 
-    def swap(self):
-        return LineInSystem(self.f2, self.f1)
-
 
 def _check_line(ctx, line):
     if line.f1.n != ctx.n:
@@ -245,23 +242,26 @@ def predict_by_gcd(ctx, line, trials=3, seed=0):
     return GcdPrediction(gcd_degree=dprime, jumping=jumping, predicted_type=predicted)
 
 
+def _planted_degree(mode, d):
+    """None for mode 'random', D for 'jumping:D', D in [0, d - 1] as str(D) writes it."""
+    if mode == "random":
+        return None
+    if not (isinstance(mode, str) and re.fullmatch(r"jumping:(0|-?[1-9][0-9]*)", mode)):
+        raise ValueError(f"unknown sampling mode {mode!r}")
+    if not 0 <= (dprime := int(mode[8:])) <= d - 1:
+        raise ValueError(f"planted gcd degree must lie in [0, {d - 1}], got {dprime}")
+    return dprime
+
+
 def sample_line(ctx, mode, seed):
-    """Draw a line: mode 'random', or 'jumping:D' for a planted gcd of degree D,
-    D an int as str(D) writes it, as the mode seeds the draw.
+    """Draw a line: mode 'random', or 'jumping:D' for a planted gcd of degree D.
 
     Jumping mode draws h of degree D and g1, g2 of degree d - D and spans
     the line by (h*g1, h*g2); sampling is retried until the two forms are
     independent.
     """
     n, d = ctx.n, ctx.d
-    if mode == "random":
-        dprime = None
-    elif isinstance(mode, str) and re.fullmatch(r"jumping:(0|-?[1-9][0-9]*)", mode):
-        dprime = int(mode[8:])
-    else:
-        raise ValueError(f"unknown sampling mode {mode!r}")
-    if dprime is not None and not 0 <= dprime <= d - 1:
-        raise ValueError(f"planted gcd degree must lie in [0, {d - 1}], got {dprime}")
+    dprime = _planted_degree(mode, d)
     for attempt in range(_LINE_RETRIES):
         rng = random.Random(f"{seed}:line:{mode}:{attempt}")
         try:

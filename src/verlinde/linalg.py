@@ -116,14 +116,6 @@ class ExactMatrix:
     def zero(cls, rows, cols):
         return cls(rows, cols, [[0] * cols for _ in range(rows)])
 
-    @classmethod
-    def identity(cls, n):
-        return cls(n, n, [[int(i == j) for j in range(n)] for i in range(n)])
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented

@@ -148,8 +148,7 @@ class Pencil:
         """Replace (A, B) by (a*A + b*B, c*A + d*B); needs ad - bc != 0."""
         if a * d - b * c == 0:
             raise PencilError("coordinate change must be invertible")
-        return Pencil(self.A.scale(a) + self.B.scale(b),
-                      self.A.scale(c) + self.B.scale(d))
+        return Pencil(self.at(a, b), self.at(c, d))
 
     def conjugate(self, left, right):
         """Left/right multiply both matrices (an equivalence of pencils)."""

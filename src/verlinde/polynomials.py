@@ -113,7 +113,8 @@ class HomogeneousPolynomial:
     nonzero coefficients in normal form (int when integral, else Fraction).
     Outside input is checked, by ``__init__`` (int exponents, no bools;
     coefficients as ``scalar`` reads them, no floats) or term by term in
-    ``from_json``; the package's own builders hand ``_of_terms`` their terms."""
+    ``from_json``; the package's own builders hand ``_of_terms`` their terms.
+    ``+`` and ``*`` take two forms, ``scale`` a scalar: f - g is ``f + g.scale(-1)``."""
 
     __slots__ = ("num_vars", "degree", "terms")
 
@@ -139,20 +140,6 @@ class HomogeneousPolynomial:
         f.num_vars, f.degree, f.terms = num_vars, degree, terms
         return f
 
-    @classmethod
-    def zero(cls, num_vars, degree=0):
-        return cls(num_vars, degree, {})
-
-    @classmethod
-    def monomial(cls, num_vars, exponents, coeff=1):
-        return cls(num_vars, sum(exponents), {tuple(exponents): coeff})
-
-    @classmethod
-    def variable(cls, num_vars, i):
-        exps = [0] * num_vars
-        exps[i] = 1
-        return cls.monomial(num_vars, exps)
-
     @property
     def is_zero(self):
         return not self.terms
@@ -161,9 +148,6 @@ class HomogeneousPolynomial:
     def n(self):
         """Dimension of the ambient projective space (num_vars - 1)."""
         return self.num_vars - 1
-
-    def coefficient(self, mono):
-        return self.terms.get(tuple(mono), 0)
 
     def __eq__(self, other):
         if not isinstance(other, HomogeneousPolynomial):
@@ -194,13 +178,6 @@ class HomogeneousPolynomial:
             terms[m] = terms.get(m, 0) + c
         return HomogeneousPolynomial._of_terms(self.num_vars, self.degree, _normal(terms))
 
-    def __neg__(self):
-        return HomogeneousPolynomial._of_terms(self.num_vars, self.degree,
-                                               {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def scale(self, c):
         c = scalar(c)
         if c == 1:
@@ -209,8 +186,6 @@ class HomogeneousPolynomial:
         return HomogeneousPolynomial._of_terms(self.num_vars, self.degree, terms)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         if not isinstance(other, HomogeneousPolynomial):
             return NotImplemented
         self._check_compatible(other)
@@ -225,8 +200,6 @@ class HomogeneousPolynomial:
         monomial = _compositions(n + 1, d1 + d2)
         return HomogeneousPolynomial._of_terms(self.num_vars, d1 + d2,
                                                {monomial[i]: c for i, c in _normal(terms).items()})
-
-    __rmul__ = __mul__
 
     def coeff_vector(self):
         """Dense coefficient list in monomial_basis order."""

@@ -29,7 +29,7 @@ from .polynomials import gcd_degree, monomial_basis, mult_matrix, random_form
 from .schubert import GrContext, SchubertClass, giambelli, product, sigma
 from .schubert import degree as schubert_degree
 
-__all__ = ["SuiteResult", "SUITES", "run_suite"]
+__all__ = ["SuiteResult", "SUITES"]
 
 JUMPING_PAIRS = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)]
 EVEN_CASE_PAIR = (3, 5)  # first n=3 pair whose measured dimension is even
@@ -401,8 +401,3 @@ SUITES = {
     "schubert": run_schubert_suite,
     "jumping": run_jumping_suite,
 }
-
-
-def run_suite(name, seed=0):
-    """The named suite's result (KeyError for an unknown name)."""
-    return SUITES[name](seed)

@@ -214,7 +214,7 @@ def test_split_refused_before_any_exact_binomial(monkeypatch, capsys):
 
 
 def test_split_size_guard_prices_exactly_up_to_the_cap():
-    from verlinde.cli import SPLIT_MAX_CELLS, UsageError, _check_split_size, _comb_past
+    from verlinde.cli import SPLIT_MAX_CELLS, _check_split_size, _comb_past
 
     for a in range(12):
         for b in range(-1, a + 2):
@@ -222,11 +222,66 @@ def test_split_size_guard_prices_exactly_up_to_the_cap():
             assert _comb_past(a, b, 100) == (exact if exact <= 100 else 101)
     assert _comb_past(10**12, 10**11, SPLIT_MAX_CELLS) == SPLIT_MAX_CELLS + 1
     _check_split_size(2, 314, 1)  # 2 * C(316, 2) = 99540 coefficients
-    with pytest.raises(UsageError, match="forms too large"):
+    with pytest.raises(ValueError, match="forms too large"):
         _check_split_size(2, 315, 1)  # 2 * C(317, 2) = 100172
     _check_split_size(3, 4, 9)  # 2*w*u = 24640
-    with pytest.raises(UsageError, match="pencil too large"):
+    with pytest.raises(ValueError, match="pencil too large"):
         _check_split_size(2, 1, 10**9)
+
+
+@pytest.mark.parametrize("cell,mode,positions", [
+    ((2, 200, 200), "jumping:100", 26_532_801),
+    ((2, 80, 1), "jumping:40", 741_321),
+    ((2, 60, 1), "jumping:30", 246_016),
+    ((2, 40, 1), "jumping:20", 53_361),
+    ((3, 4, 8), "jumping:3", 80),
+    ((3, 3, 9), "jumping:2", 40),
+])
+def test_split_size_guard_prices_the_planted_product(cell, mode, positions):
+    # h*g's product table holds C(D+n, n)*C(d-D+n, n) positions
+    from verlinde.cli import SPLIT_MAX_CELLS, _check_split_size
+
+    n, d, _ = cell
+    D = int(mode[8:])
+    assert math.comb(D + n, n) * math.comb(d - D + n, n) == positions
+    _check_split_size(*cell, "random")  # forms and pencil fit
+    if positions <= SPLIT_MAX_CELLS:
+        _check_split_size(*cell, mode)
+    else:
+        with pytest.raises(ValueError, match="planted product too large"):
+            _check_split_size(*cell, mode)
+
+
+def test_split_oversized_planted_product_refused_before_sampling(monkeypatch, capsys):
+    # the h*g table at (2, 200, 200) jumping:100 took 18.9 s and 244 MB to build
+    # (2-vCPU Xeon, Python 3.11)
+    import verlinde.cli as cli
+    import verlinde.family as family
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("line sampled before the size guard")
+
+    for owner in (cli, family):
+        monkeypatch.setattr(owner, "sample_line", forbidden)
+    monkeypatch.setattr(family, "random_form", forbidden)
+    assert cli.main(["split", "--n", "2", "--d", "200", "--k", "200",
+                     "--sample", "jumping:100"]) == 2
+    out = capsys.readouterr()
+    assert "planted product too large" in out.err and out.out == ""
+
+
+@pytest.mark.parametrize("where,depth", [("inline", 5000), ("file", 100_000)])
+def test_split_deeply_nested_json_is_usage_error(tmp_path, where, depth):
+    # the JSON decoder raises RecursionError, not a ValueError, past its depth
+    spec = '{"n": ' + "[" * depth + "]" * depth + ', "degree": 2, "terms": []}'
+    if where == "file":
+        path = tmp_path / "f1.json"
+        path.write_text(spec)
+        spec = f"@{path}"
+    res = run_cli("split", "--n", "2", "--d", "2", "--k", "3", "--f1", spec, "--f2", "x0*x1")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: --f1: ") and "Traceback" not in res.stderr
 
 
 def test_split_small_cell_below_d_is_admitted():
@@ -349,7 +404,7 @@ def test_verify_exit_one_on_failure(monkeypatch, capsys):
 
     failing = SuiteResult("algebra", 0)
     failing.record("some_check", "case-0", 1, 2)
-    monkeypatch.setattr(cli, "run_suite", lambda name, seed: failing)
+    monkeypatch.setitem(cli.SUITES, "algebra", lambda seed: failing)
     rc = cli.main(["verify", "--suite", "algebra", "--seed", "0"])
     assert rc == 1
     captured = capsys.readouterr()

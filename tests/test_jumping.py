@@ -31,18 +31,18 @@ def pluecker_dim(g1, g2, h):
     """dim Z at (g1, g2, h) from the Pluecker parametrization itself: the
     rank of the Jacobian of the C(N,2) minors a_i b_j - a_j b_i of
     (a, b) = (h*g1, h*g2) in (g1, g2, h), less the cone direction."""
-    mh = mult_matrix(h, 1)           # N x (n+1)
-    mg1 = mult_matrix(g1, h.degree)  # N x D
-    mg2 = mult_matrix(g2, h.degree)
-    n, N, D = h.n, mh.rows, mg1.cols
-    a, b = ([sum(map(mul, row, g.coeff_vector())) for row in mh.entries] for g in (g1, g2))
+    mh = mult_matrix(h, 1).entries           # N x (n+1)
+    mg1 = mult_matrix(g1, h.degree).entries  # N x D
+    mg2 = mult_matrix(g2, h.degree).entries
+    n, N, D = h.n, len(mh), len(mg1[0])
+    a, b = ([sum(map(mul, row, g.coeff_vector())) for row in mh] for g in (g1, g2))
     rows = []
     for i in range(N):
         for j in range(i + 1, N):
-            row = [mh[i, t] * b[j] - mh[j, t] * b[i] for t in range(n + 1)]
-            row += [a[i] * mh[j, t] - a[j] * mh[i, t] for t in range(n + 1)]
-            row += [mg1[i, t] * b[j] + a[i] * mg2[j, t]
-                    - mg1[j, t] * b[i] - a[j] * mg2[i, t] for t in range(D)]
+            row = [mh[i][t] * b[j] - mh[j][t] * b[i] for t in range(n + 1)]
+            row += [a[i] * mh[j][t] - a[j] * mh[i][t] for t in range(n + 1)]
+            row += [mg1[i][t] * b[j] + a[i] * mg2[j][t]
+                    - mg1[j][t] * b[i] - a[j] * mg2[i][t] for t in range(D)]
             rows.append(row)
     return ExactMatrix.from_rows(rows, cols=2 * (n + 1) + D).rank() - 1
 
@@ -134,7 +134,7 @@ def test_degenerate_point_never_overshoots(n, d):
 def _scaling_vector(g1, g2, h):
     """(g1, g2, -h), in the differential's column order: -h on the
     g-columns, g2 on [0; M_h], g1 on [M_h; 0]."""
-    return (-h).coeff_vector() + g2.coeff_vector() + g1.coeff_vector()
+    return h.scale(-1).coeff_vector() + g2.coeff_vector() + g1.coeff_vector()
 
 
 @pytest.mark.parametrize("n,d", DESK_PAIRS)

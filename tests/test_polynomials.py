@@ -26,7 +26,7 @@ from conftest import binary_coeffs, naive_rank
 
 
 def x(n, i):
-    return HomogeneousPolynomial.variable(n + 1, i)
+    return HomogeneousPolynomial(n + 1, 1, {tuple(int(j == i) for j in range(n + 1)): 1})
 
 
 def column(m, j):
@@ -54,10 +54,16 @@ def test_monomial_basis_count_and_order(n, m):
 def test_poly_mul_examples():
     f, g = x(2, 0), x(2, 1)
     assert (f * g).terms == {(1, 1, 0): Fraction(1)}
-    zero = HomogeneousPolynomial.zero(3, 1)
+    zero = HomogeneousPolynomial(3, 1, {})
     assert (f * zero).is_zero
-    diff = (f + g) * (f - g)
-    assert diff == f * f - g * g
+    diff = (f + g) * (f + g.scale(-1))
+    assert diff == f * f + (g * g).scale(-1)
+    # a scalar multiple is spelled f.scale(c): * takes two forms only
+    for c in (2, Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            f * c
+        with pytest.raises(TypeError):
+            c * f
 
 
 @st.composite
@@ -121,7 +127,7 @@ def test_mult_matrix_x0x1_supports():
     m = mult_matrix(f, 1)
     assert (m.rows, m.cols) == (10, 3)
     basis3 = monomial_basis(2, 3)
-    supports = [{basis3[i] for i in range(10) if m[i, j]} for j in range(3)]
+    supports = [{basis3[i] for i in range(10) if m.entries[i][j]} for j in range(3)]
     assert supports == [{(2, 1, 0)}, {(1, 2, 0)}, {(1, 1, 1)}]
 
 
@@ -151,7 +157,7 @@ def test_mult_matrix_columns_are_products(n, src_deg):
         f = HomogeneousPolynomial(n + 1, f.degree, dict(list(f.terms.items())[:keep]))
         m = mult_matrix(f, src_deg)
         for j, theta in enumerate(monomial_basis(n, src_deg)):
-            assert column(m, j) == (f * HomogeneousPolynomial.monomial(n + 1, theta)).coeff_vector()
+            assert column(m, j) == (f * HomogeneousPolynomial(n + 1, src_deg, {theta: 1})).coeff_vector()
         # the row targets are cached, the grid is not
         again = mult_matrix(f, src_deg)
         assert again == m
@@ -295,7 +301,7 @@ def test_remainder_sequence_matches_euclid(h, g1, g2, s_power, t_power, contents
 def test_gcd_degree_validates_inputs():
     f = x(2, 0)
     with pytest.raises(ValueError):
-        gcd_degree(f, HomogeneousPolynomial.zero(3, 1))
+        gcd_degree(f, HomogeneousPolynomial(3, 1, {}))
     with pytest.raises(ValueError):
         gcd_degree(f, x(2, 0) * x(2, 1))  # degree mismatch
 
@@ -375,8 +381,8 @@ def builder_cases(draw):
 @settings(max_examples=150, deadline=None)
 def test_trusted_builders_return_normal_forms(case):
     f, g, h, c, pairs = case
-    for out in (f + g, f - g, f + (-f), -f, f * h, h * g, f.scale(c), f * c,
-                restrict_to_line(f, pairs)):
+    for out in (f + g, f + g.scale(-1), f + f.scale(-1), f.scale(-1), f * h, h * g,
+                f.scale(c), restrict_to_line(f, pairs)):
         _assert_normal(out)
 
 
@@ -392,8 +398,9 @@ def test_trusted_builders_normal_form_examples():
     assert product.terms == {(1, 1, 0): 1} and type(product.terms[(1, 1, 0)]) is int
     whole = half_x0 + half_x0
     assert whole.terms == {(1, 0, 0): 1} and type(whole.terms[(1, 0, 0)]) is int
-    assert (half_x0 - half_x0).terms == {}
-    assert ((x(2, 0) + x(2, 1)) * (x(2, 0) - x(2, 1))).terms == {(2, 0, 0): 1, (0, 2, 0): -1}
+    assert (half_x0 + half_x0.scale(-1)).terms == {}
+    x0, x1 = x(2, 0), x(2, 1)
+    assert ((x0 + x1) * (x0 + x1.scale(-1))).terms == {(2, 0, 0): 1, (0, 2, 0): -1}
     third = parse_form("1/3*x0 + 2/3*x1", 2, 1).scale(Fraction(3, 2))
     assert third.terms == {(1, 0, 0): Fraction(1, 2), (0, 1, 0): 1}
     assert type(third.terms[(0, 1, 0)]) is int
@@ -447,8 +454,8 @@ def test_json_round_trip_and_rejection():
 
 def test_parse_form():
     p = parse_form("3/2*x0^2 - x1*x2", 2, 2)
-    assert p.coefficient((2, 0, 0)) == Fraction(3, 2)
-    assert p.coefficient((0, 1, 1)) == -1
+    assert p.terms.get((2, 0, 0), 0) == Fraction(3, 2)
+    assert p.terms.get((0, 1, 1), 0) == -1
     with pytest.raises(ValueError):
         parse_form("x0 + x1^2", 1)  # inhomogeneous
     with pytest.raises(ValueError):
