@@ -86,6 +86,8 @@ def _cmd_split(args):
     if args.trials < 1:
         raise ValueError(f"gcd oracle needs --trials >= 1, got {args.trials}")
     given = args.f1 is not None or args.f2 is not None
+    if given and args.sample is not None:
+        raise ValueError("give --f1/--f2 or --sample, not both")
     _check_split_size(args.n, args.d, args.k, None if given else args.sample)
     ctx = context(args.n, args.d, args.k)
     if given:

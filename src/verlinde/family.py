@@ -11,9 +11,10 @@ the whole type in closed form from deg gcd(f1, f2).
 The zero count and the genericity test read the same number, rank [A|B]
 = 2u - h(2), from the first step of the pencil's h-sequence, the step the
 splitting type takes first.  Each line keeps a private memo of its pencil
-per twist k, and the pencil keeps its h-sequence's state, so each h-step
-runs once per line however many criteria ask; B^T is eliminated once per
-prime per call that runs steps.
+per twist k, packed from the forms' terms with no matrix built, and the
+pencil keeps its h-sequence's state, so each h-step runs once per line
+however many criteria ask; B^T is eliminated once per prime per call that
+runs steps.
 """
 
 from __future__ import annotations
@@ -23,9 +24,8 @@ import re
 from dataclasses import dataclass, field
 from math import comb
 
-from .linalg import ExactMatrix
 from .pencils import Pencil, SplittingType, _section_dims
-from .polynomials import HomogeneousPolynomial, _integral, gcd_degree, mult_matrix, random_form
+from .polynomials import HomogeneousPolynomial, _integral, _mult_targets, gcd_degree, random_form
 
 _LINE_RETRIES = 16  # draws sample_line makes before giving up on a dependent pair
 
@@ -117,24 +117,27 @@ def _check_line(ctx, line):
 
 def verlinde_pencil(ctx, line):
     """The pencil presenting V_k on the line; empty (u = 0) when k < d.
-    Built once per (line, k); callers must not mutate it.
-
-    The matrices multiply by the integral multiples c1*f1 and c2*f2 (c_i
-    the lcm of f_i's denominators, by ``_integral``), so they hold ints.
-    The pencil (c1 A, c2 B) is (A, B) after (s, t) -> (c1 s, c2 t), so the
-    splitting type, rank [A|B] and injectivity are those of the line."""
+    Built once per (line, k) by ``_multiplication_pencil``; do not mutate it."""
     _check_line(ctx, line)  # the memo is keyed by k; this pins n and d
     pencil = line._memo.get(ctx.k)
     if pencil is None:
-        if ctx.k < ctx.d:
-            empty = ExactMatrix.zero(ctx.w, 0)
-            pencil = Pencil(empty, empty)
-        else:
-            src = ctx.k - ctx.d
-            pencil = Pencil(mult_matrix(_integral(line.f1), src),
-                            mult_matrix(_integral(line.f2), src))
-        line._memo[ctx.k] = pencil
+        pencil = line._memo[ctx.k] = _multiplication_pencil(ctx, line)
     return pencil
+
+
+def _multiplication_pencil(ctx, line):
+    """The pencil (mult by f1, mult by f2) from degree k - d, straight from
+    the forms' terms: f1's term c*m is c at the column of m*theta in each
+    row theta of A^T, one term over all u rows (``_mult_targets``), and f2's
+    are B^T's; so A and B are ``mult_matrix``'s.  None when k < d (u = 0).
+    The forms are the integral multiples c1*f1 and c2*f2 (c_i the lcm of
+    f_i's denominators, by ``_integral``): (c1 A, c2 B) is (A, B) after
+    (s, t) -> (c1 s, c2 t), so the splitting type, rank [A|B] and
+    injectivity are those of the line."""
+    targets = _mult_targets(ctx.n, ctx.d, ctx.k - ctx.d)
+    return Pencil._of_terms(ctx.w, ctx.u, [(c, first, 0, targets[m])
+                                           for f, first in ((line.f1, 0), (line.f2, ctx.u))
+                                           for m, c in _integral(f).terms.items()])
 
 
 def _stacked_rank(ctx, line):

@@ -29,16 +29,17 @@ vector lifts and passes its check.  A bad prime that starts afresh ends at
 most one run of fewer than G good primes, so ArithmeticError is raised
 after (B + 1) G primes, two at least.
 
-Packing.  A matrix is packed once, exactly (``_pack``): a row x is one int
-E = sum x_j 2**(b (w-1-j)), from one struct.pack of signed 32-bit fields
-in b-bit slots, less 2**32 at its negative slots, marked by N.  If every
-x is in [-2**29, 2**29), its residues mod p are E + p N, as x mod p = x + p
-for -p < x < 0, a zero entry a zero slot; another row reduces each entry.
-A lifted vector is checked over Z by one packed sum (``_annihilates``).  A
-rank alone (``_rank_mod_p``) certifies no kernel and packs no E: it takes
-the matrix as its nonzero terms, encodes each x mod p (exact for any int)
-once as the bytes of one slot, and reads each row from one join of those
-and a shared zero slot, so a mostly zero matrix costs its nonzeros.
+Packing.  A matrix comes as its nonzero terms (``_dense``'s), and one
+packer reads its rows (``_join``): each term's x is encoded once as the
+bytes of a slot, and a row is one join of its slots and a shared zero
+slot, so a mostly zero matrix costs its nonzeros.  A rank alone
+(``_rank_mod_p``) and a ``KernelStack`` join x mod p0, p0 = 2**30 - c0 the
+first prime, once: rows R.  While every |x| < 2**28, a slot of R is
+p0 + x >= 2**29 exactly where x < 0, marked by N, so the exact rows are
+E = R - p0 N and the residues mod p = 2**30 - c are R - (c - c0) N; else
+each prime joins x mod p.  A lifted vector is checked over Z by one packed
+sum (``_annihilates``) of the exact rows, joined again in wider slots when
+it needs them: x + 2**(s-1) in s bits, less that offset (``_exact``).
 
 The elimination takes each working row as one int of residues, updated
 by one multiply-add of the pivot row's tail, folded under 2**31 (``_fold``)
@@ -57,9 +58,7 @@ below their tops, then among themselves: a ``KernelStack``'s new rows.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-import struct
 from operator import mul
 
 try:
@@ -95,13 +94,6 @@ class ExactMatrix:
                 raise ValueError(f"matrix entries must be ints, got {bad!r}")
             data.append(list(row))
         self.rows, self.cols, self.entries = rows, cols, data
-
-    @classmethod
-    def _of_grid(cls, rows, cols, entries):
-        """A fresh grid of ints its caller has checked, taken as it is."""
-        m = object.__new__(cls)
-        m.rows, m.cols, m.entries = rows, cols, entries
-        return m
 
     @classmethod
     def from_rows(cls, entries, cols=None):
@@ -171,21 +163,20 @@ class ExactMatrix:
         the normalized vectors of ``KernelStack.kernel``, scaled to Z."""
         if not self.entries:
             return []
-        n = min(self.rows, self.cols)
-        return list(KernelStack([], self.entries).kernel([], 1, 1, n, n)[0].values())
+        n, terms = min(self.rows, self.cols), [(x, i, j, (0,)) for i, row in enumerate(self.entries)
+                                               for j, x in enumerate(row) if x]
+        return list(KernelStack(0, self.rows, self.cols, terms).kernel([], 1, 1, n, n)[0].values())
 
 
 @functools.cache
 def _packing(width):
     """For ``width`` columns: the slot size b in bits, the fewest whole bytes
-    with 2**31 + width 2**61 < 2**b (module docstring); the Struct that packs
-    signed 32-bit ints into the low bits of b-bit slots; and the masks of
+    with 2**31 + width 2**61 < 2**b (module docstring), and the masks of
     every slot's low 30 bits, of its higher bits and of its lowest bit."""
-    pad = ((2**31 + width * 2**61).bit_length() + 7) // 8 - 4
-    return (8 * pad + 32, struct.Struct(">" + f"{pad}xi" * width),
-            int.from_bytes((bytes(pad) + b"\x3f\xff\xff\xff") * width, "big"),
-            int.from_bytes((b"\xff" * pad + b"\xc0\0\0\0") * width, "big"),
-            int.from_bytes((bytes(pad + 3) + b"\1") * width, "big"))
+    size = ((2**31 + width * 2**61).bit_length() + 7) // 8
+    return (8 * size, int.from_bytes((bytes(size - 4) + b"\x3f\xff\xff\xff") * width, "big"),
+            int.from_bytes((b"\xff" * (size - 4) + b"\xc0\0\0\0") * width, "big"),
+            int.from_bytes((bytes(size - 1) + b"\1") * width, "big"))
 
 
 def _primes():
@@ -227,7 +218,7 @@ def _fold(x, lo, hi, c, bits):
 def _residues(x, width, c):
     """Every slot s of a packed row x reduced mod p = 2**30 - c: folded under
     2**31, then less p where s + c >= 2**30, in (2**31 - 1) // p passes."""
-    (bits, _, lo, hi, ones), p = _packing(width), 2**30 - c
+    (bits, lo, hi, ones), p = _packing(width), 2**30 - c
     x = _fold(x, lo, hi, c, bits)
     for _ in range((2**31 - 1) // p):
         s = (x + c * ones) >> 30
@@ -235,50 +226,9 @@ def _residues(x, width, c):
     return x
 
 
-def _pack_wide(rows, size):
-    """Each row as sum x_j 2**(8 size (w-1-j)), every |x| < 2**(8 size - 1):
-    each x + 2**(8 size - 1) in an unsigned field of size bytes, less those."""
-    half = 1 << 8 * size - 1
-    offset = half * int.from_bytes((bytes(size - 1) + b"\1") * len(rows[0]), "big")
-    return [int.from_bytes(b"".join([(x + half).to_bytes(size, "big") for x in row]), "big")
-            - offset for row in rows]
-
-
-def _pack(rows):
-    """Nonempty integer rows packed once, exactly (see the module docstring):
-    (rows, [E], [N], top, {}).  A wide row, with an entry outside
-    [-2**29, 2**29), has N None and E 0, and sets top >= 2**(b-1) for b-bit
-    slots; top bounds every |x|.  The dict caches ``_annihilates``'s wider packings."""
-    bits, packer, _, high, ones = _packing(len(rows[0]))
-    exact, marks, top, half = [], [], 2**29, ones << 29
-    for row in rows:
-        try:
-            e = int.from_bytes(packer.pack(*row), "big")
-            n = (e >> 31) & ones  # the sign bits of the 32-bit fields
-            e -= n << 32
-            if (e + half) & high:  # a slot of E + 2**29 outside [0, 2**30)
-                raise struct.error
-        except struct.error:
-            e, n, top = 0, None, max(top, 1 << bits - 1, *map(abs, row))
-        exact.append(e)
-        marks.append(n)
-    return rows, exact, marks, top, {}
-
-
-def _pack_mod_p(packed, c):
-    """The residues mod p = 2**30 - c of rows packed by ``_pack``, each row's
-    in one int: E + p N (module docstring)."""
-    rows, exact, marks, _, _ = packed
-    p = 2**30 - c
-    packer = _packing(len(rows[0]))[1]
-    return [e + p * n if n is not None else
-            int.from_bytes(packer.pack(*[x % p for x in row]), "big")
-            for row, e, n in zip(rows, exact, marks)]
-
-
-def _echelon_mod_p(rest, width, c, base=None):
-    """Gaussian elimination modulo p = 2**30 - c of packed rows
-    (``_pack_mod_p``), which it consumes.
+def _echelon_mod_p(rest, width, c, base=None, keep=None):
+    """Gaussian elimination modulo p = 2**30 - c of rows of packed residues,
+    which it consumes.
 
     Returns the pivot rows in pivot order, each row's nonzero multipliers
     as (pivot number, f) pairs, the rows that reduced to zero, and the
@@ -294,19 +244,18 @@ def _echelon_mod_p(rest, width, c, base=None):
     same.  A base, the result for rows stacked above these, is resumed and
     left as it was: these rows, numbered after its own, are reduced by its
     records in order, skipping those above a row's top (no update raises
-    it), freed of its pivot slots by one AND (shifts decrease, so none is
-    read again; an earlier column may be nonzero here), then eliminated
-    among themselves.
+    it), freed of its pivot slots by one AND with keep, the mask of every
+    other slot (shifts decrease, so none is read again; an earlier column
+    may be nonzero here), then eliminated among themselves.
     """
     p = 2**30 - c
-    bits, _, lo, hi, _ = _packing(width)
+    bits, lo, hi, _ = _packing(width)
     slot = (1 << bits) - 1
     pivots, mults, zero_rows, records = base or ([], [], [], [])
     first = len(mults)
     pivots, mults, records = pivots[:], mults + [[] for _ in rest], records[:]
     grew = [False] * len(rest)
     if records:
-        keep = (1 << bits * width) - 1 - sum(slot << shift for shift, _, _ in records)
         for i, row in enumerate(rest):
             top, pairs = row.bit_length(), mults[first + i]
             for k, (shift, tail, inv) in enumerate(records):
@@ -361,15 +310,32 @@ def _dense(count, width, terms, zero=0):
     return rows
 
 
+def _join(count, width, terms, code, m=1):
+    """The rows of ``_dense``'s terms, each one int read from one join of its
+    cells' slots of b m bits (b ``_packing``'s): code(x), encoded once for a
+    term however many cells it fills, and code(0) in every other cell."""
+    size = _packing(width)[0] // 8 * m
+    grid = _dense(count, width, [(code(x).to_bytes(size, "big"), row, column, slots)
+                                 for x, row, column, slots in terms], code(0).to_bytes(size, "big"))
+    return [int.from_bytes(b"".join(r), "big") for r in grid]
+
+
+def _exact(count, width, terms, m):
+    """The rows of ``_dense``'s terms exactly in slots of s = b m bits, sum
+    x_j 2**(s (w-1-j)) for |x| < 2**(s - 1): one join of the slots
+    x + 2**(s - 1), less that offset in every slot."""
+    size = _packing(width)[0] // 8 * m
+    half = 1 << 8 * size - 1
+    offset = half * int.from_bytes((bytes(size - 1) + b"\1") * width, "big")
+    return [r - offset for r in _join(count, width, terms, half.__add__, m)]
+
+
 def _rank_mod_p(count, width, terms):
     """Rank modulo the first prime p, at most that over Q, of the int rows
-    of ``_dense``'s terms: each x is reduced and encoded once, as one slot's
-    bytes, and each row read from one join of its slots (module docstring)."""
-    c, size = _FOLDS[0], _packing(width)[0] // 8
+    of ``_dense``'s terms, read from one join of their slots x mod p."""
+    c = _FOLDS[0]
     p = 2**30 - c
-    grid = _dense(count, width, [((x % p).to_bytes(size, "big"), row, column, slots)
-                                 for x, row, column, slots in terms], bytes(size))
-    return len(_echelon_mod_p([int.from_bytes(b"".join(r), "big") for r in grid], width, c)[0])
+    return len(_echelon_mod_p(_join(count, width, terms, lambda x: x % p), width, c)[0])
 
 
 def _left_kernel_mod_p(i, pivots, mults, p):
@@ -425,22 +391,15 @@ def _lift(residues, m):
     return [x * (den // d) for x, d in parts]
 
 
-def _annihilates(packed, vec):
-    """Whether vec . rows = 0 over Z, for rows packed by ``_pack`` in slots
-    of b bits.  In slots of b m bits, sum vec_i E_i = sum s_j 2**(b m (w-1-j)),
-    s_j the column sums, |s_j| <= t = top sum |vec_i|.  For the least m with
-    t < 2**(b m - 1), it is 0 only when every s_j is: at its lowest slot k
-    with s_j != 0 it is s_j 2**(b m k) mod 2**(b m (k+1)), and
-    0 < |s_j| < 2**(b m).  m = 1 uses E (a wide row makes m > 1 unless
-    vec = 0); a wider m packs the rows again, once per m."""
-    rows, exact, _, top, wider = packed
-    bits = _packing(len(rows[0]))[0]
-    m = (top * sum(map(abs, vec))).bit_length() // bits + 1
-    if m > 1:
-        if m not in wider:
-            wider[m] = _pack_wide(rows, bits // 8 * m)
-        exact = wider[m]
-    return not sum(map(mul, vec, exact))
+def _annihilates(stack, vec):
+    """Whether vec . rows = 0 over Z for the rows of a ``KernelStack``, of
+    entries at most top in size and b-bit slots.  In slots of b m bits,
+    sum vec_i E_i = sum s_j 2**(b m (w-1-j)), s_j the column sums, |s_j| <=
+    t = top sum |vec_i| (top, if vec = 0).  For the least m with t <
+    2**(b m - 1), it is 0 only when every s_j is: at its lowest slot k with
+    s_j != 0 it is s_j 2**(b m k) mod 2**(b m (k+1)), and 0 < |s_j| < 2**(b m)."""
+    m = (stack.top * (sum(map(abs, vec)) or 1)).bit_length() // _packing(stack.width)[0] + 1
+    return not sum(map(mul, vec, stack._exact_rows(m)))
 
 
 def _hadamard_bits(n, top):
@@ -452,18 +411,41 @@ def _hadamard_bits(n, top):
 class KernelStack:
     """The matrices M = [B ; L A], L = T / den, of fixed integer rows A and
     B of one width, and their left kernels certified over Z (module
-    docstring).  [A ; B] is packed once, and per prime the stack keeps A's
-    residues and B's echelon, so B is eliminated once per prime per stack:
-    a kernel reduces only its new rows, L A mod p combined from A's
-    residues, by B's pivot records and then among themselves."""
+    docstring).  [A ; B] is given as ``_dense``'s nonzero terms, its first
+    ``split`` rows A, and packed once; per prime the stack keeps A's
+    residues, B's echelon and its pivots' mask, so B is eliminated
+    once per prime per stack: a kernel reduces only its new rows, L A mod p
+    combined from A's residues, by B's pivot records and then among
+    themselves."""
 
-    __slots__ = ("split", "packed", "fields", "top")
+    __slots__ = ("split", "count", "width", "terms", "top", "first", "marks", "exact", "fields")
 
-    def __init__(self, a_rows, b_rows):
-        self.split = len(a_rows)
-        self.packed = _pack([*a_rows, *b_rows])
-        self.fields = {}  # by fold constant: A's residues and B's echelon
-        self.top = None  # the largest |entry|, scanned at a kernel's third prime
+    def __init__(self, split, count, width, terms):
+        self.split, self.count, self.width, self.terms = split, count, width, terms
+        self.top = max([abs(t[0]) for t in terms], default=0)  # the largest |entry|
+        self.first = _join(count, width, terms, lambda x: x % (2**30 - _FOLDS[0]))
+        self.marks = None if self.top >= 2**28 else [r >> 29 & _packing(width)[3] for r in self.first]
+        self.exact = {}  # by slot multiple m: the rows in slots of b m bits
+        self.fields = {}  # by fold constant: A's residues, B's echelon and its mask
+
+    def _rows_mod_p(self, c):
+        """The rows' residues mod p = 2**30 - c, one int each: the first
+        prime's R, or R - (c - c0) N, or with an entry of 2**28 or more in
+        size one join of the slots x mod p (module docstring)."""
+        if c == _FOLDS[0]:
+            return self.first
+        if self.marks is None:
+            return _join(self.count, self.width, self.terms, lambda x: x % (2**30 - c))
+        return [r - (c - _FOLDS[0]) * n for r, n in zip(self.first, self.marks)]
+
+    def _exact_rows(self, m):
+        """The rows exactly in slots of b m bits, made once per m: R - p0 N
+        at m = 1 when N is known, else joined from the terms (``_exact``)."""
+        if m not in self.exact:
+            self.exact[m] = ([r - (2**30 - _FOLDS[0]) * n for r, n in zip(self.first, self.marks)]
+                             if m == 1 and self.marks is not None else
+                             _exact(self.count, self.width, self.terms, m))
+        return self.exact[m]
 
     def kernel(self, T, den, k, minors, size):
         """A basis of the left kernel of M = [B ; (T / den) A] (T rows of
@@ -479,18 +461,15 @@ class KernelStack:
         once by CRT; a prime with other zero rows starts afresh.  A lifted z is checked by one
         packed sum, den z M = (c T, den y) [A ; B] = 0.  Every bad prime
         divides one of ``minors`` nonzero minors, each below the Hadamard
-        bound of ``size`` rows of A's and B's largest entry, scanned once a
-        stack, at a third prime: ArithmeticError is raised past the module
-        docstring's number of primes, with G >= k, two at least."""
-        rows, split = self.packed[0], self.split
-        width, y_len = len(rows[0]), len(rows) - split
-        bits, _, lo, hi, _ = _packing(width)
+        bound of ``size`` rows of A's and B's largest entry, read off the
+        terms: ArithmeticError is raised past the module docstring's number
+        of primes, with G >= k, two at least."""
+        split, width, y_len = self.split, self.width, self.count - self.split
+        bits, lo, hi, _ = _packing(width)
         cols = None if T is None else list(zip(*T)) or [()] * split
         used, cap = [], 2
         for tried, c in enumerate(_primes()):
             if tried == 2:
-                if self.top is None:
-                    self.top = max(map(abs, itertools.chain.from_iterable(rows)), default=0)
                 top = _hadamard_bits(size, self.top)
                 cap = (minors * -(-top // 29) + 1) * max(k, (2 * top + 30) // 29)
             if tried >= cap:
@@ -499,16 +478,18 @@ class KernelStack:
             if not den % p:
                 continue
             if c not in self.fields:
-                residues = _pack_mod_p(self.packed, c)
-                self.fields[c] = (residues[:split], _echelon_mod_p(residues[split:], width, c))
-            pa, base = self.fields[c]
+                residues = self._rows_mod_p(c)
+                base = _echelon_mod_p(residues[split:], width, c)
+                keep = (1 << bits * width) - 1 - sum(((1 << bits) - 1) << s for s, _, _ in base[3])
+                self.fields[c] = (residues[:split], base, keep)  # keep: all but B's pivot slots
+            pa, base, keep = self.fields[c]
             if T is None:
                 new = pa[:]
             else:
                 inv = pow(den, -1, p)
                 new = [_fold(sum(map(mul, [x * inv % p for x in row], pa)), lo, hi, c, bits)
                        for row in T]
-            pivots, mults, zero_rows, _ = _echelon_mod_p(new, width, c, base) if new else base
+            pivots, mults, zero_rows, _ = _echelon_mod_p(new, width, c, base, keep) if new else base
             if used and len(zero_rows) > len(zeros):
                 continue
             if not used or zero_rows != zeros:
@@ -528,7 +509,7 @@ class KernelStack:
                 y, v = vec[:y_len], vec[y_len:]
                 if cols is not None:
                     v = [sum(map(mul, v, col)) for col in cols]
-                if not _annihilates(self.packed, v + [den * x for x in y]):
+                if not _annihilates(self, v + [den * x for x in y]):
                     break
                 basis[i] = vec
             else:

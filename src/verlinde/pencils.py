@@ -14,8 +14,9 @@ injective pencil (see ``is_injective``).  Its first step eliminates S_1,
 so rank [A | B] = 2u - h(2) comes from that one shared step.  Each
 pencil keeps only its recursion's state, the h values and the last L, so
 a later call runs the missing steps alone and no step runs twice; the
-steps of a call share one ``linalg.KernelStack``, so B^T is eliminated
-once per prime per call.
+steps of a call share one ``linalg.KernelStack``, packed from the
+pencil's terms, the nonzero entries of [A^T ; B^T] (A and B are built
+only when read), so B^T is eliminated once per prime per call.
 This avoids computing any canonical form of the (possibly singular)
 pencil; canonical blocks appear only in the forward direction as a
 seeded test constructor.
@@ -26,7 +27,7 @@ from __future__ import annotations
 import math
 import random
 
-from .linalg import ExactMatrix, KernelStack, random_unimodular
+from .linalg import ExactMatrix, KernelStack, _dense, random_unimodular
 
 __all__ = [
     "Pencil",
@@ -116,26 +117,39 @@ def dominance(t1, t2):
 
 
 class Pencil:
-    """Pair of w x u matrices (A, B) for the map s*A + t*B: O(-1)^u -> O^w."""
+    """Pair of w x u matrices (A, B) for the map s*A + t*B: O(-1)^u -> O^w,
+    held as the nonzero terms of [A^T ; B^T] (``linalg._dense``'s), B's
+    rows after A's: a pencil of dense matrices takes its entries as terms,
+    and one from terms builds A and B when they are first read."""
 
-    __slots__ = ("A", "B", "_sections")  # _sections: see _section_dims, not the value
+    # _matrices: (A, B) once built; _sections: see _section_dims, not the value
+    __slots__ = ("w", "u", "_terms", "_matrices", "_sections")
 
     def __init__(self, A, B):
         if (A.rows, A.cols) != (B.rows, B.cols):
             raise PencilError("A and B must have equal shapes")
         if A.cols > A.rows:
             raise PencilError("pencil must have u <= w")
-        self.A = A
-        self.B = B
-        self._sections = None
+        self.w, self.u, self._matrices, self._sections = A.rows, A.cols, (A, B), None
+        self._terms = [(x, j + first, i, (0,)) for first, m in ((0, A), (A.cols, B))
+                       for i, row in enumerate(m.entries) for j, x in enumerate(row) if x]
 
-    @property
-    def w(self):
-        return self.A.rows
+    @classmethod
+    def _of_terms(cls, w, u, terms):  # [A^T ; B^T], 2u x w, of these terms; u <= w
+        pencil = object.__new__(cls)
+        pencil.w, pencil.u, pencil._terms = w, u, terms
+        pencil._matrices = pencil._sections = None
+        return pencil
 
-    @property
-    def u(self):
-        return self.A.cols
+    def _pair(self):
+        if self._matrices is None:
+            rows = _dense(2 * self.u, self.w, self._terms)
+            self._matrices = (ExactMatrix(self.u, self.w, rows[:self.u]).transpose(),
+                              ExactMatrix(self.u, self.w, rows[self.u:]).transpose())
+        return self._matrices
+
+    A = property(lambda self: self._pair()[0])
+    B = property(lambda self: self._pair()[1])
 
     def at(self, s, t):
         """The matrix s*A + t*B."""
@@ -197,8 +211,8 @@ def sylvester_block(pencil, j):
     u, w = pencil.u, pencil.w
     if j == 0:
         return ExactMatrix.zero(u, 0)
-    at = pencil.A.transpose().entries
-    bt = pencil.B.transpose().entries
+    rows = _dense(2 * u, w, pencil._terms)
+    at, bt = rows[:u], rows[u:]
     grid = [[0] * (j * w) for _ in range((j + 1) * u)]
     for block in range(j):
         r0, c0 = block * u, block * w
@@ -224,7 +238,7 @@ def _section_dims(pencil, t_max):
     dims, T, den = pencil._sections
     if not dims[-1] or len(dims) >= t_max:
         return (dims + [0] * t_max)[:t_max]
-    stack, k = KernelStack(list(zip(*pencil.A.entries)), list(zip(*pencil.B.entries))), 1
+    stack, k = KernelStack(u, 2 * u, w, pencil._terms), 1
     while dims[-1] and len(dims) < t_max:
         t = len(dims)
         kernel, used = stack.kernel(T, den, k, min(u + dims[-1], w) + 1,  # S_t's minors: M's pivots, D

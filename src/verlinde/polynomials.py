@@ -325,7 +325,7 @@ def mult_matrix(f, src_deg):
     for m, c in f.terms.items():  # distinct monomials of f hit distinct rows of a column
         for j, i in enumerate(targets[m]):
             grid[i][j] = c
-    return ExactMatrix._of_grid(rows, cols, grid)
+    return ExactMatrix(rows, cols, grid)
 
 
 def _cleared(values):

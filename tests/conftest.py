@@ -45,13 +45,23 @@ def bareiss_left_kernel(rows):
 
 
 def per_entry_pack_mod_p(rows, c):
-    """The packer ``linalg._pack_mod_p`` replaced: each entry reduced by
-    x % p, p = 2**30 - c, into its own slot of ``linalg._packing``'s size,
-    one int per row."""
+    """The per-entry reference of ``linalg.KernelStack``'s residues: each
+    entry reduced by x % p, p = 2**30 - c, into its own slot of
+    ``linalg._packing``'s size, one int per row."""
     p = 2**30 - c
     pad = linalg._packing(len(rows[0]))[0] // 8 - 4
     packer = struct.Struct(">" + f"{pad}xI" * len(rows[0]))
     return [int.from_bytes(packer.pack(*[x % p for x in row]), "big") for row in rows]
+
+
+def entry_terms(rows):
+    """``linalg._dense``'s terms of int rows: one per nonzero entry."""
+    return [(x, i, j, (0,)) for i, row in enumerate(rows) for j, x in enumerate(row) if x]
+
+
+def stack_of(rows, split=0):
+    """The ``linalg.KernelStack`` of nonempty int rows, its first split rows A."""
+    return linalg.KernelStack(split, len(rows), len(rows[0]), entry_terms(rows))
 
 
 def dense_annihilates(rows, vec):

@@ -63,6 +63,17 @@ def test_split_neither_source_is_usage_error():
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("forms", [["--f1", "x0*x1", "--f2", "x0*x2"], ["--f2", "x0*x2"]])
+@pytest.mark.parametrize("mode", ["random", "jumping:999"])
+def test_split_refuses_forms_and_a_sample_together(capsys, forms, mode):
+    # the sample used to be dropped silently whenever a form was given
+    from verlinde import cli
+
+    assert cli.main(["split", "--n", "2", "--d", "2", "--k", "3", *forms, "--sample", mode]) == 2
+    out = capsys.readouterr()
+    assert "--sample, not both" in out.err and out.out == ""
+
+
 def test_split_malformed_term_names_offender():
     bad = json.dumps({"n": 2, "degree": 2, "terms": [{"c": "1", "e": [2, 0, 1]}]})
     res = run_cli("split", "--n", "2", "--d", "2", "--k", "3",
@@ -165,7 +176,7 @@ def test_split_oversized_pencil_refused_before_any_matrix(monkeypatch, capsys):
     def forbidden(*args, **kwargs):
         raise AssertionError("work done before the size guard")
 
-    monkeypatch.setattr(family, "mult_matrix", forbidden)
+    monkeypatch.setattr(family, "_multiplication_pencil", forbidden)
     monkeypatch.setattr(cli, "sample_line", forbidden)
     monkeypatch.setattr(cli, "_load_poly", forbidden)
     # w*u = 18564 * 5005, about 9.3e7

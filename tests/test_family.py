@@ -22,8 +22,11 @@ from verlinde.family import (
     zero_count,
 )
 from verlinde.linalg import ExactMatrix, _bareiss_rank
-from verlinde.pencils import is_injective, splitting_type, twisted_section_dims
-from verlinde.polynomials import HomogeneousPolynomial, gcd_degree
+from verlinde.pencils import (Pencil, _section_dims, is_injective, splitting_type,
+                              twisted_section_dims)
+from verlinde.polynomials import HomogeneousPolynomial, _integral, gcd_degree, mult_matrix
+
+from conftest import per_entry_pack_mod_p
 
 
 def x(i):
@@ -264,14 +267,14 @@ def test_line_memo_eliminates_each_h_step_once(monkeypatch, mode, type_first):
     line = sample_line(ctx, mode, seed=5)
     h = twisted_section_dims(verlinde_pencil(ctx, LineInSystem(line.f1, line.f2)), ctx.u + 1)
     steps = sum(1 for x in h[:-1] if x)  # h(t+1) is computed while h(t) > 0
-    mults, ranked, kernels, eliminations, primes = [], [], [], [], set()
-    real_mult = family.mult_matrix
+    builds, ranked, kernels, eliminations, primes = [], [], [], [], set()
+    real_build = family._multiplication_pencil
     real_rank, real_kernel = ExactMatrix.rank, ExactMatrix.left_kernel
     real_echelon = linalg._echelon_mod_p
 
-    def counting_mult(f, src):
-        mults.append(src)
-        return real_mult(f, src)
+    def counting_build(ctx, line):
+        builds.append(ctx.k - ctx.d)
+        return real_build(ctx, line)
 
     def counting_rank(m):
         ranked.append((m.rows, m.cols))
@@ -281,12 +284,13 @@ def test_line_memo_eliminates_each_h_step_once(monkeypatch, mode, type_first):
         kernels.append((m.rows, m.cols))
         return real_kernel(m)
 
-    def counting_echelon(rest, width, c, base=None):  # rows stacked so far, this call's included
+    def counting_echelon(rest, width, c, base=None, keep=None):
+        # rows stacked so far, this call's included
         eliminations.append((base is not None, (len(base[1]) if base else 0) + len(rest), width))
         primes.add(c)
-        return real_echelon(rest, width, c, base)
+        return real_echelon(rest, width, c, base, keep)
 
-    monkeypatch.setattr(family, "mult_matrix", counting_mult)
+    monkeypatch.setattr(family, "_multiplication_pencil", counting_build)
     monkeypatch.setattr(ExactMatrix, "rank", counting_rank)
     monkeypatch.setattr(ExactMatrix, "left_kernel", counting_kernel)
     monkeypatch.setattr(linalg, "_echelon_mod_p", counting_echelon)  # B^T's, then the h-steps'
@@ -298,7 +302,7 @@ def test_line_memo_eliminates_each_h_step_once(monkeypatch, mode, type_first):
         st_ = splitting_type(verlinde_pencil(ctx, line))
     assert zeros == st_.zeros() == zero_count(ctx, line)
     assert generic is (st_ == generic_type(ctx)) is is_generic_type(ctx, line)
-    assert mults == [ctx.k - ctx.d] * 2
+    assert builds == [ctx.k - ctx.d]  # both forms' terms, once per line and twist
     assert ranked == kernels == []
     assert eliminations[0] == (False, ctx.u, ctx.w)  # B^T, once per call that runs steps
     assert eliminations[1] == (True, 2 * ctx.u, ctx.w)  # S_1 = [B^T ; A^T]
@@ -430,3 +434,54 @@ def test_criteria_suite_calls_neither_bareiss_nor_a_pool(monkeypatch, spy):
     bareiss = spy("linalg._bareiss")
     res = suites.run_criteria_suite(0)
     assert res.passed and bareiss == []
+
+
+# ------------------------------------ the pencil packed from the forms' terms
+
+def _assert_terms_pencil_is_the_dense_one(ctx, line):
+    # A and B are mult_matrix's of the integral forms; the stack packed from
+    # the terms holds the rows of Pencil(A, B)'s entries, and the h-sequence
+    # is the dense pencil's
+    p = verlinde_pencil(ctx, line)
+    src = ctx.k - ctx.d
+    assert p.A == mult_matrix(_integral(line.f1), src)
+    assert p.B == mult_matrix(_integral(line.f2), src)
+    dense = Pencil(p.A, p.B)
+    rows = p.A.transpose().entries + p.B.transpose().entries
+    ours, theirs = (linalg.KernelStack(q.u, 2 * q.u, q.w, q._terms) for q in (p, dense))
+    assert ours.top == theirs.top and ours.marks == theirs.marks
+    fits = ours.top.bit_length() // linalg._packing(p.w)[0] + 1  # the least slots holding top
+    for m in (fits, fits + 1):
+        assert ours._exact_rows(m) == theirs._exact_rows(m)
+    for c in linalg._FOLDS[:3]:
+        assert ours._rows_mod_p(c) == theirs._rows_mod_p(c) == per_entry_pack_mod_p(rows, c)
+    assert _section_dims(p, ctx.u + 2) == _section_dims(dense, ctx.u + 2)
+    return p
+
+
+@pytest.mark.parametrize("cell", [cell[:3] for cell in suites._criteria_cells()] + [(3, 4, 8)])
+def test_terms_pencil_matches_the_dense_path(cell):
+    ctx = context(*cell)
+    for mode in ("random", "jumping:1"):
+        _assert_terms_pencil_is_the_dense_one(ctx, sample_line(ctx, mode, seed=f"terms:{cell}"))
+
+
+def test_terms_pencil_of_a_rational_line_is_scaled_to_ints():
+    ctx = context(2, 3, 5)
+    line = sample_line(ctx, "jumping:1", seed=0)
+    rational = LineInSystem(line.f1.scale(Fraction(1, 6)) + HomogeneousPolynomial(
+        3, 3, {(3, 0, 0): Fraction(1, 4)}), line.f2.scale(Fraction(-2, 15)))
+    p = _assert_terms_pencil_is_the_dense_one(ctx, rational)
+    assert {type(t[0]) for t in p._terms} == {int}
+    assert splitting_type(p) == splitting_type(verlinde_pencil(ctx, LineInSystem(
+        _integral(rational.f1), _integral(rational.f2))))
+
+
+@pytest.mark.parametrize("scale", [2**29, 2**40 + 1, 3**60])
+def test_terms_pencil_scaled_past_2_29_takes_the_per_entry_residues(scale):
+    ctx = context(2, 3, 5)
+    line = sample_line(ctx, "jumping:1", seed=0)
+    scaled = LineInSystem(line.f1.scale(scale), line.f2)
+    p = _assert_terms_pencil_is_the_dense_one(ctx, scaled)
+    assert linalg.KernelStack(p.u, 2 * p.u, p.w, p._terms).marks is None
+    assert splitting_type(p) == splitting_type(verlinde_pencil(ctx, line))

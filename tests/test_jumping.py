@@ -196,15 +196,15 @@ def test_full_rank_is_ranked_exactly_not_capped(monkeypatch, spy):
 
 
 def test_jacobian_is_ranked_from_residues_g_columns_first(spy):
-    # a rank certifies no kernel: no exact packing runs, and the columns
-    # reach the rank [M_g1; M_g2] first, then [0; M_h], then [M_h; 0]
-    # (``_differential``'s order, pinned against the product tables above)
-    packs, residues, ranks = spy("linalg._pack"), spy("linalg._pack_mod_p"), spy(
+    # a rank certifies no kernel: no stack is packed and no exact rows, and
+    # the columns reach the rank [M_g1; M_g2] first, then [0; M_h], then
+    # [M_h; 0] (``_differential``'s order, pinned against the product tables above)
+    packs, exact, ranks = spy("linalg.KernelStack.__init__"), spy("linalg._exact"), spy(
         "linalg._rank_mod_p")
     for n, d in DESK_PAIRS:
         dim_z_jacobian(n, d, trials=1)
         assert ranks[-1] == _differential(*_trial_point(n, d, 0, 0))
-    assert len(ranks) == len(DESK_PAIRS) and packs == [] and residues == []
+    assert len(ranks) == len(DESK_PAIRS) and packs == [] and exact == []
 
 
 def all_trials_dim(n, d, trials, seed):

@@ -21,8 +21,8 @@ from verlinde.polynomials import (
     scalar,
 )
 
-from conftest import (bareiss_left_kernel, binary_coeffs, dense_annihilates, naive_rank,
-                      per_entry_pack_mod_p, primes_used)
+from conftest import (bareiss_left_kernel, binary_coeffs, dense_annihilates, entry_terms,
+                      naive_rank, per_entry_pack_mod_p, primes_used, stack_of)
 
 
 @pytest.mark.parametrize("build,message", [
@@ -318,7 +318,7 @@ def test_an_empty_kernel_returns_at_its_first_prime(spy):
     # no zero row modulo a prime proves rank = rows over Q: the empty basis
     # is returned there, whatever k asks for
     echelons = spy("linalg._echelon_mod_p")
-    stack = linalg.KernelStack([[1, 2, 3], [0, 1, 4]], [[5, 6, 0]])
+    stack = stack_of([[1, 2, 3], [0, 1, 4], [5, 6, 0]], split=2)
     assert stack.kernel(None, 1, 4, 4, 3) == ({}, [linalg._FOLDS[0]])
     assert primes_used(echelons) == 1
 
@@ -340,15 +340,19 @@ def test_a_line_s_last_empty_step_runs_one_prime(monkeypatch):
     assert basis == {} and used == [linalg._FOLDS[0]]
 
 
-def test_the_largest_entry_is_scanned_once_a_stack_and_only_at_a_third_prime(monkeypatch):
+def test_the_largest_entry_is_read_off_the_terms_once_a_stack(spy):
+    # the stack reads its top when it is packed, and each kernel's third
+    # prime bounds the minors by it; a stack that needs one prime bounds none
+    hadamard = spy("linalg._hadamard_bits")
     a, b, c = 2**40 + 15, 3**25, 5**17
-    stack = linalg.KernelStack([], [[a], [b], [c]])
-    assert stack.kernel([], 1, 1, 1, 1)[1] == list(linalg._FOLDS[:3])  # three primes
+    stack = stack_of([[a], [b], [c]])
     assert stack.top == a
-    monkeypatch.setattr(linalg, "itertools", None)  # a second scan would raise
+    assert stack.kernel([], 1, 1, 1, 1)[1] == list(linalg._FOLDS[:3])  # three primes
     assert stack.kernel([], 1, 1, 1, 1)[0] == {1: [-b, a, 0], 2: [-c, 0, a]}
-    plain = linalg.KernelStack([], [[1, 2], [2, 4], [3, 5]])
-    assert plain.kernel([], 1, 1, 2, 2)[1] == [linalg._FOLDS[0]] and plain.top is None
+    assert hadamard == [(1, a), (1, a)]
+    plain = stack_of([[1, 2], [2, 4], [3, 5]])
+    assert plain.top == 5 and plain.kernel([], 1, 1, 2, 2)[1] == [linalg._FOLDS[0]]
+    assert len(hadamard) == 2
 
 
 # ------------------------------------------ the packed-row modular kernel
@@ -386,7 +390,22 @@ def reference_echelon_mod_p(rows):
 
 
 def residues_mod_p(rows):
-    return linalg._pack_mod_p(linalg._pack(rows), _C)
+    return stack_of(rows)._rows_mod_p(_C)
+
+
+def resumed(rows, cut):
+    """``_echelon_mod_p`` of rows[:cut] as a base, resumed with rows[cut:]
+    under the mask of the slots that are not the base's pivot columns; the
+    base is left as it was."""
+    width = len(rows[0])
+    base = linalg._echelon_mod_p(residues_mod_p(rows[:cut]), width, _C)
+    snapshot = repr(base)
+    bits = linalg._packing(width)[0]
+    keep = (1 << bits * width) - 1 - sum(((1 << bits) - 1) << s for s, _, _ in base[3])
+    out = (linalg._echelon_mod_p(residues_mod_p(rows[cut:]), width, _C, base, keep)
+           if cut < len(rows) else base)
+    assert repr(base) == snapshot
+    return out
 
 
 def packed_echelon_mod_p(rows):
@@ -443,12 +462,7 @@ def test_resumed_echelon_gives_the_stacked_kernel_mod_p(rows, data):
     # vector is the reference's and kills them mod p
     cut = data.draw(st.integers(1, len(rows)))
     width = len(rows[0])
-    base = linalg._echelon_mod_p(residues_mod_p(rows[:cut]), width, _C)
-    snapshot = repr(base)
-    resumed = (linalg._echelon_mod_p(residues_mod_p(rows[cut:]), width, _C, base)
-               if cut < len(rows) else base)
-    assert repr(base) == snapshot
-    pivots, mults, zero_rows, _ = resumed
+    pivots, mults, zero_rows, _ = resumed(rows, cut)
     ref_pivots, ref_mults, ref_zero_rows = reference_echelon_mod_p(rows)
     assert sorted(pivots) == sorted(ref_pivots) and zero_rows == ref_zero_rows
     assert sorted(pivots + zero_rows) == list(range(len(rows)))
@@ -533,10 +547,7 @@ def packed_records(rows, cut):
     slots reduced mod p."""
     width = len(rows[0])
     bits = linalg._packing(width)[0]
-    base = linalg._echelon_mod_p(residues_mod_p(rows[:cut]), width, _C)
-    pivots, mults, zero_rows, records = (
-        linalg._echelon_mod_p(residues_mod_p(rows[cut:]), width, _C, base)
-        if cut < len(rows) else base)
+    pivots, mults, zero_rows, records = resumed(rows, cut)
     columns = []
     for shift, tail, inv in records:
         col = width - 1 - shift // bits
@@ -600,7 +611,8 @@ def test_residues_reduce_every_slot_exactly(width, c, data):
 
 # ------------------------------------ the exact packing and its uses
 
-_PACK_EDGES = _EDGE_ENTRIES + (2**29 - 1, -(2**29 - 1), 2**29, -2**29, 2**31, -2**31, -2**40)
+_PACK_EDGES = _EDGE_ENTRIES + (2**29 - 1, -(2**29 - 1), 2**29, -2**29, 2**31, -2**31, -2**40,
+                               2**28 - 1, -(2**28 - 1), 2**28, -2**28)
 
 
 @given(st.integers(0, 12).flatmap(lambda cols: st.lists(
@@ -609,29 +621,37 @@ _PACK_EDGES = _EDGE_ENTRIES + (2**29 - 1, -(2**29 - 1), 2**29, -2**29, 2**31, -2
        st.sampled_from(linalg._FOLDS + (297,)))
 @settings(max_examples=200, deadline=None)
 def test_pack_is_exact_and_its_residues_match_the_per_entry_packer(rows, c):
-    packed = linalg._pack(rows)
-    _, exact, marks, top, wider = packed
-    bits = linalg._packing(len(rows[0]))[0]
-    for row, e, n in zip(rows, exact, marks):
-        assert (n is None) == any(not -2**29 <= x < 2**29 for x in row)  # a wide row
-        if n is None:
-            assert e == 0 and top >= 2**(bits - 1)
-        else:
-            assert e == sum(x << bits * (len(row) - 1 - j) for j, x in enumerate(row))
-            assert n == sum(1 << bits * (len(row) - 1 - j) for j, x in enumerate(row) if x < 0)
-    assert top >= max([abs(x) for row in rows for x in row], default=0) and wider == {}
-    assert linalg._pack_mod_p(packed, c) == per_entry_pack_mod_p(rows, c)
+    # the stack's one packer: the first prime's residues R from one join,
+    # N read off them while every |x| < 2**28, the rows exactly in slots of
+    # b and 2b bits, and every prime's residues the per-entry packer's
+    stack, width = stack_of(rows), len(rows[0])
+    bits = linalg._packing(width)[0]
+    narrow = all(abs(x) < 2**28 for row in rows for x in row)
+    assert stack.top == max([abs(x) for row in rows for x in row], default=0)
+    assert (stack.marks is not None) == narrow
+    if narrow:
+        assert stack.marks == [sum(1 << bits * (width - 1 - j) for j, x in enumerate(row) if x < 0)
+                               for row in rows]
+    for m in (1, 2):
+        assert stack._exact_rows(m) == [sum(x << m * bits * (width - 1 - j)
+                                            for j, x in enumerate(row)) for row in rows]
+    assert stack._rows_mod_p(c) == per_entry_pack_mod_p(rows, c)
 
 
 def test_pack_mod_p_matches_on_a_pencil_and_a_differential():
+    # the terms of a line's pencil and of a Jacobian pack as their dense rows
     ctx = context(3, 4, 8)
     pencil = verlinde_pencil(ctx, sample_line(ctx, "random", seed=0))
-    columns = linalg._dense(*_differential(*_trial_point(3, 5, 0, 0)))
-    for rows in (pencil.A.transpose().entries, pencil.B.transpose().entries, columns):
-        packed = linalg._pack(rows)
-        assert None not in packed[2]  # the fast path
+    count, width, terms = _differential(*_trial_point(3, 5, 0, 0))
+    for stack, rows in ((linalg.KernelStack(pencil.u, 2 * pencil.u, pencil.w, pencil._terms),
+                         vstack(pencil.A.transpose(), pencil.B.transpose()).entries),
+                        (linalg.KernelStack(0, count, width, terms),
+                         linalg._dense(count, width, terms))):
+        dense = stack_of(rows)
+        assert stack.marks is not None and stack.marks == dense.marks  # the fast path
+        assert stack._exact_rows(1) == dense._exact_rows(1)
         for c in linalg._FOLDS[:2]:
-            assert linalg._pack_mod_p(packed, c) == per_entry_pack_mod_p(rows, c)
+            assert stack._rows_mod_p(c) == per_entry_pack_mod_p(rows, c)
 
 
 _RANK_EDGES = _PACK_EDGES + (-2**29 - 1, 2**31 - 1, -2**31 - 1, -_P - 1, -3 * _P)
@@ -677,7 +697,7 @@ def _rank_rows(draw):
 @settings(max_examples=300, deadline=None)
 def test_rank_mod_p_packs_in_one_pass_what_the_two_packers_give(rows):
     # from its terms it feeds the elimination the per-entry packer's
-    # residues, and its rank is theirs and that of _pack_mod_p's
+    # residues, and its rank is theirs and that of a stack's residues
     width, fed, echelon = len(rows[0]), [], linalg._echelon_mod_p
     terms = _terms_of(rows)
     assert linalg._dense(len(rows), width, terms) == rows
@@ -687,7 +707,8 @@ def test_rank_mod_p_packs_in_one_pass_what_the_two_packers_give(rows):
         rank = linalg._rank_mod_p(len(rows), width, terms)
     assert fed == [per_entry_pack_mod_p(rows, _C)]
     assert rank == len(echelon(per_entry_pack_mod_p(rows, _C), width, _C)[0])
-    assert rank == len(echelon(linalg._pack_mod_p(linalg._pack(rows), _C), width, _C)[0])
+    assert rank == len(echelon(stack_of(rows)._rows_mod_p(_C), width, _C)[0])
+    assert linalg.KernelStack(0, len(rows), width, terms)._rows_mod_p(_C) == fed[0]
 
 
 def test_terms_of_chains_repeated_values_over_rows():
@@ -696,19 +717,37 @@ def test_terms_of_chains_repeated_values_over_rows():
     assert sorted(terms) == [(7, 0, 0, [1, 0, 2]), (7, 0, 2, [0])]
 
 
+@given(_rank_rows(), st.sampled_from(linalg._FOLDS + _WIDE_FOLDS), st.data())
+@settings(max_examples=200, deadline=None)
+def test_stack_packs_its_terms_as_each_entry_reduced_and_each_column_summed(rows, c, data):
+    # from terms of several slots: every prime's residues are the entries'
+    # x % p, and vec . (the exact rows in slots of b m bits) is the column
+    # sums in those slots, for the m that _annihilates reads
+    width = len(rows[0])
+    stack = linalg.KernelStack(0, len(rows), width, _terms_of(rows))
+    assert stack._rows_mod_p(c) == per_entry_pack_mod_p(rows, c)
+    vec = data.draw(st.lists(st.integers(-2**70, 2**70), min_size=len(rows), max_size=len(rows)))
+    sums = [sum(map(mul, vec, col)) for col in zip(*rows)]
+    bits = linalg._packing(width)[0]
+    m = (stack.top * (sum(map(abs, vec)) or 1)).bit_length() // bits + 1
+    assert sum(map(mul, vec, stack._exact_rows(m))) == sum(
+        s << bits * m * (width - 1 - j) for j, s in enumerate(sums))
+    assert linalg._annihilates(stack, vec) == (not any(sums))
+
+
 @given(_integer_matrices(), st.data())
 @settings(max_examples=300, deadline=None)
 def test_annihilates_agrees_with_the_dense_check(m, data):
     if not m.rows:
         return
-    packed = linalg._pack(m.entries)
+    stack = stack_of(m.entries)
     coeff = st.integers(-2**120, 2**120) if data.draw(st.booleans()) else st.integers(-9, 9)
     vecs = [data.draw(st.lists(coeff, min_size=m.rows, max_size=m.rows))]
     for z in m.left_kernel():  # kernel vectors, then each with one entry nudged
         i = data.draw(st.integers(0, m.rows - 1))
         vecs += [z, z[:i] + [z[i] + 1] + z[i + 1:]]
     for vec in vecs:
-        assert linalg._annihilates(packed, vec) == dense_annihilates(m.entries, vec)
+        assert linalg._annihilates(stack, vec) == dense_annihilates(m.entries, vec)
 
 
 _B = linalg._packing(2)[0]  # the slot size of two columns
@@ -724,8 +763,8 @@ def test_annihilates_rejects_slot_sums_that_cancel_by_a_carry(rows, vec):
     # sum vec_i E_i is 0
     sums = [sum(map(mul, vec, col)) for col in zip(*rows)]
     assert sums[1] == -(sums[0] << _B) != 0
-    assert sum(map(mul, vec, linalg._pack_wide(rows, _B // 8))) == 0
-    assert not linalg._annihilates(linalg._pack(rows), vec)
+    assert sum(map(mul, vec, linalg._exact(len(rows), 2, entry_terms(rows), 1))) == 0
+    assert not linalg._annihilates(stack_of(rows), vec)
     assert not dense_annihilates(rows, vec)
 
 
@@ -736,7 +775,8 @@ def test_splitting_type_is_scale_invariant_past_the_fast_pack(scale):
     ctx = context(2, 3, 5)
     p = verlinde_pencil(ctx, sample_line(ctx, "jumping:1", seed=0))
     scaled = Pencil(p.A.scale(scale), p.B.scale(scale))
-    assert (None in linalg._pack(scaled.A.transpose().entries)[2]) == (scale > 1)
+    stack = linalg.KernelStack(scaled.u, 2 * scaled.u, scaled.w, scaled._terms)
+    assert (stack.marks is None) == (scale > 1)
     assert splitting_type(scaled) == splitting_type(p)
     assert scaled.A.rank() == p.A.rank()
 
@@ -772,7 +812,7 @@ def test_kernel_stack_matches_bareiss_for_any_feed(stack):
     rows = [[den * x for x in row] for row in b] + ta
     n = len(rows)
     # a generous cap: the test checks the basis, not the proven bound
-    kernel, used = linalg.KernelStack(a, b).kernel(t, den, 1, n + 1, 2 * n + 8)
+    kernel, used = stack_of(a + b, len(a)).kernel(t, den, 1, n + 1, 2 * n + 8)
     assert len(kernel) == n - linalg._bareiss_rank(rows)
     for i, vec in kernel.items():
         y, c = vec[:len(b)], vec[len(b):]
@@ -791,7 +831,7 @@ def test_slot_size_is_the_fewest_bytes_past_the_carry_bound(width, bits):
 
 def test_fold_keeps_packed_slots_apart():
     for width in (7, 8, 2048):  # slots of 64, 72 and 80 bits
-        bits, _, lo, hi, _ = linalg._packing(width)
+        bits, lo, hi, _ = linalg._packing(width)
         for c in linalg._FOLDS + (297, 10**6 + 3):  # the first primes, then larger folds
             p = 2**30 - c
             # 2**30 = c (mod p) is what lets a fold replace a slot's high part

@@ -32,7 +32,7 @@ def test_package_imports_only_listed_names():
     assert unlisted == []
 
 
-PACKED_KERNEL = ("_pack", "_pack_mod_p", "_echelon_mod_p", "_residues", "_annihilates",
+PACKED_KERNEL = ("_join", "_exact", "_echelon_mod_p", "_residues", "_annihilates",
                  "_hadamard_bits")
 
 

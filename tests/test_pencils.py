@@ -23,7 +23,7 @@ from verlinde.pencils import (
     twisted_section_dims,
 )
 
-from conftest import bareiss_left_kernel, primes_used
+from conftest import bareiss_left_kernel, primes_used, stack_of
 
 
 def l_block(b):
@@ -282,7 +282,7 @@ def _assert_holds_only_its_recursion(p):
 
 
 def test_packed_state_is_released_once_h_reaches_0(spy):
-    echelons, packs = spy("linalg._echelon_mod_p"), spy("linalg._pack")
+    echelons, packs = spy("linalg._echelon_mod_p"), spy("linalg.KernelStack.__init__")
     ctx, big = context(2, 2, 5), context(3, 4, 8)
     random_line = verlinde_pencil(ctx, sample_line(ctx, "random", seed=1))
     planted = verlinde_pencil(ctx, sample_line(ctx, "jumping:1", seed=0))
@@ -479,7 +479,7 @@ def fold_primes_only(monkeypatch):
 
 def _certified_kernel_of(rows, k):
     n = min(len(rows), len(rows[0]))
-    return linalg.KernelStack([], rows).kernel([], 1, k, n, n)
+    return stack_of(rows).kernel([], 1, k, n, n)
 
 
 def _normalized_on(kernel, zero_rows):
