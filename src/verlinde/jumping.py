@@ -308,7 +308,7 @@ def reconcile(n, d, trials=3, seed=0):
     dim_stated = dim_z_formula(n, d)
     dim_oracle = dim_z_jacobian(n, d, trials=trials, seed=seed)
     ev_stated = class_from_formula(n, d, dim_stated)
-    ev_oracle = class_from_formula(n, d, dim_oracle)
+    ev_oracle = ev_stated if dim_oracle == dim_stated else class_from_formula(n, d, dim_oracle)
     ev_pushpull = class_from_pushpull(n, d, dim_oracle)
 
     keys = sorted(set(ev_oracle.cls.coeffs) | set(ev_pushpull.cls.coeffs))

@@ -16,7 +16,8 @@ pencil keeps only its recursion's state, the h values and the last L, so
 a later call runs the missing steps alone and no step runs twice; the
 steps of a call share one ``linalg.KernelStack``, packed from the
 pencil's terms, the nonzero entries of [A^T ; B^T] (A and B are built
-only when read), so B^T is eliminated once per prime per call.
+only when read), so B^T is eliminated once per prime per call, and a
+step's h new rows on about u + h of the w slots (``linalg``, Kept slots).
 This avoids computing any canonical form of the (possibly singular)
 pencil; canonical blocks appear only in the forward direction as a
 seeded test constructor.

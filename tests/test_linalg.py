@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from verlinde import linalg
-from verlinde.family import context, is_generic_type, sample_line, verlinde_pencil, zero_count
+from verlinde.family import (LineInSystem, context, is_generic_type, sample_line, type_from_gcd,
+                             verlinde_pencil, zero_count)
 from verlinde.jumping import _differential, _trial_point, dim_z_jacobian
 from verlinde.linalg import ExactMatrix, random_unimodular
 from verlinde.pencils import Pencil, kronecker_pencil, splitting_type, sylvester_block
@@ -819,6 +820,113 @@ def test_kernel_stack_matches_bareiss_for_any_feed(stack):
         assert len(c) == len(ta) and vec[i] and not any(vec[j] for j in kernel if j != i)
         assert dense_annihilates(rows, y + c)  # den y B + c T A = 0
     assert linalg._FOLDS[0] not in used or den % _P0
+
+
+def test_a_cut_that_loses_rank_is_caught_and_the_kernel_made_on_full_rows(monkeypatch):
+    # B = (1, 0, ..., 0) pivots in the top slot, so the two new rows keep
+    # the slots down to 2 + c below it and the last c go: there the row
+    # (0, ..., 0, 1) reads zero, a spurious zero row beside the true one,
+    # (2, 0, ..., 0) = 2 B.  Its vector fails its check, the mod-p check
+    # against the full rows finds the miss, and the kernel is made again
+    # on full rows, which the stack keeps
+    c = linalg._MARGIN
+    width = 2 * c + 3
+    b, a1, a2 = [1] + [0] * (width - 1), [0] * (width - 1) + [1], [2] + [0] * (width - 1)
+    fed, echelon = [], linalg._echelon_mod_p
+
+    def feeding(rest, width, c, base=None, keep=None):
+        if base is not None:  # the new rows, as they are eliminated
+            fed.append(rest[:])
+        return echelon(rest, width, c, base, keep)
+
+    monkeypatch.setattr(linalg, "_echelon_mod_p", feeding)
+    stack = stack_of([a1, a2, b], split=2)
+    full = stack._rows_mod_p(linalg._FOLDS[0])[:2]
+    kernel, used = stack.kernel(None, 1, 1, 3, 3)
+    assert fed == [[r >> linalg._packing(width)[0] * c for r in full], full] and not fed[0][0]
+    assert stack.whole and kernel == {2: [-2, 0, 1]} and used == [linalg._FOLDS[0]]
+    assert len(kernel) == 3 - linalg._bareiss_rank([b, a1, a2])
+    whole = stack_of([a1, a2, b], split=2)
+    whole.whole = True
+    assert whole.kernel(None, 1, 1, 3, 3) == (kernel, used)
+    fed.clear()
+    assert stack.kernel([[1, 0], [0, 1]], 1, 1, 3, 3) == (kernel, used) and fed == [full]
+
+
+@pytest.mark.parametrize("at", [0, 1])
+def test_a_cut_that_misses_at_one_prime_is_caught_where_the_loop_leaves_it(at):
+    # (0, q, 0, ..., 0, 1), q the first or second prime, reads zero on its
+    # kept slots modulo q only, and k = 2.  At the first, the spurious zero
+    # rows start a run that the second prime's ends, with no failure; at
+    # the second, they are more than the run's and that prime is skipped.
+    # Either way the check finds the miss, and the kernel is made on full
+    # rows, with their primes
+    c = linalg._MARGIN
+    width = 2 * c + 3
+    b, a2 = [1] + [0] * (width - 1), [2] + [0] * (width - 1)
+    a1 = [0, 2**30 - linalg._FOLDS[at]] + [0] * (width - 3) + [1]
+    stack, whole = stack_of([a1, a2, b], split=2), stack_of([a1, a2, b], split=2)
+    whole.whole = True
+    expected = ({2: [-2, 0, 1]}, list(linalg._FOLDS[:2]))
+    assert whole.kernel(None, 1, 2, 3, 3) == expected
+    assert stack.kernel(None, 1, 2, 3, 3) == expected and stack.whole
+
+
+@st.composite
+def _cut_stacks(draw):
+    """(A, B, T, den) whose new rows a cut shrinks: B's row j leads at
+    column j, so its pivots are top slots, and the width leaves at least c
+    slots to cut.  Entries are mostly 0, small, or 2**28 to 2**40 in size,
+    so each prime joins its own residues; a row of A may be nonzero only in
+    its last c slots, to make the cut lose rank, or a large multiple of B's
+    first row plus one of A's first, whose vector takes several primes."""
+    c = linalg._MARGIN
+    width, na, nb = draw(st.integers(2 * c + 8, 4 * c + 8)), draw(st.integers(1, 3)), draw(
+        st.integers(1, 3))
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-2, 2), st.integers(2**28, 2**40),
+                      st.integers(-2**40, -2**28))
+    row = st.lists(entry, min_size=width, max_size=width)
+    b = [[0] * j + [draw(entry.filter(bool))] + draw(row)[j + 1:] for j in range(nb)]
+    a = [[0] * (width - c) + draw(row)[-c:] if draw(st.booleans()) else draw(row) for _ in range(na)]
+    if draw(st.booleans()):
+        s, t = draw(st.integers(2**30, 2**45)), draw(st.integers(2**30, 2**45))
+        a.append([s * x + t * y for x, y in zip(b[0], a[0])])
+    if draw(st.booleans()):
+        return a, b, None, 1
+    t = draw(st.lists(st.lists(entry, min_size=len(a), max_size=len(a)), min_size=1, max_size=3))
+    return a, b, t, draw(st.one_of(st.integers(1, 2**40), st.just(_P0)))
+
+
+@given(_cut_stacks())
+@settings(max_examples=100, deadline=None)
+def test_a_cut_kernel_is_the_full_rows_kernel(stack):
+    # the same {zero row: vector} and the same primes as on full rows,
+    # whether the cut holds or misses and the kernel is made again
+    a, b, t, den = stack
+    n = len(b) + (len(a) if t is None else len(t))
+    cut, whole = stack_of(a + b, len(a)), stack_of(a + b, len(a))
+    whole.whole = True
+    kernel, used = whole.kernel(t, den, 1, n + 1, 2 * n + 8)
+    assert cut.kernel(t, den, 1, n + 1, 2 * n + 8) == (kernel, used)
+    ta = a if t is None else [[sum(x * r[j] for x, r in zip(row, a)) for j in range(len(a[0]))]
+                              for row in t]
+    assert len(kernel) == n - linalg._bareiss_rank([[den * x for x in row] for row in b] + ta)
+
+
+def test_a_large_planted_line_is_cut_and_keeps_its_type(monkeypatch):
+    # (3,4,11) jumping:2, u = 120 and w = 364: its steps cut their rows,
+    # and its type is type_from_gcd's and that of full rows
+    ctx = context(3, 4, 11)
+    line = sample_line(ctx, "jumping:2", seed=0)
+    drops, cut = [], linalg.KernelStack._cut
+    monkeypatch.setattr(linalg.KernelStack, "_cut",
+                        lambda stack, c, drop: drops.append(drop) or cut(stack, c, drop))
+    st_ = splitting_type(verlinde_pencil(ctx, line))
+    assert drops and st_ == type_from_gcd(ctx, 2)
+    drops.clear()
+    monkeypatch.setattr(linalg, "_MARGIN", ctx.w)  # no slot cut
+    assert splitting_type(verlinde_pencil(ctx, LineInSystem(line.f1, line.f2))) == st_
+    assert not drops
 
 
 @pytest.mark.parametrize("width,bits", [(1, 64), (7, 64), (8, 72), (2047, 72), (2048, 80)])
