@@ -129,7 +129,7 @@ def _multiplication_pencil(ctx, line):
     """The pencil (mult by f1, mult by f2) from degree k - d, straight from
     the forms' terms: f1's term c*m is c at the column of m*theta in each
     row theta of A^T, one term over all u rows (``_mult_targets``), and f2's
-    are B^T's; so A and B are ``mult_matrix``'s.  None when k < d (u = 0).
+    are B^T's; so A and B are ``mult_matrix``'s.  With k < d (u = 0), no terms.
     The forms are the integral multiples c1*f1 and c2*f2 (c_i the lcm of
     f_i's denominators, by ``_integral``): (c1 A, c2 B) is (A, B) after
     (s, t) -> (c1 s, c2 t), so the splitting type, rank [A|B] and
@@ -137,7 +137,7 @@ def _multiplication_pencil(ctx, line):
     targets = _mult_targets(ctx.n, ctx.d, ctx.k - ctx.d)
     return Pencil._of_terms(ctx.w, ctx.u, [(c, first, 0, targets[m])
                                            for f, first in ((line.f1, 0), (line.f2, ctx.u))
-                                           for m, c in _integral(f).terms.items()])
+                                           for m, c in _integral(f).terms.items() if targets[m]])
 
 
 def _stacked_rank(ctx, line):

@@ -55,29 +55,29 @@ rows stacked below eliminated ones are reduced by the pivot records at or
 below their tops, then among themselves: a ``KernelStack``'s new rows.
 
 Kept slots.  Reduced by B's records, a kernel's h new rows are zero on B's
-pivot slots and have at most h pivots of their own.  So they are eliminated
-on the slots down to B's lowest pivot slot and h + c to h + 2c - 1 more, c =
-``_MARGIN`` (whole multiples of c slots are cut, and none if fewer would
-go): their rows, the mask and the tails of B's records shifted right, once
-per prime and cut.  Slots stay apart, so this is the full-width elimination
+pivot slots and have at most h pivots of their own.  So a kernel first
+eliminates them on the slots down to B's lowest pivot slot and h + c to
+h + 2c - 1 more, c = ``_MARGIN`` (whole multiples of c slots are cut, and
+none if fewer would go): their rows, the mask and the tails of B's records
+shifted right.  Slots stay apart, so this is the full-width elimination
 stopped where its pivots leave the kept slots: its pivots and multipliers
-begin the full one's, and its zero rows Z contain the full one's F, with Z
-= F exactly when every vector z of Z kills the full rows mod p (``_holds``;
-a row of Z not in F is nonzero there).  When a run's vectors lift and pass
-``_annihilates``, |Z| <= dim ker M <= |F| <= |Z| at each of its primes.
-Every other prime is checked when the loop leaves it: skipped, in a run
-that starts afresh or runs out of primes, or at a run's first failure, where
-a cut that lost rank over Q shows at once.  A miss starts the kernel again
-on full rows, which the stack keeps.  So the loop meets the full-width
-results at every prime: the same basis and primes, and the prime count
-above.  A bare rank (``_rank_mod_p``) has no certificate and no cut.
+begin the full one's, and its zero rows Z contain the full one's F.  When a
+run's vectors lift and pass ``_annihilates``, |Z| <= dim ker M <= |F| <= |Z|
+at each of its primes, so a run that certifies with no skipped prime and no
+fresh start met the full-width loop prime by prime.  Once a prime is cut, a
+skip, a fresh start or the prime cap gives the cut up, and the kernel is
+made again on full rows: every other outcome is the full-width loop's.  At a
+run's first failed lift, where a cut that lost rank over Q shows at once,
+its vectors are checked against the full rows mod p (``_holds``: Z = F
+exactly when each kills them), and a miss gives the cut up too.  So the
+loop meets the full-width results: the same basis and primes, and the prime
+count above.  A bare rank (``_rank_mod_p``) has no certificate and no cut.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from itertools import repeat
 from operator import mul
 
 try:
@@ -444,8 +444,7 @@ class KernelStack:
     combined from A's residues, by B's pivot records and then among
     themselves."""
 
-    __slots__ = ("split", "count", "width", "terms", "top", "first", "marks", "exact", "fields",
-                 "whole")
+    __slots__ = ("split", "count", "width", "terms", "top", "first", "marks", "exact", "fields")
 
     def __init__(self, split, count, width, terms):
         self.split, self.count, self.width, self.terms = split, count, width, terms
@@ -453,9 +452,7 @@ class KernelStack:
         self.first = _join(count, width, terms, lambda x: x % (2**30 - _FOLDS[0]))
         self.marks = None if self.top >= 2**28 else [r >> 29 & _packing(width)[3] for r in self.first]
         self.exact = {}  # by slot multiple m: the rows in slots of b m bits
-        self.fields = {}  # by fold constant: A's residues, B's echelon, its mask and lowest
-        # pivot slot; by (fold constant, dropped slots): a cut of the first three
-        self.whole = False  # True once a cut missed: full rows from then on
+        self.fields = {}  # by fold constant: A's residues, B's echelon, its mask, lowest pivot slot
 
     def _rows_mod_p(self, c):
         """The rows' residues mod p = 2**30 - c, one int each: the first
@@ -476,16 +473,6 @@ class KernelStack:
                              _exact(self.count, self.width, self.terms, m))
         return self.exact[m]
 
-    def _cut(self, c, drop):
-        """A's residues, B's echelon and its mask mod 2**30 - c without their
-        ``drop`` lowest slots (module docstring, Kept slots), made once."""
-        if (c, drop) not in self.fields:
-            s = _packing(self.width)[0] * drop
-            pa, (pivots, mults, zeros, records), keep, _ = self.fields[c]
-            self.fields[c, drop] = ([r >> s for r in pa], (pivots, mults, zeros, [
-                (shift - s, tail >> s, inv) for shift, tail, inv in records]), keep >> s)
-        return self.fields[c, drop]
-
     def kernel(self, T, den, k, minors, size):
         """A basis of the left kernel of M = [B ; (T / den) A] (T rows of
         one int per row of A, None for L = I; den >= 1) certified over Z, as
@@ -504,44 +491,42 @@ class KernelStack:
         read off the terms: ArithmeticError is raised past the module
         docstring's number of primes, with G >= k, two at least.
 
-        The new rows are eliminated on their top slots only, and a prime
-        the loop leaves uncertified is checked against the full rows; a miss
-        starts again on full rows (module docstring, Kept slots)."""
-        while True:
-            found = self._certify(T, den, k, minors, size)
-            if found is not None:
-                return found
-            self.whole = True
+        The new rows are first eliminated on their kept slots; that result
+        stands if it certifies with no skipped prime and no fresh start, and
+        else the kernel is made again on full rows (module docstring, Kept
+        slots)."""
+        return (self._certify(T, den, k, minors, size, True)
+                or self._certify(T, den, k, minors, size, False))
 
-    def _holds(self, primes, vecs, cols, den):
-        """Whether z M = 0 mod p at full width, M = [B ; (T / den) A] with T's
-        columns cols, for each z in vecs (residues modulo the product of
-        ``primes``) and each p = 2**30 - c, c in primes: for a prime whose
-        rows were cut, whether the cut met the full rows (module docstring,
-        Kept slots).  A sum of products below 2**60 is folded every w rows."""
+    def _holds(self, c, vecs, cols, den):
+        """Whether z M = 0 mod p = 2**30 - c at full width, M = [B ; (T / den) A]
+        with T's columns cols, for each z in vecs (residues modulo a multiple
+        of p): whether a cut met the full rows at p (module docstring, Kept
+        slots).  A sum of products below 2**60 is folded every w rows."""
         split, width, y_len = self.split, self.width, self.count - self.split
         bits, lo, hi, _ = _packing(width)
-        for c in primes:
-            p, rows = 2**30 - c, self._rows_mod_p(c)
-            rows, inv = rows[split:] + rows[:split], pow(den, -1, p)
-            for z in vecs:
-                y, v, acc = [a % p for a in z[:y_len]], z[y_len:], 0
-                v = [a % p for a in v] if cols is None else [sum(map(mul, v, col)) * inv % p
-                                                               for col in cols]
-                terms = list(map(mul, y + v, rows))
-                for j in range(0, len(terms), width):
-                    acc = _fold(acc + sum(terms[j:j + width]), lo, hi, c, bits)
-                if _residues(acc, width, c):
-                    return False
+        p, rows = 2**30 - c, self._rows_mod_p(c)
+        rows, inv = rows[split:] + rows[:split], pow(den, -1, p)
+        for z in vecs:
+            y, v, acc = [a % p for a in z[:y_len]], z[y_len:], 0
+            v = [a % p for a in v] if cols is None else [sum(map(mul, v, col)) * inv % p
+                                                           for col in cols]
+            terms = list(map(mul, y + v, rows))
+            for j in range(0, len(terms), width):
+                acc = _fold(acc + sum(terms[j:j + width]), lo, hi, c, bits)
+            if _residues(acc, width, c):
+                return False
         return True
 
-    def _certify(self, T, den, k, minors, size):
-        """``kernel``'s loop: its result, or None when a cut missed."""
+    def _certify(self, T, den, k, minors, size, cuts):
+        """``kernel``'s loop, on the kept slots if cuts: its result, or None
+        once a prime was cut and the run skips a prime, starts afresh, fails
+        ``_holds`` at its first failed lift or reaches the prime cap."""
         split, width, y_len = self.split, self.width, self.count - self.split
         bits, lo, hi, _ = _packing(width)
         cols = None if T is None else list(zip(*T)) or [()] * split
         h = split if T is None else len(T)
-        used, cap, cut = [], 2, set()
+        used, cap, cut = [], 2, False
         for tried, c in enumerate(_primes()):
             if tried == 2:
                 top = _hadamard_bits(size, self.top)
@@ -558,10 +543,11 @@ class KernelStack:
                 low = base[3][-1][0] // bits if base[3] else width  # shifts decrease
                 self.fields[c] = (residues[:split], base, keep, low)  # keep: all but B's pivot slots
             pa, base, keep, low = self.fields[c]
-            drop = 0 if self.whole or not h else max(0, (low - h - _MARGIN) // _MARGIN * _MARGIN)
-            if drop:
-                cut.add(c)
-                pa, base, keep = self._cut(c, drop)
+            drop = max(0, (low - h - _MARGIN) // _MARGIN * _MARGIN) if cuts and h else 0
+            if drop:  # A's residues, B's records and the mask without their drop lowest slots
+                cut, s = True, bits * drop
+                pa, keep = [r >> s for r in pa], keep >> s
+                base = base[:3] + ([(shift - s, tail >> s, inv) for shift, tail, inv in base[3]],)
             if T is None:
                 new = pa[:]
             else:
@@ -569,14 +555,11 @@ class KernelStack:
                 new = [_fold(sum(map(mul, [x * inv % p for x in row], pa)), lo, hi, c, bits)
                        for row in T]
             pivots, mults, zero_rows, _ = _echelon_mod_p(new, width, c, base, keep) if new else base
+            if used and zero_rows != zeros and cut:
+                return None  # a skip or a fresh start once a prime was cut
             if used and len(zero_rows) > len(zeros):
-                if drop and not self._holds([c], map(_left_kernel_mod_p, zero_rows, repeat(pivots),
-                                                     repeat(mults), repeat(p)), cols, den):
-                    return None
                 continue
             if not used or zero_rows != zeros:
-                if used and not self._holds(cut.intersection(used), crt.values(), cols, den):
-                    return None
                 used, basis, crt, m, zeros = [], {}, {}, 1, zero_rows
             f = pow(m, -1, p)
             for i in zero_rows[len(basis):]:  # basis holds a prefix of zero_rows
@@ -599,11 +582,10 @@ class KernelStack:
                 del crt[i]  # crt holds the unresolved rows
             else:
                 return basis, used
-            if drop and len(used) == k and not self._holds([c], crt.values(), cols, den):
-                return None  # a run's first failure: a cut that lost rank shows at once
-        if used and not self._holds(cut.intersection(used), crt.values(), cols, den):
-            return None
-        raise ArithmeticError("no kernel certified within the proven number of primes")
+            if drop and len(used) == k and not self._holds(c, crt.values(), cols, den):
+                return None  # a run's first failed lift: a cut that lost rank shows at once
+        if not cut:  # else None: past the cap, a run that cut a prime gives way to full rows
+            raise ArithmeticError("no kernel certified within the proven number of primes")
 
 
 def _bareiss(rows, n):

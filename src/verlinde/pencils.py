@@ -121,36 +121,31 @@ class Pencil:
     """Pair of w x u matrices (A, B) for the map s*A + t*B: O(-1)^u -> O^w,
     held as the nonzero terms of [A^T ; B^T] (``linalg._dense``'s), B's
     rows after A's: a pencil of dense matrices takes its entries as terms,
-    and one from terms builds A and B when they are first read."""
+    and A and B are built from the terms on each read."""
 
-    # _matrices: (A, B) once built; _sections: see _section_dims, not the value
-    __slots__ = ("w", "u", "_terms", "_matrices", "_sections")
+    __slots__ = ("w", "u", "_terms", "_sections")  # _sections: see _section_dims, not the value
 
     def __init__(self, A, B):
         if (A.rows, A.cols) != (B.rows, B.cols):
             raise PencilError("A and B must have equal shapes")
         if A.cols > A.rows:
             raise PencilError("pencil must have u <= w")
-        self.w, self.u, self._matrices, self._sections = A.rows, A.cols, (A, B), None
+        self.w, self.u, self._sections = A.rows, A.cols, None
         self._terms = [(x, j + first, i, (0,)) for first, m in ((0, A), (A.cols, B))
                        for i, row in enumerate(m.entries) for j, x in enumerate(row) if x]
 
     @classmethod
     def _of_terms(cls, w, u, terms):  # [A^T ; B^T], 2u x w, of these terms; u <= w
         pencil = object.__new__(cls)
-        pencil.w, pencil.u, pencil._terms = w, u, terms
-        pencil._matrices = pencil._sections = None
+        pencil.w, pencil.u, pencil._terms, pencil._sections = w, u, terms, None
         return pencil
 
-    def _pair(self):
-        if self._matrices is None:
-            rows = _dense(2 * self.u, self.w, self._terms)
-            self._matrices = (ExactMatrix(self.u, self.w, rows[:self.u]).transpose(),
-                              ExactMatrix(self.u, self.w, rows[self.u:]).transpose())
-        return self._matrices
+    def _matrix(self, first):  # A (first 0) or B (first u): rows first.. of [A^T ; B^T]
+        rows = _dense(2 * self.u, self.w, self._terms)[first:first + self.u]
+        return ExactMatrix(self.u, self.w, rows).transpose()
 
-    A = property(lambda self: self._pair()[0])
-    B = property(lambda self: self._pair()[1])
+    A = property(lambda self: self._matrix(0))
+    B = property(lambda self: self._matrix(self.u))
 
     def at(self, s, t):
         """The matrix s*A + t*B."""

@@ -323,6 +323,11 @@ GOLDEN = {
     # largest entry was scanned once a stack
     ("split", "--n", "3", "--d", "3", "--k", "9", "--sample", "jumping:2", "--seed", "0"):
         "24c8f4411a57749c5cbe80d2281946f8946ce9b799f37bc27c6e8c33b9aab99e",
+    # a cell whose steps cut their rows: the first step's cut run checks its
+    # first failed lift against the full rows; recorded before that check
+    # became the cut's one check
+    ("split", "--n", "3", "--d", "4", "--k", "10", "--sample", "random", "--seed", "0"):
+        "70c40b4a7dde4563ff6a815f686b84ce088342647a783fec8b6a4727cd59f581",
     ("jumping-class", "--n", "2", "--d", "2", "--seed", "0"):
         "934313197d42635050e4b11fefff0dc00056a2cdd1e45b038f61933d5a5432dc",
     ("jumping-class", "--n", "3", "--d", "3", "--seed", "0"):
@@ -360,6 +365,26 @@ def test_reference_outputs_are_byte_identical(argv, capsys):
     assert cli.main(list(argv)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN[argv]
+
+
+def test_the_cut_golden_split_takes_the_first_failed_lift_check(monkeypatch, capsys):
+    # its first h-step needs two primes: the cut run's lift fails at the
+    # first, where _holds passes, and certifies at the second; its last
+    # step returns the empty kernel at its first prime
+    import verlinde.cli as cli
+    from verlinde import linalg
+
+    holds, check = [], linalg.KernelStack._holds
+
+    def holding(stack, c, *args):
+        holds.append((c, check(stack, c, *args)))
+        return holds[-1][1]
+
+    monkeypatch.setattr(linalg.KernelStack, "_holds", holding)
+    argv = ("split", "--n", "3", "--d", "4", "--k", "10", "--sample", "random", "--seed", "0")
+    assert cli.main(list(argv)) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == GOLDEN[argv]
+    assert holds == [(linalg._FOLDS[0], True)]
 
 
 def test_jumping_class_report():

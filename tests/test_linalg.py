@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from verlinde import linalg
+from verlinde import linalg, suites
 from verlinde.family import (LineInSystem, context, is_generic_type, sample_line, type_from_gcd,
                              verlinde_pencil, zero_count)
 from verlinde.jumping import _differential, _trial_point, dim_z_jacobian
@@ -822,13 +822,27 @@ def test_kernel_stack_matches_bareiss_for_any_feed(stack):
     assert linalg._FOLDS[0] not in used or den % _P0
 
 
+def _runs(monkeypatch):
+    """The (cuts, result) of each ``KernelStack._certify`` run, as made:
+    a kernel's run on its kept slots, then one on full rows if that gave
+    way (None)."""
+    runs, certify = [], linalg.KernelStack._certify
+
+    def recording(stack, *args):
+        runs.append((args[-1], certify(stack, *args)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(linalg.KernelStack, "_certify", recording)
+    return runs
+
+
 def test_a_cut_that_loses_rank_is_caught_and_the_kernel_made_on_full_rows(monkeypatch):
     # B = (1, 0, ..., 0) pivots in the top slot, so the two new rows keep
     # the slots down to 2 + c below it and the last c go: there the row
     # (0, ..., 0, 1) reads zero, a spurious zero row beside the true one,
     # (2, 0, ..., 0) = 2 B.  Its vector fails its check, the mod-p check
-    # against the full rows finds the miss, and the kernel is made again
-    # on full rows, which the stack keeps
+    # against the full rows at that first failed lift finds the miss, and
+    # the kernel is made again on full rows
     c = linalg._MARGIN
     width = 2 * c + 3
     b, a1, a2 = [1] + [0] * (width - 1), [0] * (width - 1) + [1], [2] + [0] * (width - 1)
@@ -840,36 +854,56 @@ def test_a_cut_that_loses_rank_is_caught_and_the_kernel_made_on_full_rows(monkey
         return echelon(rest, width, c, base, keep)
 
     monkeypatch.setattr(linalg, "_echelon_mod_p", feeding)
-    stack = stack_of([a1, a2, b], split=2)
+    stack, runs = stack_of([a1, a2, b], split=2), _runs(monkeypatch)
     full = stack._rows_mod_p(linalg._FOLDS[0])[:2]
+    cut = [r >> linalg._packing(width)[0] * c for r in full]
     kernel, used = stack.kernel(None, 1, 1, 3, 3)
-    assert fed == [[r >> linalg._packing(width)[0] * c for r in full], full] and not fed[0][0]
-    assert stack.whole and kernel == {2: [-2, 0, 1]} and used == [linalg._FOLDS[0]]
+    assert fed == [cut, full] and not cut[0]
+    assert runs == [(True, None), (False, (kernel, used))]
+    assert kernel == {2: [-2, 0, 1]} and used == [linalg._FOLDS[0]]
     assert len(kernel) == 3 - linalg._bareiss_rank([b, a1, a2])
-    whole = stack_of([a1, a2, b], split=2)
-    whole.whole = True
-    assert whole.kernel(None, 1, 1, 3, 3) == (kernel, used)
-    fed.clear()
-    assert stack.kernel([[1, 0], [0, 1]], 1, 1, 3, 3) == (kernel, used) and fed == [full]
+    assert stack_of([a1, a2, b], split=2)._certify(None, 1, 1, 3, 3, False) == (kernel, used)
+    fed.clear()  # the next kernel cuts again, gives way again and has the same result
+    assert stack.kernel([[1, 0], [0, 1]], 1, 1, 3, 3) == (kernel, used) and fed == [cut, full]
 
 
 @pytest.mark.parametrize("at", [0, 1])
-def test_a_cut_that_misses_at_one_prime_is_caught_where_the_loop_leaves_it(at):
+def test_a_cut_that_misses_at_one_prime_is_caught_where_the_loop_leaves_it(at, monkeypatch):
     # (0, q, 0, ..., 0, 1), q the first or second prime, reads zero on its
     # kept slots modulo q only, and k = 2.  At the first, the spurious zero
-    # rows start a run that the second prime's ends, with no failure; at
-    # the second, they are more than the run's and that prime is skipped.
-    # Either way the check finds the miss, and the kernel is made on full
-    # rows, with their primes
+    # rows start a run that the second prime's starts afresh; at the second,
+    # they are more than the run's and that prime is skipped.  Either way
+    # the cut gives way, and the kernel is made on full rows, with their
+    # primes
     c = linalg._MARGIN
     width = 2 * c + 3
     b, a2 = [1] + [0] * (width - 1), [2] + [0] * (width - 1)
     a1 = [0, 2**30 - linalg._FOLDS[at]] + [0] * (width - 3) + [1]
-    stack, whole = stack_of([a1, a2, b], split=2), stack_of([a1, a2, b], split=2)
-    whole.whole = True
     expected = ({2: [-2, 0, 1]}, list(linalg._FOLDS[:2]))
-    assert whole.kernel(None, 1, 2, 3, 3) == expected
-    assert stack.kernel(None, 1, 2, 3, 3) == expected and stack.whole
+    assert stack_of([a1, a2, b], split=2)._certify(None, 1, 2, 3, 3, False) == expected
+    runs = _runs(monkeypatch)
+    assert stack_of([a1, a2, b], split=2).kernel(None, 1, 2, 3, 3) == expected
+    assert runs == [(True, None), (False, expected)]
+
+
+def test_a_cut_run_that_reaches_the_prime_cap_gives_way_to_full_rows(monkeypatch):
+    # (0, ..., 0, q), q the first prime, reads zero on its kept slots at
+    # every prime, and at full width modulo q: the check at the first
+    # failed lift passes, and the cut run goes on to the prime cap, shrunk
+    # to two primes.  It gives way rather than raise, and on full rows the
+    # second prime starts afresh and certifies
+    c = linalg._MARGIN
+    width = 2 * c + 3
+    b, a2 = [1] + [0] * (width - 1), [2] + [0] * (width - 1)
+    a1 = [0] * (width - 1) + [_P0]
+    holds, check = [], linalg.KernelStack._holds
+    monkeypatch.setattr(linalg.KernelStack, "_holds",
+                        lambda stack, *args: holds.append(check(stack, *args)) or holds[-1])
+    monkeypatch.setattr(linalg, "_hadamard_bits", lambda n, top: 0)  # cap = max(k, 1) = 1
+    runs = _runs(monkeypatch)
+    expected = ({2: [-2, 0, 1]}, [linalg._FOLDS[1]])
+    assert stack_of([a1, a2, b], split=2).kernel(None, 1, 1, 3, 3) == expected
+    assert runs == [(True, None), (False, expected)] and holds == [True]
 
 
 @st.composite
@@ -901,32 +935,62 @@ def _cut_stacks(draw):
 @settings(max_examples=100, deadline=None)
 def test_a_cut_kernel_is_the_full_rows_kernel(stack):
     # the same {zero row: vector} and the same primes as on full rows,
-    # whether the cut holds or misses and the kernel is made again
+    # whether the cut run stands or gives way (None) and the kernel is
+    # made again
     a, b, t, den = stack
     n = len(b) + (len(a) if t is None else len(t))
-    cut, whole = stack_of(a + b, len(a)), stack_of(a + b, len(a))
-    whole.whole = True
-    kernel, used = whole.kernel(t, den, 1, n + 1, 2 * n + 8)
-    assert cut.kernel(t, den, 1, n + 1, 2 * n + 8) == (kernel, used)
+    args = (t, den, 1, n + 1, 2 * n + 8)
+    kernel, used = stack_of(a + b, len(a))._certify(*args, False)
+    assert stack_of(a + b, len(a)).kernel(*args) == (kernel, used)
+    assert stack_of(a + b, len(a))._certify(*args, True) in (None, (kernel, used))
     ta = a if t is None else [[sum(x * r[j] for x, r in zip(row, a)) for j in range(len(a[0]))]
                               for row in t]
     assert len(kernel) == n - linalg._bareiss_rank([[den * x for x in row] for row in b] + ta)
 
 
 def test_a_large_planted_line_is_cut_and_keeps_its_type(monkeypatch):
-    # (3,4,11) jumping:2, u = 120 and w = 364: its steps cut their rows,
+    # (3,4,11) jumping:2, u = 120 and w = 364: its steps cut their rows (a
+    # mask shifted right is smaller than the full one), no cut gives way,
     # and its type is type_from_gcd's and that of full rows
     ctx = context(3, 4, 11)
     line = sample_line(ctx, "jumping:2", seed=0)
-    drops, cut = [], linalg.KernelStack._cut
-    monkeypatch.setattr(linalg.KernelStack, "_cut",
-                        lambda stack, c, drop: drops.append(drop) or cut(stack, c, drop))
+    keeps, echelon = [], linalg._echelon_mod_p
+    monkeypatch.setattr(linalg, "_echelon_mod_p", lambda rest, width, c, base=None, keep=None:
+                        keeps.append(keep) or echelon(rest, width, c, base, keep))
+    runs = _runs(monkeypatch)
     st_ = splitting_type(verlinde_pencil(ctx, line))
-    assert drops and st_ == type_from_gcd(ctx, 2)
-    drops.clear()
+    cut = [keep for keep in keeps if keep is not None]
+    assert st_ == type_from_gcd(ctx, 2) and runs and all(result for _, result in runs)
+    keeps.clear()
     monkeypatch.setattr(linalg, "_MARGIN", ctx.w)  # no slot cut
     assert splitting_type(verlinde_pencil(ctx, LineInSystem(line.f1, line.f2))) == st_
-    assert not drops
+    full = [keep for keep in keeps if keep is not None]
+    assert len(cut) == len(full) and all(x <= y for x, y in zip(cut, full))
+    assert any(x < y for x, y in zip(cut, full))
+
+
+def test_every_kernel_of_the_criteria_lines_is_the_full_rows_kernel(monkeypatch):
+    # the seed-0 criteria suite's line specs, whose cells mostly cut
+    # nothing, and two (3,4,10) random lines, whose first steps pass the
+    # check at their first failed lift: each kernel is also made on full
+    # rows alone, on the same stack
+    specs = suites._line_specs(0) + [(3, 4, 10, "random", f"cut:{i}") for i in range(2)]
+    pairs, kernel = [], linalg.KernelStack.kernel
+    holds, check = [], linalg.KernelStack._holds
+
+    def checked(stack, *args):
+        found = kernel(stack, *args)
+        pairs.append((found, stack._certify(*args, False)))
+        return found
+
+    monkeypatch.setattr(linalg.KernelStack, "kernel", checked)
+    monkeypatch.setattr(linalg.KernelStack, "_holds",
+                        lambda stack, *args: holds.append(check(stack, *args)) or holds[-1])
+    for n, d, k, mode, case_seed in specs:
+        ctx = context(n, d, k)
+        splitting_type(verlinde_pencil(ctx, sample_line(ctx, mode, seed=case_seed)))
+    assert len(pairs) > len(specs) and all(found == full for found, full in pairs)
+    assert holds and all(holds)
 
 
 @pytest.mark.parametrize("width,bits", [(1, 64), (7, 64), (8, 72), (2047, 72), (2048, 80)])
